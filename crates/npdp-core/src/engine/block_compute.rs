@@ -6,15 +6,17 @@
 //!
 //! * **Stage 1** — `k` strictly between the block's row and column ranges:
 //!   `C ⊗= Block(bi, bk) × Block(bk, bj)` for `bi < bk < bj`. Both operand
-//!   blocks are final, so the whole block sweeps as a dense tile-level
-//!   min-plus "matmul" with no ordering constraints ([`stage1`]).
+//!   blocks are final, so the whole block is one dense min-plus "matmul"
+//!   with no ordering constraints — a single [`Semiring::rank_update`]
+//!   ([`stage1`]).
 //!
 //! * **Stage 2** — `k` inside block `bi`'s row range (operands: the diagonal
 //!   block `(bi, bi)` and C itself) or block `bj`'s column range (C itself
 //!   and the diagonal block `(bj, bj)`). These are the block's *inner
 //!   dependences*: 4×4 computing blocks are swept bottom row first, left to
-//!   right; per computing block, contributions from already-final computing
-//!   blocks use the SIMD kernel, and the remaining same-tile dependences fall
+//!   right; contributions from already-final rows below arrive as one
+//!   rank-update strip per tile row, those from final tiles to the left as
+//!   one rank update per tile, and the remaining same-tile dependences fall
 //!   back to the original scalar flowchart ([`stage2_offdiag`]).
 //!
 //! A diagonal memory block `(b, b)` is the whole recurrence in miniature and
@@ -47,9 +49,10 @@ pub fn stage1<T: DpValue>(c: &mut [T], a: &[T], b: &[T], nb: usize) {
     stage1_ring(&MinPlus::<T>::new(), c, a, b, nb);
 }
 
-/// [`stage1`] over an arbitrary [`Semiring`]: the same tile sweep, with the
-/// 4×4 rank update going through [`Semiring::tile4`] — the SIMD kernel for
-/// min-plus `f32`/`f64`, the scalar ⊕/⊗ loop for everything else.
+/// [`stage1`] over an arbitrary [`Semiring`]: one `nb × nb × nb`
+/// [`Semiring::rank_update`] — the host-native kernel for min-plus
+/// `f32`/`f64`, the 4×4 tile sweep through [`Semiring::tile4`] for
+/// everything else.
 pub fn stage1_ring<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
@@ -58,17 +61,7 @@ pub fn stage1_ring<S: Semiring>(
     nb: usize,
 ) {
     debug_assert!(nb.is_multiple_of(4));
-    let nt = nb / 4;
-    for r in 0..nt {
-        for cc in 0..nt {
-            let c_off = r * 4 * nb + cc * 4;
-            for t in 0..nt {
-                let a_off = r * 4 * nb + t * 4;
-                let b_off = t * 4 * nb + cc * 4;
-                ring.tile4(&mut c[c_off..], nb, &a[a_off..], nb, &b[b_off..], nb);
-            }
-        }
-    }
+    ring.rank_update(c, nb, a, nb, b, nb, nb, nb, nb);
 }
 
 /// The scalar edge pass of a computing block `(r, cc)` of `C`: resolves the
@@ -139,8 +132,12 @@ fn diag_tile_closure<S: Semiring>(ring: &S, c: &mut [S::Elem], nb: usize, t: usi
 ///
 /// Computing blocks are processed bottom row first, left to right (paper:
 /// "the blocks on the left side and closer to the bottom are computed
-/// earlier"); per tile, the already-final tile operands go through the SIMD
-/// kernel and the same-tile remainder through `scalar_edge`.
+/// earlier"). Each tile row first takes every candidate from the final rows
+/// below it in one [`Semiring::rank_update`] strip; then, per tile, the
+/// final tiles to its left arrive in one 4-column `rank_update` and the
+/// same-tile remainder through `scalar_edge`. A cell sees its candidates in
+/// the same order as a tile-by-tile sweep: rows below, columns left, own
+/// tile.
 pub fn stage2_offdiag<T: DpValue>(c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
     stage2_offdiag_ring(&MinPlus::<T>::new(), c, dlo, dhi, nb);
 }
@@ -155,28 +152,40 @@ pub fn stage2_offdiag_ring<S: Semiring>(
 ) {
     debug_assert!(nb.is_multiple_of(4));
     let nt = nb / 4;
+    let mut left = vec![ring.zero(); 4 * nb];
     for r in (0..nt).rev() {
+        // (a) k strictly below tile row r in this block's row range, for the
+        //     whole tile row at once: C(r,·) ⊗= DLO(r, below) × C(below, ·).
+        //     The C operand rows are already final and lie strictly after
+        //     the destination rows, so the flat ranges are disjoint.
+        let below = (r + 1) * 4;
+        let (head, tail) = c.split_at_mut(below * nb);
+        let strip = &mut head[r * 4 * nb..];
+        ring.rank_update(
+            strip,
+            nb,
+            &dlo[r * 4 * nb + below..],
+            nb,
+            tail,
+            nb,
+            4,
+            nb,
+            nb - below,
+        );
         for cc in 0..nt {
-            // (a) k-tiles strictly below r in this block's row range:
-            //     C(r,cc) ⊗= DLO(r,tr) × C(tr,cc). The C operand tile lies in
-            //     strictly later rows, so the flat ranges are disjoint.
-            for tr in r + 1..nt {
-                let (head, tail) = c.split_at_mut(tr * 4 * nb);
-                let c_tile = &mut head[r * 4 * nb + cc * 4..];
-                let b_tile = &tail[cc * 4..];
-                ring.tile4(c_tile, nb, &dlo[r * 4 * nb + tr * 4..], nb, b_tile, nb);
-            }
             // (b) k-tiles strictly left of cc in this block's column range:
-            //     C(r,cc) ⊗= C(r,tc) × DHI(tc,cc). The A operand shares rows
-            //     with the destination, so it is staged through a scratch
-            //     tile (the kernel's register loads).
-            for tc in 0..cc {
-                let a_scratch = copy_tile(c, nb, r, tc);
-                let c_tile = &mut c[r * 4 * nb + cc * 4..];
-                ring.tile4(c_tile, nb, &a_scratch, 4, &dhi[tc * 4 * nb + cc * 4..], nb);
-            }
+            //     C(r,cc) ⊗= C(r, left) × DHI(left, cc), one 4 × 4 × 4cc
+            //     update. The A operand shares rows with the destination, so
+            //     it is read from `left`, where each final tile of row r is
+            //     staged as soon as its edge pass is done.
+            let c_tile = &mut c[r * 4 * nb + cc * 4..];
+            ring.rank_update(c_tile, nb, &left, nb, &dhi[cc * 4..], nb, 4, 4, cc * 4);
             // (c) same-tile remainder: the original flowchart.
             scalar_edge(ring, c, Some(dlo), Some(dhi), nb, r, cc);
+            for il in 0..4 {
+                let (dst, src) = (il * nb + cc * 4, (r * 4 + il) * nb + cc * 4);
+                left[dst..dst + 4].copy_from_slice(&c[src..src + 4]);
+            }
         }
     }
 }
@@ -342,6 +351,76 @@ mod tests {
             }
             for j in i + 1..nb {
                 assert!(c[i * nb + j].is_finite(), "interior ({i},{j})");
+            }
+        }
+    }
+
+    /// Min-plus through the `Semiring` defaults only: `rank_update` is the
+    /// 4×4 tile sweep over `tile4`, as every non-float ring runs it.
+    #[derive(Clone)]
+    struct TileOnly<T>(MinPlus<T>);
+
+    impl<T: DpValue> Semiring for TileOnly<T> {
+        type Elem = T;
+        fn zero(&self) -> T {
+            self.0.zero()
+        }
+        fn combine(&self, a: T, b: T) -> T {
+            self.0.combine(a, b)
+        }
+        fn extend(&self, a: T, b: T) -> T {
+            self.0.extend(a, b)
+        }
+        fn tile4(&self, c: &mut [T], cs: usize, a: &[T], as_: usize, b: &[T], bs: usize) {
+            self.0.tile4(c, cs, a, as_, b, bs);
+        }
+    }
+
+    /// Both stages through `MinPlus` (the host-native kernel for floats)
+    /// equal the same stages through the tile-sweep defaults, bit for bit,
+    /// on blocks full of `+0` ties and `+∞` padding.
+    fn stages_match_tile_sweep<T: DpValue>(
+        nb: usize,
+        seed: u64,
+        of: impl Fn(f32) -> T,
+        bits: impl Fn(T) -> u64,
+    ) {
+        // A fifth of the cells are `+0`, the rest whole numbers (many ties).
+        let round = |v: Vec<f32>| -> Vec<T> {
+            v.into_iter()
+                .map(|x| match x {
+                    x if x.is_infinite() => T::INFINITY,
+                    x if x < 10.0 => of(0.0),
+                    x => of(x.floor()),
+                })
+                .collect()
+        };
+        let (fast, slow) = (MinPlus::<T>::new(), TileOnly(MinPlus::<T>::new()));
+        let same = |x: &[T], y: &[T]| x.iter().zip(y).all(|(&p, &q)| bits(p) == bits(q));
+
+        let mut dlo = round(seeded_block(nb, seed, true));
+        let mut dhi = round(seeded_block(nb, seed + 1, true));
+        compute_diag_ring(&fast, &mut dlo, nb);
+        compute_diag_ring(&fast, &mut dhi, nb);
+        let a = round(seeded_block(nb, seed + 2, false));
+        let c0 = round(seeded_block(nb, seed + 3, false));
+
+        let (mut x, mut y) = (c0.clone(), c0);
+        stage1_ring(&fast, &mut x, &a, &dhi, nb);
+        stage1_ring(&slow, &mut y, &a, &dhi, nb);
+        assert!(same(&x, &y), "stage 1 nb={nb} seed={seed}");
+        stage2_offdiag_ring(&fast, &mut x, &dlo, &dhi, nb);
+        stage2_offdiag_ring(&slow, &mut y, &dlo, &dhi, nb);
+        assert!(same(&x, &y), "stage 2 nb={nb} seed={seed}");
+    }
+
+    #[test]
+    fn min_plus_stages_equal_tile_sweep_defaults() {
+        for nb in [4usize, 8, 12, 24, 40, 88] {
+            for seed in 0..3u64 {
+                stages_match_tile_sweep::<f32>(nb, seed * 7, |x| x, |v| v.to_bits() as u64);
+                stages_match_tile_sweep::<f64>(nb, seed * 7, f64::from, f64::to_bits);
+                stages_match_tile_sweep::<i64>(nb, seed * 7, |x| x as i64, |v| v as u64);
             }
         }
     }

@@ -19,8 +19,8 @@
 //! * [`solve_serial`] — the Fig. 1 flowchart; the only tier that honors
 //!   `extend_at` overrides ([`Recurrence::split_dependent`]).
 //! * [`solve_blocked`] — the NDL sweep: stage-1 block "matmuls" through
-//!   [`Semiring::tile4`] (the SIMD kernel for min-plus `f32`/`f64`), then a
-//!   finalize-aware stage-2/diagonal scalar pass.
+//!   [`Semiring::rank_update`] (the host-native kernel for min-plus
+//!   `f32`/`f64`), then a finalize-aware stage-2/diagonal scalar pass.
 //! * [`solve_parallel`] — the CellNPDP task queue over scheduling blocks,
 //!   all four [`Scheduler`] disciplines, same `SharedBlocked` state machine.
 //!
@@ -367,8 +367,9 @@ impl SolveRecurrence for BlockedEngine {
 
 impl SolveRecurrence for SimdEngine {
     // Identical math to `BlockedEngine`: on the generic path the kernel
-    // choice lives in `Semiring::tile4`, which is the SIMD fast path for
-    // min-plus floats and the scalar ⊕/⊗ loop otherwise.
+    // choice lives in `Semiring::rank_update` / `Semiring::tile4`, the
+    // SIMD fast paths for min-plus floats and the scalar ⊕/⊗ loop
+    // otherwise.
     fn solve_recurrence<R: Recurrence>(
         &self,
         rec: &R,

@@ -5,10 +5,12 @@
 //!
 //! [`DpValue`] remains the *min-plus instance* of this algebra — its
 //! `min2`/`add_sat`/`INFINITY` contract is exactly `combine`/`extend`/`zero`
-//! for [`MinPlus`], and the SIMD 4×4 tile kernels ride along through
-//! [`Semiring::tile4`]. Other instances ([`MaxPlusRing`], the CYK tropical
-//! vector ring in `apps::cyk`, the Zuker track ring in the `zuker` crate)
-//! reuse every engine unchanged.
+//! for [`MinPlus`], and the SIMD kernels ride along through
+//! [`Semiring::tile4`] (one 4×4 tile) and [`Semiring::rank_update`] (a
+//! whole panel: the host-native register-blocked kernel for `f32`/`f64`).
+//! Other instances ([`MaxPlusRing`], the CYK tropical vector ring in
+//! `apps::cyk`, the Zuker track ring in the `zuker` crate) reuse every
+//! engine unchanged.
 //!
 //! # Padding contract
 //!
@@ -83,12 +85,66 @@ pub trait Semiring: Clone + Send + Sync + 'static {
         }
     }
 
+    /// Rank update of a `rows × cols` panel: `C = C ⊕ (A ⊗ B)` with a
+    /// `rows × depth` A panel and a `depth × cols` B panel, all dimensions
+    /// multiples of 4 and every panel row-strided.
+    ///
+    /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
+    /// ascending — through [`Semiring::tile4`]; [`MinPlus`] overrides it
+    /// with [`DpValue::rank_update`], the host-native register-blocked
+    /// kernel for `f32`/`f64`. Either way every cell sees its candidates in
+    /// ascending `k`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn rank_update(
+        &self,
+        c: &mut [Self::Elem],
+        cs: usize,
+        a: &[Self::Elem],
+        as_: usize,
+        b: &[Self::Elem],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        let tile4 = |c: &mut [_], cs, a: &[_], as_, b: &[_], bs| self.tile4(c, cs, a, as_, b, bs);
+        sweep_tiles(c, cs, a, as_, b, bs, rows, cols, depth, tile4);
+    }
+
     /// Padding-law witness: `true` when `padded` loses `combine` against
     /// `probe` from either side. Engines may `debug_assert` this over block
     /// padding after a sweep; the property tests drive it exhaustively.
     #[inline]
     fn padding_loses(&self, padded: Self::Elem, probe: Self::Elem) -> bool {
         self.combine(probe, padded) == probe && self.combine(padded, probe) == probe
+    }
+}
+
+/// The 4×4 tile sweep behind both `rank_update` defaults
+/// ([`Semiring::rank_update`], [`DpValue::rank_update`]): tile rows, tile
+/// columns, then k-tiles ascending, each through `tile4`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_tiles<T>(
+    c: &mut [T],
+    cs: usize,
+    a: &[T],
+    as_: usize,
+    b: &[T],
+    bs: usize,
+    rows: usize,
+    cols: usize,
+    depth: usize,
+    mut tile4: impl FnMut(&mut [T], usize, &[T], usize, &[T], usize),
+) {
+    for r in (0..rows).step_by(4) {
+        for cc in (0..cols).step_by(4) {
+            for k in (0..depth).step_by(4) {
+                let (a, b) = (&a[r * as_ + k..], &b[k * bs + cc..]);
+                tile4(&mut c[r * cs + cc..], cs, a, as_, b, bs);
+            }
+        }
     }
 }
 
@@ -132,6 +188,22 @@ impl<T: DpValue> Semiring for MinPlus<T> {
     #[inline(always)]
     fn tile4(&self, c: &mut [T], cs: usize, a: &[T], as_: usize, b: &[T], bs: usize) {
         T::tile4_update(c, cs, a, as_, b, bs);
+    }
+
+    #[inline(always)]
+    fn rank_update(
+        &self,
+        c: &mut [T],
+        cs: usize,
+        a: &[T],
+        as_: usize,
+        b: &[T],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        T::rank_update(c, cs, a, as_, b, bs, rows, cols, depth);
     }
 }
 

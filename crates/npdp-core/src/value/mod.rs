@@ -6,7 +6,11 @@
 //! `f32`/`f64` additionally route the hot 4×4 tile update through the SIMD
 //! kernels of the `simd-kernel` crate (the paper's 80-instruction sequence).
 
-use simd_kernel::{block4x4_minplus_f32_arrays, F64x2};
+use crate::error::SeedIssue;
+use simd_kernel::{
+    block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays, minplus_rank_update_f32,
+    minplus_rank_update_f64,
+};
 
 /// A value usable in the min-plus NPDP recurrence.
 ///
@@ -92,6 +96,45 @@ pub trait DpValue:
             }
         }
     }
+
+    /// Min-plus rank update of a `rows × cols` panel of C by a `rows ×
+    /// depth` panel of A and a `depth × cols` panel of B (all multiples of
+    /// 4, row-strided like [`DpValue::tile4_update`]).
+    ///
+    /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
+    /// ascending — through [`DpValue::tile4_update`]; `f32`/`f64` override
+    /// it with the host-native kernels of `simd_kernel::rank`. Either way a
+    /// cell sees its candidates in ascending `k`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn rank_update(
+        c: &mut [Self],
+        cs: usize,
+        a: &[Self],
+        as_: usize,
+        b: &[Self],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        crate::semiring::sweep_tiles(c, cs, a, as_, b, bs, rows, cols, depth, Self::tile4_update);
+    }
+}
+
+/// Float seeds: NaN, or any sign-negative value — `-0.0` included. A `-0.0`
+/// seed compares equal to `+0.0` and is not `< 0.0`, so the default check
+/// lets it through; which of the two zeros a cell then ends with depends on
+/// candidate order, and engines would differ in bits.
+#[inline]
+fn float_seed_issue(nan: bool, sign_negative: bool) -> Option<SeedIssue> {
+    if nan {
+        Some(SeedIssue::NotANumber)
+    } else if sign_negative {
+        Some(SeedIssue::Negative)
+    } else {
+        None
+    }
 }
 
 impl DpValue for f32 {
@@ -99,9 +142,29 @@ impl DpValue for f32 {
     const ZERO: Self = 0.0;
     const PAD_FLOOR: Self = f32::INFINITY;
 
+    #[inline]
+    fn seed_issue(v: Self) -> Option<SeedIssue> {
+        float_seed_issue(v.is_nan(), v.is_sign_negative())
+    }
+
     #[inline(always)]
     fn tile4_update(c: &mut [Self], cs: usize, a: &[Self], as_: usize, b: &[Self], bs: usize) {
         block4x4_minplus_f32_arrays(c, cs, a, as_, b, bs);
+    }
+
+    #[inline(always)]
+    fn rank_update(
+        c: &mut [Self],
+        cs: usize,
+        a: &[Self],
+        as_: usize,
+        b: &[Self],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        minplus_rank_update_f32(c, cs, a, as_, b, bs, rows, cols, depth);
     }
 }
 
@@ -110,20 +173,29 @@ impl DpValue for f64 {
     const ZERO: Self = 0.0;
     const PAD_FLOOR: Self = f64::INFINITY;
 
+    #[inline]
+    fn seed_issue(v: Self) -> Option<SeedIssue> {
+        float_seed_issue(v.is_nan(), v.is_sign_negative())
+    }
+
     #[inline(always)]
     fn tile4_update(c: &mut [Self], cs: usize, a: &[Self], as_: usize, b: &[Self], bs: usize) {
-        // Two F64x2 registers per tile row (the SPU's DP layout).
-        let av: [[F64x2; 2]; 4] =
-            std::array::from_fn(|r| [F64x2::load(&a[r * as_..]), F64x2::load(&a[r * as_ + 2..])]);
-        let bv: [[F64x2; 2]; 4] =
-            std::array::from_fn(|r| [F64x2::load(&b[r * bs..]), F64x2::load(&b[r * bs + 2..])]);
-        let mut cv: [[F64x2; 2]; 4] =
-            std::array::from_fn(|r| [F64x2::load(&c[r * cs..]), F64x2::load(&c[r * cs + 2..])]);
-        simd_kernel::block4x4_minplus_f64(&mut cv, &av, &bv);
-        for r in 0..4 {
-            cv[r][0].store(&mut c[r * cs..]);
-            cv[r][1].store(&mut c[r * cs + 2..]);
-        }
+        block4x4_minplus_f64_arrays(c, cs, a, as_, b, bs);
+    }
+
+    #[inline(always)]
+    fn rank_update(
+        c: &mut [Self],
+        cs: usize,
+        a: &[Self],
+        as_: usize,
+        b: &[Self],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        minplus_rank_update_f64(c, cs, a, as_, b, bs, rows, cols, depth);
     }
 }
 
@@ -231,6 +303,13 @@ mod tests {
         assert_eq!(f32::seed_issue(f32::INFINITY), None);
         assert_eq!(f32::seed_issue(f32::NAN), Some(SeedIssue::NotANumber));
         assert_eq!(f32::seed_issue(-1.0), Some(SeedIssue::Negative));
+        assert_eq!(f32::seed_issue(-0.0), Some(SeedIssue::Negative));
+        assert_eq!(f64::seed_issue(-0.0), Some(SeedIssue::Negative));
+        assert_eq!(
+            f64::seed_issue(f64::NEG_INFINITY),
+            Some(SeedIssue::Negative)
+        );
+        assert_eq!(f64::seed_issue(0.0), None);
         assert_eq!(f64::seed_issue(f64::NAN), Some(SeedIssue::NotANumber));
         assert_eq!(i32::seed_issue(-3), Some(SeedIssue::Negative));
         assert_eq!(i64::seed_issue(7), None);

@@ -172,6 +172,29 @@ pub fn block4x4_minplus_f64(c: &mut BlockF64, a: &BlockF64, b: &BlockF64) {
     }
 }
 
+/// Slice-based wrapper around [`block4x4_minplus_f64`], the double-precision
+/// [`block4x4_minplus_f32_arrays`]: two 128-bit loads per tile row (the SPU's
+/// DP layout), the register kernel, two stores per C row.
+#[inline(always)]
+pub fn block4x4_minplus_f64_arrays(
+    c: &mut [f64],
+    cs: usize,
+    a: &[f64],
+    as_: usize,
+    b: &[f64],
+    bs: usize,
+) {
+    let row = |s: &[f64], off: usize| [F64x2::load(&s[off..]), F64x2::load(&s[off + 2..])];
+    let av: BlockF64 = std::array::from_fn(|r| row(a, r * as_));
+    let bv: BlockF64 = std::array::from_fn(|r| row(b, r * bs));
+    let mut cv: BlockF64 = std::array::from_fn(|r| row(c, r * cs));
+    block4x4_minplus_f64(&mut cv, &av, &bv);
+    for (r, [lo, hi]) in cv.into_iter().enumerate() {
+        lo.store(&mut c[r * cs..]);
+        hi.store(&mut c[r * cs + 2..]);
+    }
+}
+
 /// Scalar reference kernel: the 64-iteration triple loop a 4×4 min-plus
 /// update expands to. Used by tests to pin down the SIMD kernels and by the
 /// engines as the generic fallback for non-f32/f64 value types.

@@ -10,7 +10,12 @@
 //! The vector types here are plain `#[repr(transparent)]` wrappers over fixed
 //! arrays with `#[inline(always)]` lane-wise operations; LLVM reliably lowers
 //! them to SSE/AVX/NEON 128-bit instructions, which play the role of the SPU's
-//! 128-bit SIMD unit.
+//! 128-bit SIMD unit. That 4×4 kernel stays the Table I reference.
+//!
+//! The host does not have to copy the SPU's shape: [`rank`] holds the
+//! host-native min-plus rank update (`C ⊕= A ⊗ B` on whole panels), an AVX2
+//! register-blocked micro-kernel chosen at run time, bit-identical to the
+//! 4×4 sweep it falls back to. It is the only `unsafe` code in the crate.
 //!
 //! ```
 //! use simd_kernel::{block4x4_minplus_f32, F32x4, KERNEL_SIMD_INSTRUCTIONS};
@@ -26,11 +31,17 @@
 //! assert_eq!(KERNEL_SIMD_INSTRUCTIONS.total(), 80);
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod kernel;
+pub mod rank;
 pub mod vec;
 
 pub use kernel::{
     block4x4_minplus_f32, block4x4_minplus_f32_arrays, block4x4_minplus_f64,
-    block4x4_minplus_scalar, BlockF32, BlockF64, KERNEL_SIMD_INSTRUCTIONS,
+    block4x4_minplus_f64_arrays, block4x4_minplus_scalar, BlockF32, BlockF64,
+    KERNEL_SIMD_INSTRUCTIONS,
 };
+pub use rank::{minplus_rank_update_f32, minplus_rank_update_f64};
 pub use vec::{F32x4, F64x2, I32x4, I64x2};

@@ -1,0 +1,503 @@
+//! Host-native min-plus rank update: `C ⊕= A ⊗ B` over row-strided panels.
+//!
+//! The 4×4 kernel in [`crate::kernel`] copies the SPU's shape: 128-bit rows,
+//! and every C tile loaded and stored again after only four k-steps. On an
+//! x86_64 host with AVX2 the same update runs as a register-blocked
+//! micro-kernel instead: a 6-row × 16-column tile of C (6 × 8 for `f64`)
+//! stays in twelve 256-bit accumulators for the whole `depth`, and each
+//! k-step costs one B row load per accumulator column plus one broadcast of
+//! A per row.
+//!
+//! # Bit-identity
+//!
+//! Each candidate is one IEEE add of an A element and a B element, in that
+//! operand order, and the accumulator takes it only when it is strictly
+//! smaller — `_mm256_min_ps(cand, acc)` returns `cand < acc ? cand : acc`,
+//! which is exactly `DpValue::min2(acc, cand)`, ties and NaN included. Every
+//! cell walks k in ascending order, as the 4×4 tile sweep does. There is no
+//! FMA and no reassociation, so the dispatched kernel and the portable
+//! sweep produce the same bits (pinned by the tests below).
+//!
+//! # Dispatch
+//!
+//! [`minplus_rank_update_f32`] / [`minplus_rank_update_f64`] are the only
+//! entry points. They check the operand extents, then run the AVX2 kernel
+//! when `is_x86_feature_detected!("avx2")` holds and otherwise the 4×4 tile
+//! sweep ([`block4x4_minplus_f32_arrays`] per tile), which is also what
+//! every non-x86_64 target compiles to.
+
+use crate::kernel::{block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays};
+
+/// Checks the shape contract shared by both entry points: every dimension a
+/// multiple of 4 (whole computing blocks), strides at least as wide as the
+/// rows they step over, and each slice long enough for its panel.
+#[allow(clippy::too_many_arguments)]
+fn check_extents(
+    c_len: usize,
+    cs: usize,
+    a_len: usize,
+    as_: usize,
+    b_len: usize,
+    bs: usize,
+    rows: usize,
+    cols: usize,
+    depth: usize,
+) {
+    assert!(
+        rows.is_multiple_of(4) && cols.is_multiple_of(4) && depth.is_multiple_of(4),
+        "rank update shape {rows}×{cols}×{depth} is not made of 4×4 computing blocks"
+    );
+    assert!(
+        cs >= cols && as_ >= depth && bs >= cols,
+        "row strides (c {cs}, a {as_}, b {bs}) narrower than the panels"
+    );
+    // Checked arithmetic: the AVX2 kernel trusts these extents, so a huge
+    // stride must fail here rather than wrap into a small extent.
+    let fits = |len: usize, h: usize, stride: usize, w: usize| match h {
+        0 => true,
+        h => (h - 1)
+            .checked_mul(stride)
+            .and_then(|e| e.checked_add(w))
+            .is_some_and(|extent| len >= extent),
+    };
+    assert!(fits(c_len, rows, cs, cols), "C slice too short");
+    assert!(fits(a_len, rows, as_, depth), "A slice too short");
+    assert!(fits(b_len, depth, bs, cols), "B slice too short");
+}
+
+/// Single-precision min-plus rank update: `C[r][j] = min(C[r][j],
+/// min_k (A[r][k] + B[k][j]))` for `r < rows`, `j < cols`, `k < depth`,
+/// with row strides `cs`, `as_`, `bs` in elements.
+///
+/// # Panics
+///
+/// If a dimension is not a multiple of 4, a stride is narrower than its
+/// panel, or a slice is too short for its panel.
+#[allow(clippy::too_many_arguments)]
+pub fn minplus_rank_update_f32(
+    c: &mut [f32],
+    cs: usize,
+    a: &[f32],
+    as_: usize,
+    b: &[f32],
+    bs: usize,
+    rows: usize,
+    cols: usize,
+    depth: usize,
+) {
+    check_extents(c.len(), cs, a.len(), as_, b.len(), bs, rows, cols, depth);
+    if rows == 0 || cols == 0 || depth == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected just above, and `check_extents` proved
+        // every panel lies inside its slice.
+        unsafe { avx2::rank_update_f32(c, cs, a, as_, b, bs, rows, cols, depth) };
+        return;
+    }
+    portable_f32(c, cs, a, as_, b, bs, rows, cols, depth);
+}
+
+/// Double-precision [`minplus_rank_update_f32`]: the AVX2 tile is 6 rows ×
+/// 8 columns (four lanes per register), the fallback the 4×4 `f64` sweep.
+///
+/// # Panics
+///
+/// As [`minplus_rank_update_f32`].
+#[allow(clippy::too_many_arguments)]
+pub fn minplus_rank_update_f64(
+    c: &mut [f64],
+    cs: usize,
+    a: &[f64],
+    as_: usize,
+    b: &[f64],
+    bs: usize,
+    rows: usize,
+    cols: usize,
+    depth: usize,
+) {
+    check_extents(c.len(), cs, a.len(), as_, b.len(), bs, rows, cols, depth);
+    if rows == 0 || cols == 0 || depth == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected just above, and `check_extents` proved
+        // every panel lies inside its slice.
+        unsafe { avx2::rank_update_f64(c, cs, a, as_, b, bs, rows, cols, depth) };
+        return;
+    }
+    portable_f64(c, cs, a, as_, b, bs, rows, cols, depth);
+}
+
+/// The 4×4 tile sweep both entry points fall back to: tile rows, then tile
+/// columns, then k-tiles in ascending order — the loop `stage1` ran before
+/// the host kernel existed.
+macro_rules! portable_sweep {
+    ($name:ident, $elem:ty, $tile:path) => {
+        #[allow(clippy::too_many_arguments)]
+        fn $name(
+            c: &mut [$elem],
+            cs: usize,
+            a: &[$elem],
+            as_: usize,
+            b: &[$elem],
+            bs: usize,
+            rows: usize,
+            cols: usize,
+            depth: usize,
+        ) {
+            for r in (0..rows).step_by(4) {
+                for j in (0..cols).step_by(4) {
+                    for k in (0..depth).step_by(4) {
+                        $tile(
+                            &mut c[r * cs + j..],
+                            cs,
+                            &a[r * as_ + k..],
+                            as_,
+                            &b[k * bs + j..],
+                            bs,
+                        );
+                    }
+                }
+            }
+        }
+    };
+}
+
+portable_sweep!(portable_f32, f32, block4x4_minplus_f32_arrays);
+portable_sweep!(portable_f64, f64, block4x4_minplus_f64_arrays);
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// Rows of C one micro-kernel call keeps in registers: 6 rows × 2
+    /// vectors = 12 accumulators, plus 2 B vectors and 1 A broadcast, of
+    /// the 16 `ymm` registers.
+    const MR: usize = 6;
+
+    /// Generates one register-blocked micro-kernel: `ROWS` rows of C × `NV`
+    /// vectors of `$lanes` columns, held in accumulators across the whole
+    /// `depth`.
+    macro_rules! micro_kernel {
+        ($name:ident, $elem:ty, $lanes:expr,
+         $load:ident, $store:ident, $splat:ident, $add:ident, $min:ident) => {
+            /// # Safety
+            ///
+            /// The CPU supports AVX2; `c` holds `ROWS` rows of stride `cs`
+            /// and `NV × LANES` columns, `a` `ROWS` rows of stride `as_` and
+            /// `depth` columns, `b` `depth` rows of stride `bs` and
+            /// `NV × LANES` columns.
+            #[target_feature(enable = "avx2")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn $name<const ROWS: usize, const NV: usize>(
+                c: *mut $elem,
+                cs: usize,
+                a: *const $elem,
+                as_: usize,
+                b: *const $elem,
+                bs: usize,
+                depth: usize,
+            ) {
+                let mut acc = [[$splat(0.0); NV]; ROWS];
+                for (r, row) in acc.iter_mut().enumerate() {
+                    for (v, lane) in row.iter_mut().enumerate() {
+                        // SAFETY: row `r < ROWS`, columns `v·LANES..` below
+                        // `NV·LANES`, inside C by the caller's contract.
+                        *lane = unsafe { $load(c.add(r * cs + v * $lanes)) };
+                    }
+                }
+                for k in 0..depth {
+                    let mut bv = [$splat(0.0); NV];
+                    for (v, lane) in bv.iter_mut().enumerate() {
+                        // SAFETY: row `k < depth` of B, columns inside the
+                        // `NV·LANES` panel.
+                        *lane = unsafe { $load(b.add(k * bs + v * $lanes)) };
+                    }
+                    for (r, row) in acc.iter_mut().enumerate() {
+                        // SAFETY: element `(r, k)` of the `ROWS × depth` A
+                        // panel.
+                        let av = $splat(unsafe { *a.add(r * as_ + k) });
+                        for (lane, &bk) in row.iter_mut().zip(&bv) {
+                            // `min(cand, acc)` returns `acc` unless `cand`
+                            // is strictly smaller: `DpValue::min2(acc, cand)`.
+                            *lane = $min($add(av, bk), *lane);
+                        }
+                    }
+                }
+                for (r, row) in acc.iter().enumerate() {
+                    for (v, &lane) in row.iter().enumerate() {
+                        // SAFETY: the same in-bounds C elements loaded above.
+                        unsafe { $store(c.add(r * cs + v * $lanes), lane) };
+                    }
+                }
+            }
+        };
+    }
+
+    micro_kernel!(
+        tile_f32,
+        f32,
+        8,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_set1_ps,
+        _mm256_add_ps,
+        _mm256_min_ps
+    );
+    micro_kernel!(
+        tile4_f32,
+        f32,
+        4,
+        _mm_loadu_ps,
+        _mm_storeu_ps,
+        _mm_set1_ps,
+        _mm_add_ps,
+        _mm_min_ps
+    );
+    micro_kernel!(
+        tile_f64,
+        f64,
+        4,
+        _mm256_loadu_pd,
+        _mm256_storeu_pd,
+        _mm256_set1_pd,
+        _mm256_add_pd,
+        _mm256_min_pd
+    );
+
+    /// Walks C in column panels (widest register tile first) and, inside
+    /// each panel, in 6-row blocks, then one 4-row block, then single rows.
+    macro_rules! panel_sweep {
+        ($name:ident, $elem:ty, $(($width:expr, $kernel:ident, $nv:expr)),+) => {
+            /// # Safety
+            ///
+            /// The CPU supports AVX2 and the panels satisfy
+            /// `super::check_extents`.
+            #[target_feature(enable = "avx2")]
+            #[allow(clippy::too_many_arguments)]
+            pub(super) unsafe fn $name(
+                c: &mut [$elem],
+                cs: usize,
+                a: &[$elem],
+                as_: usize,
+                b: &[$elem],
+                bs: usize,
+                rows: usize,
+                cols: usize,
+                depth: usize,
+            ) {
+                let (c, a, b) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+                let mut j = 0;
+                $(
+                    while cols - j >= $width {
+                        let mut r = 0;
+                        while rows - r >= MR {
+                            // SAFETY: rows `r..r + MR` and columns
+                            // `j..j + width` lie inside the panels the caller
+                            // checked, and AVX2 is enabled here.
+                            unsafe {
+                                $kernel::<MR, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
+                                    b.add(j), bs, depth)
+                            };
+                            r += MR;
+                        }
+                        if rows - r >= 4 {
+                            // SAFETY: as above, for four rows.
+                            unsafe {
+                                $kernel::<4, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
+                                    b.add(j), bs, depth)
+                            };
+                            r += 4;
+                        }
+                        while r < rows {
+                            // SAFETY: as above, for one row.
+                            unsafe {
+                                $kernel::<1, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
+                                    b.add(j), bs, depth)
+                            };
+                            r += 1;
+                        }
+                        j += $width;
+                    }
+                )+
+                debug_assert_eq!(j, cols);
+            }
+        };
+    }
+
+    panel_sweep!(
+        rank_update_f32,
+        f32,
+        (16, tile_f32, 2),
+        (8, tile_f32, 1),
+        (4, tile4_f32, 1)
+    );
+    panel_sweep!(rank_update_f64, f64, (8, tile_f64, 2), (4, tile_f64, 1));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Values that stress every IEEE corner a min-plus candidate can hit:
+    /// `+∞` padding, `MAX + MAX` overflowing to `+∞`, subnormals, `+0`, and
+    /// ties (small integers repeat).
+    fn hard_f32(s: &mut u64) -> f32 {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        match (*s >> 59) % 8 {
+            0 => f32::INFINITY,
+            1 => f32::MAX,
+            2 => f32::from_bits(1 + ((*s >> 20) as u32 & 0x7f_ffff)), // subnormal
+            3 => 0.0,
+            4 => ((*s >> 40) % 4) as f32,
+            _ => ((*s >> 40) as f32) / 1024.0,
+        }
+    }
+
+    fn hard_f64(s: &mut u64) -> f64 {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        match (*s >> 59) % 8 {
+            0 => f64::INFINITY,
+            1 => f64::MAX,
+            2 => f64::from_bits(1 + ((*s >> 8) & 0xf_ffff_ffff_ffff)), // subnormal
+            3 => 0.0,
+            4 => ((*s >> 40) % 4) as f64,
+            _ => ((*s >> 20) as f64) / 1024.0,
+        }
+    }
+
+    /// Runs the dispatched entry point and the portable sweep on the same
+    /// hard inputs and compares the bits of all of C. Strides are wider than
+    /// the panels, so both must also leave the gap columns alone.
+    macro_rules! assert_matches {
+        ($name:ident, $elem:ty, $gen:ident, $fast:ident, $portable:ident) => {
+            fn $name(rows: usize, cols: usize, depth: usize, pad: usize, seed: u64) {
+                let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+                let (cs, as_, bs) = (cols + pad, depth + pad, cols + 2 * pad);
+                let mut fill =
+                    |len: usize| -> Vec<$elem> { (0..len).map(|_| $gen(&mut s)).collect() };
+                let (c, a, b) = (fill(rows * cs), fill(rows * as_), fill(depth * bs));
+                let mut fast = c.clone();
+                let mut portable = c;
+                $fast(&mut fast, cs, &a, as_, &b, bs, rows, cols, depth);
+                $portable(&mut portable, cs, &a, as_, &b, bs, rows, cols, depth);
+                let bits = |v: &[$elem]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&fast),
+                    bits(&portable),
+                    "{} {rows}×{cols}×{depth} pad {pad} seed {seed}",
+                    stringify!($elem)
+                );
+            }
+        };
+    }
+
+    assert_matches!(
+        assert_f32_matches,
+        f32,
+        hard_f32,
+        minplus_rank_update_f32,
+        portable_f32
+    );
+    assert_matches!(
+        assert_f64_matches,
+        f64,
+        hard_f64,
+        minplus_rank_update_f64,
+        portable_f64
+    );
+
+    /// Every square stage-1 shape from nb = 4 to 96: the dispatched kernel
+    /// equals the portable sweep bit for bit.
+    #[test]
+    fn square_blocks_match_portable_sweep() {
+        for nb in (4..=96).step_by(4) {
+            assert_f32_matches(nb, nb, nb, 0, nb as u64);
+            assert_f64_matches(nb, nb, nb, 0, nb as u64);
+        }
+    }
+
+    /// The stage-2 strip shapes: four rows, a full block of columns, and
+    /// every depth a tile row can have below it.
+    #[test]
+    fn stage2_strip_shapes_match_portable_sweep() {
+        for nb in [8usize, 16, 40, 88, 96] {
+            for depth in (4..nb).step_by(4) {
+                assert_f32_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
+                assert_f64_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_shapes_are_no_ops() {
+        let mut c = [1.0f32; 16];
+        minplus_rank_update_f32(&mut c, 4, &[], 0, &[], 4, 0, 4, 0);
+        minplus_rank_update_f32(&mut c, 4, &[], 0, &[], 4, 4, 4, 0);
+        assert_eq!(c, [1.0; 16]);
+    }
+
+    /// Candidates tie with C (`+0` against `+0`, `∞` against `∞`): C keeps
+    /// its own bits, as `min2(acc, cand)` does.
+    #[test]
+    fn ties_keep_the_accumulator() {
+        let mut c = vec![0.0f32; 16];
+        minplus_rank_update_f32(&mut c, 4, &[0.0; 16], 4, &[0.0; 16], 4, 4, 4, 4);
+        assert!(c.iter().all(|v| v.to_bits() == 0));
+        let mut c = vec![f64::INFINITY; 16];
+        minplus_rank_update_f64(&mut c, 4, &[f64::MAX; 16], 4, &[f64::MAX; 16], 4, 4, 4, 4);
+        assert!(c.iter().all(|v| *v == f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "not made of 4×4 computing blocks")]
+    fn ragged_shape_is_rejected() {
+        let mut c = vec![0.0f32; 36];
+        minplus_rank_update_f32(&mut c, 6, &[0.0; 36], 6, &[0.0; 36], 6, 6, 6, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "B slice too short")]
+    fn short_operand_is_rejected() {
+        let mut c = vec![0.0f64; 16];
+        minplus_rank_update_f64(&mut c, 4, &[0.0; 16], 4, &[0.0; 15], 4, 4, 4, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "C slice too short")]
+    fn overflowing_stride_is_rejected() {
+        // 3 · (usize::MAX / 2) wraps to a small number in release builds.
+        let mut c = vec![0.0f32; 16];
+        minplus_rank_update_f32(
+            &mut c,
+            usize::MAX / 2,
+            &[0.0; 16],
+            4,
+            &[0.0; 16],
+            4,
+            4,
+            4,
+            4,
+        );
+    }
+
+    proptest! {
+        /// Random rectangular shapes and stride gaps.
+        #[test]
+        fn prop_rectangles_match_portable_sweep(
+            rows in 1usize..25, cols in 1usize..25, depth in 1usize..25,
+            pad in 0usize..6, seed in any::<u64>(),
+        ) {
+            assert_f32_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_f64_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
+        }
+    }
+}

@@ -462,13 +462,25 @@ where
             scope.spawn(move || {
                 let _bind = tracer.bind_thread(track);
                 let backoff = Backoff::new();
+                let observed = metrics.enabled() || tracer.enabled();
                 let mut idle_ns: u128 = 0;
+                // One `Idle` span per idle stretch: from the first missed
+                // claim to the next claim or to the worker's exit, however
+                // many back-off rounds it spans.
+                let mut idle_since: Option<Instant> = None;
+                let mut end_idle = |idle_since: &mut Option<Instant>| {
+                    if let Some(start) = idle_since.take() {
+                        idle_ns += start.elapsed().as_nanos();
+                        tracer.end(track, EventKind::Idle);
+                    }
+                };
                 loop {
                     if aborted.load(Ordering::Acquire) {
                         break;
                     }
                     match discipline.next(w, &local, metrics, tracer, track) {
                         Some(t) => {
+                            end_idle(&mut idle_since);
                             backoff.reset();
                             // Re-check the abort flag after the claim: the
                             // claim can race another worker's terminal
@@ -561,18 +573,15 @@ where
                             if remaining.load(Ordering::Acquire) == 0 {
                                 break;
                             }
-                            if metrics.enabled() || tracer.enabled() {
+                            if observed && idle_since.is_none() {
                                 tracer.begin(track, EventKind::Idle);
-                                let start = Instant::now();
-                                backoff.snooze();
-                                idle_ns += start.elapsed().as_nanos();
-                                tracer.end(track, EventKind::Idle);
-                            } else {
-                                backoff.snooze();
+                                idle_since = Some(Instant::now());
                             }
+                            backoff.snooze();
                         }
                     }
                 }
+                end_idle(&mut idle_since);
                 if idle_ns > 0 {
                     metrics.add("queue.worker_idle_ns", saturating_ns(idle_ns));
                 }
@@ -618,6 +627,51 @@ mod tests {
                 g.len(),
                 "{sched:?}"
             );
+        }
+    }
+
+    /// A worker waiting on slow tasks records one `Idle` span per idle
+    /// stretch, not one per back-off round, so its track holds O(tasks)
+    /// events however long the tasks take.
+    #[test]
+    fn idle_spans_per_worker_track_are_bounded_by_tasks() {
+        for sched in [
+            Scheduler::CentralQueue,
+            Scheduler::WorkStealing,
+            Scheduler::LocalityBatched,
+            Scheduler::pipelined(),
+        ] {
+            // A chain: one runnable task at a time, so two of three workers
+            // idle through every 2 ms body.
+            let mut g = TaskGraph::new(12);
+            for t in 1..g.len() {
+                g.add_edge(t - 1, t);
+            }
+            let tracer = Tracer::new();
+            let (metrics, recorder) = Metrics::recording();
+            let ctx = ExecContext::disabled()
+                .with_scheduler(sched)
+                .with_tracer(&tracer)
+                .with_metrics(&metrics);
+            run(&g, 3, &ctx, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(2))
+            })
+            .unwrap();
+            let trace = tracer.snapshot();
+            assert_eq!(trace.dropped(), 0, "{sched:?}");
+            for track in &trace.tracks {
+                // Per claim: a task begin/end, at most one steal instant and
+                // one closed idle span; plus the idle span before exit.
+                let bound = 5 * g.len() + 2;
+                assert!(
+                    track.events.len() <= bound,
+                    "{sched:?}: {} holds {} events for {} tasks",
+                    track.name,
+                    track.events.len(),
+                    g.len()
+                );
+            }
+            assert!(recorder.get("queue.worker_idle_ns") > 0, "{sched:?}");
         }
     }
 

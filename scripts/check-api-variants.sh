@@ -58,3 +58,26 @@ if [ -n "$new" ]; then
     exit 1
 fi
 echo "API variant guard: no new _metered/_traced/_faulted/_instrumented names."
+
+# Host-native kernels dispatch at run time behind one public function per
+# element type (`minplus_rank_update_f32`, `_f64`); an ISA- or speed-suffixed
+# public twin would let callers bypass the dispatch and its fallback.
+isa=$(grep -rnoE 'pub(\([a-z]+\))? (unsafe )?fn [a-zA-Z0-9_]+_(avx2|avx512[a-z]*|sse[0-9]*|neon|fast|portable)\s*[(<]' \
+          crates/*/src --include='*.rs' || true)
+if [ -n "$isa" ]; then
+    echo "ERROR: public per-ISA / fast-path kernel variant(s):" >&2
+    printf '  %s\n' "$isa" >&2
+    echo "Dispatch inside the one public entry point instead." >&2
+    exit 1
+fi
+
+# Every unsafe block in simd-kernel carries a SAFETY comment; the crate
+# denies clippy::undocumented_unsafe_blocks and unsafe_op_in_unsafe_fn, and
+# this keeps those attributes from being dropped.
+for lint in 'unsafe_op_in_unsafe_fn' 'clippy::undocumented_unsafe_blocks'; do
+    if ! grep -q "^#!\[deny(${lint})\]" crates/simd-kernel/src/lib.rs; then
+        echo "ERROR: crates/simd-kernel/src/lib.rs must #![deny(${lint})]" >&2
+        exit 1
+    fi
+done
+echo "Kernel guard: one dispatching entry point per type; unsafe documented."

@@ -7,7 +7,7 @@
 #![allow(deprecated)]
 
 use npdp::cell::npdp::functional_cellnpdp_f32;
-use npdp::core::problem;
+use npdp::core::{problem, SeedIssue};
 use npdp::prelude::*;
 use proptest::prelude::*;
 
@@ -41,6 +41,18 @@ fn all_f32_engines(workers: usize) -> Vec<(&'static str, Box<dyn Engine<f32>>)> 
     ]
 }
 
+/// First cell whose bits differ. `first_difference` compares with `==`,
+/// which cannot tell `-0.0` from `+0.0`; bit-identity means the bits.
+fn first_bit_difference(
+    a: &TriangularMatrix<f32>,
+    b: &TriangularMatrix<f32>,
+) -> Option<(usize, usize, f32, f32)> {
+    a.iter()
+        .zip(b.iter())
+        .find(|((_, _, x), (_, _, y))| x.to_bits() != y.to_bits())
+        .map(|((i, j, x), (_, _, y))| (i, j, x, y))
+}
+
 #[test]
 fn engines_bit_identical_on_dense_random_f32() {
     for n in [1usize, 13, 47, 96, 150] {
@@ -49,9 +61,55 @@ fn engines_bit_identical_on_dense_random_f32() {
         for (name, engine) in all_f32_engines(4) {
             let got = engine.solve(&seeds);
             assert_eq!(
-                reference.first_difference(&got),
+                first_bit_difference(&reference, &got),
                 None,
                 "engine {name} diverged at n={n}"
+            );
+        }
+    }
+}
+
+/// Regression: `-0.0` compares equal to `+0.0` and is not `< 0.0`, so it
+/// used to pass seed validation, and then candidate order decided whether a
+/// cell ended as `+0` or `-0` — engines disagreed in the bits of a few
+/// dozen cells at n = 40. Sign-negative seeds are now rejected as negative
+/// lengths by every engine, and the same table with `+0.0` in their place
+/// solves bit-identically everywhere.
+#[test]
+fn signed_zero_seeds_are_rejected_and_plus_zero_agrees() {
+    let n = 40;
+    for seed in 0..4u64 {
+        let random = problem::random_seeds_f32(n, 4.0, seed);
+        // About a third of the cells are zeros, half of those negative.
+        let zero = |v: f32, negative: bool| match (v < 1.4, negative) {
+            (true, true) => -0.0,
+            (true, false) => 0.0,
+            (false, _) => v,
+        };
+        let mixed = TriangularMatrix::from_fn(n, |i, j| zero(random.get(i, j), (i + j) % 2 == 0));
+        let plus = TriangularMatrix::from_fn(n, |i, j| zero(random.get(i, j), false));
+        assert!(mixed
+            .as_slice()
+            .iter()
+            .any(|v| v.to_bits() == (-0.0f32).to_bits()));
+
+        let reference = SerialEngine.solve(&plus);
+        for (name, engine) in all_f32_engines(2) {
+            match engine.try_solve(&mixed) {
+                Err(SolveError::InvalidSeed { i, j, issue }) => {
+                    assert_eq!(issue, SeedIssue::Negative, "engine {name}");
+                    assert_eq!(
+                        mixed.get(i, j).to_bits(),
+                        (-0.0f32).to_bits(),
+                        "engine {name}"
+                    );
+                }
+                other => panic!("engine {name} accepted a -0.0 seed: {other:?}"),
+            }
+            assert_eq!(
+                first_bit_difference(&reference, &engine.solve(&plus)),
+                None,
+                "engine {name} diverged on +0 seeds, seed {seed}"
             );
         }
     }
@@ -63,7 +121,7 @@ fn engines_bit_identical_on_chain_seeds() {
     let reference = SerialEngine.solve(&seeds);
     for (name, engine) in all_f32_engines(3) {
         assert_eq!(
-            reference.first_difference(&engine.solve(&seeds)),
+            first_bit_difference(&reference, &engine.solve(&seeds)),
             None,
             "engine {name} diverged on chain seeds"
         );
@@ -96,7 +154,7 @@ fn simulated_cell_bit_identical_to_host() {
         let host = SerialEngine.solve(&seeds);
         let (sim, _) = functional_cellnpdp_f32(&seeds, nb);
         assert_eq!(
-            host.first_difference(&sim),
+            first_bit_difference(&host, &sim),
             None,
             "simulated SPU diverged at n={n} nb={nb}"
         );
@@ -396,8 +454,8 @@ mod generic_recurrence_path {
             prop_assert_eq!(reference.first_difference(&got), None);
         }
 
-        /// Property: generic f64 path (F64x2 SIMD tiles through
-        /// `Semiring::tile4`) equals the hardcoded engines.
+        /// Property: generic f64 path (the f64 rank-update kernel through
+        /// `Semiring::rank_update`) equals the hardcoded engines.
         #[test]
         fn prop_generic_f64_matches_engine(
             n in 1usize..100,
