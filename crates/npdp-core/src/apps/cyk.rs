@@ -10,12 +10,27 @@
 //! engine tier, SIMD-layout blocks and task queue included.
 //!
 //! Weights are non-negative rule costs (min-cost derivation ≙ Viterbi parse
-//! under negated log-probabilities); all arithmetic is exact `i32`
-//! saturating adds, so engine agreement is exact equality.
+//! under negated log-probabilities); all arithmetic is exact `i32`, so
+//! engine agreement is exact equality.
+//!
+//! # Rule lanes
+//!
+//! [`CykRing`]'s `rank_update` (and `tile4`) turns a panel update into one
+//! lane per binary rule: lane `r` of the A′ panel holds `x[b_r]`, lane `r`
+//! of the B′ panel `y[c_r] + w_r`, and
+//! [`simd_kernel::lanewise_rank_update_i32x8`] reduces `min(A′ + B′)` over
+//! the split dimension eight rules per register. Each cell then folds its
+//! rule lanes into their heads once. This is exact for a validated grammar:
+//! every stored lane lies in `[0, INF]` and every weight in `[0, 10⁶]`, so
+//! `x[b] + y[c] + w ≤ 2·INF + 10⁶ < i32::MAX` never saturates and
+//! `min_k min_rules (x[b] + y[c] + w) = min_rules (w + min_k (x[b] + y[c]))`
+//! holds bit for bit.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use npdp_exec::ExecContext;
+use simd_kernel::{lanewise_rank_update_i32x8, I32Lanes};
 
 use crate::error::SolveError;
 use crate::layout::TriangularMatrix;
@@ -26,6 +41,9 @@ use crate::value::DpValue;
 /// Hard cap on grammar nonterminals: the ring element is a fixed-width
 /// vector so it stays `Copy` and block-layout friendly.
 pub const MAX_NT: usize = 8;
+
+/// Largest rule weight [`Grammar::validate`] accepts.
+const MAX_WEIGHT: i32 = 1_000_000;
 
 /// Infinity for rule weights (absent derivation).
 const INF: i32 = <i32 as DpValue>::INFINITY;
@@ -73,7 +91,7 @@ impl Grammar {
             if a >= nt || b >= nt || c >= nt {
                 return Err("binary rule id out of range".into());
             }
-            if !(0..=1_000_000).contains(&w) {
+            if !(0..=MAX_WEIGHT).contains(&w) {
                 return Err("binary rule weight out of range".into());
             }
         }
@@ -82,7 +100,7 @@ impl Grammar {
                 if a >= nt {
                     return Err("terminal rule id out of range".into());
                 }
-                if !(0..=1_000_000).contains(&w) {
+                if !(0..=MAX_WEIGHT).contains(&w) {
                     return Err("terminal rule weight out of range".into());
                 }
             }
@@ -114,6 +132,106 @@ impl Grammar {
 #[derive(Clone)]
 pub struct CykRing {
     grammar: Arc<Grammar>,
+    groups: Arc<[RuleGroup]>,
+}
+
+/// Up to eight binary rules `a → b c`, one per `i32` lane. Lanes past the
+/// last rule read nonterminal 0 with weight 0 and are never folded back.
+#[derive(Debug)]
+struct RuleGroup {
+    /// Left child `b` of each lane (the A′ gather index).
+    left: [usize; 8],
+    /// Right child `c` of each lane (the B′ gather index).
+    right: [usize; 8],
+    /// Rule weight of each lane, added into B′.
+    weight: I32Lanes,
+    /// Head `a` of each rule in the group, in lane order.
+    heads: Vec<usize>,
+}
+
+thread_local! {
+    /// A′, B′ and accumulator panels of [`CykRing::rank_update`], grown to
+    /// the largest shape this thread has seen.
+    static PANELS: RefCell<Vec<I32Lanes>> = const { RefCell::new(Vec::new()) };
+}
+
+impl CykRing {
+    /// The ring of `grammar`, with its rule groups built once.
+    ///
+    /// # Panics
+    ///
+    /// If `grammar` fails [`Grammar::validate`]: the rule-lane kernel's
+    /// exactness rests on the weight and id ranges it checks.
+    pub fn new(grammar: Arc<Grammar>) -> Self {
+        if let Err(reason) = grammar.validate() {
+            panic!("CYK ring over an invalid grammar: {reason}");
+        }
+        let lane = |g: &[(u8, u8, u8, i32)], f: fn(&(u8, u8, u8, i32)) -> usize| {
+            std::array::from_fn(|l| g.get(l).map_or(0, f))
+        };
+        let groups = grammar
+            .binary
+            .chunks(8)
+            .map(|g| RuleGroup {
+                left: lane(g, |r| r.1.into()),
+                right: lane(g, |r| r.2.into()),
+                weight: std::array::from_fn(|l| g.get(l).map_or(0, |r| r.3)),
+                heads: g.iter().map(|r| r.0.into()).collect(),
+            })
+            .collect();
+        Self { grammar, groups }
+    }
+
+    /// `C ⊕= A ⊗ B` over NtVec panels by rule lanes (module docs), with
+    /// `panels` as scratch for the A′, B′ and accumulator panels.
+    #[allow(clippy::too_many_arguments)]
+    fn rule_lane_update(
+        &self,
+        c: &mut [NtVec],
+        cs: usize,
+        a: &[NtVec],
+        as_: usize,
+        b: &[NtVec],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+        panels: &mut [I32Lanes],
+    ) {
+        let (ap, rest) = panels.split_at_mut(rows * depth);
+        let (bp, acc) = rest.split_at_mut(depth * cols);
+        let acc = &mut acc[..rows * cols];
+        for group in self.groups.iter() {
+            let RuleGroup {
+                left,
+                right,
+                weight,
+                heads,
+            } = group;
+            for r in 0..rows {
+                for k in 0..depth {
+                    let x = &a[r * as_ + k].0;
+                    ap[r * depth + k] = std::array::from_fn(|l| x[left[l]]);
+                }
+            }
+            for k in 0..depth {
+                for j in 0..cols {
+                    let y = &b[k * bs + j].0;
+                    bp[k * cols + j] = std::array::from_fn(|l| y[right[l]] + weight[l]);
+                }
+            }
+            acc.fill([INF; 8]);
+            lanewise_rank_update_i32x8(acc, ap, bp, rows, cols, depth);
+            for r in 0..rows {
+                for j in 0..cols {
+                    let (cell, best) = (&mut c[r * cs + j].0, &acc[r * cols + j]);
+                    for (&h, &v) in heads.iter().zip(best) {
+                        cell[h] = cell[h].min(v);
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl Semiring for CykRing {
@@ -148,6 +266,34 @@ impl Semiring for CykRing {
         }
         out
     }
+
+    /// One 4×4×4 rule-lane update on stack panels (no heap allocation).
+    fn tile4(&self, c: &mut [NtVec], cs: usize, a: &[NtVec], as_: usize, b: &[NtVec], bs: usize) {
+        let mut panels = [[0; 8]; 48];
+        self.rule_lane_update(c, cs, a, as_, b, bs, 4, 4, 4, &mut panels);
+    }
+
+    /// The rule-lane update (module docs) on thread-local panels.
+    fn rank_update(
+        &self,
+        c: &mut [NtVec],
+        cs: usize,
+        a: &[NtVec],
+        as_: usize,
+        b: &[NtVec],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        let need = rows * depth + depth * cols + rows * cols;
+        PANELS.with_borrow_mut(|panels| {
+            if panels.len() < need {
+                panels.resize(need, [0; 8]);
+            }
+            self.rule_lane_update(c, cs, a, as_, b, bs, rows, cols, depth, panels);
+        });
+    }
 }
 
 /// CYK as a [`Recurrence`]: engine table side `tokens + 1` in gap
@@ -161,10 +307,15 @@ pub struct CykRec {
 
 impl CykRec {
     /// Parse `tokens` (terminal symbol ids) under `grammar`.
+    ///
+    /// # Panics
+    ///
+    /// If `grammar` fails [`Grammar::validate`] (see [`CykRing::new`]);
+    /// [`cyk_parse_on`] reports that as a [`SolveError`] instead.
     pub fn new(grammar: Arc<Grammar>, tokens: &[usize]) -> Self {
         let seeds = tokens.iter().map(|&t| grammar.terminal_vec(t)).collect();
         Self {
-            ring: CykRing { grammar },
+            ring: CykRing::new(grammar),
             seeds,
         }
     }
@@ -213,12 +364,20 @@ impl CykParse {
 }
 
 /// Parse `tokens` with `grammar` on any [`SolveRecurrence`] engine.
+///
+/// A grammar that fails [`Grammar::validate`] is reported as
+/// [`SolveError::InvalidProblem`].
 pub fn cyk_parse_on<E: SolveRecurrence + ?Sized>(
     engine: &E,
     grammar: Arc<Grammar>,
     tokens: &[usize],
     ctx: &ExecContext,
 ) -> Result<CykParse, SolveError> {
+    grammar
+        .validate()
+        .map_err(|reason| SolveError::InvalidProblem {
+            reason: format!("grammar {reason}"),
+        })?;
     let start = grammar.start;
     let rec = CykRec::new(grammar, tokens);
     let (chart, _) = engine.solve_recurrence(&rec, ctx)?;
@@ -399,9 +558,7 @@ mod tests {
     #[test]
     fn padding_law_for_cyk_ring() {
         for trial in 0..8u64 {
-            let ring = CykRing {
-                grammar: Arc::new(random_grammar(0xFAD + trial)),
-            };
+            let ring = CykRing::new(Arc::new(random_grammar(0xFAD + trial)));
             let zero = ring.zero();
             let mut domain = vec![NtVec([0; MAX_NT]), NtVec([5; MAX_NT])];
             let mut mixed = NtVec::NONE;
@@ -435,6 +592,192 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// CYK through the `Semiring` defaults only: `rank_update` is the 4×4
+    /// tile sweep over the scalar `tile4`, one `extend`/`combine` per
+    /// candidate — the reference the rule-lane kernel must equal.
+    #[derive(Clone)]
+    struct ScalarCyk(CykRing);
+
+    impl Semiring for ScalarCyk {
+        type Elem = NtVec;
+        fn zero(&self) -> NtVec {
+            self.0.zero()
+        }
+        fn combine(&self, a: NtVec, b: NtVec) -> NtVec {
+            self.0.combine(a, b)
+        }
+        fn extend(&self, x: NtVec, y: NtVec) -> NtVec {
+            self.0.extend(x, y)
+        }
+    }
+
+    /// Lanes a chart can hold: `INF`, 0, 10⁶, small ties, anything in
+    /// `[0, INF]`; `all_inf` panels hold nothing but `INF`.
+    fn panel(len: usize, s: &mut u64, all_inf: bool) -> Vec<NtVec> {
+        let mut lane = || {
+            *s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match (*s >> 59) % 6 {
+                _ if all_inf => INF,
+                0 => INF,
+                1 => 0,
+                2 => MAX_WEIGHT,
+                3 => ((*s >> 40) % 4) as i32,
+                _ => ((*s >> 33) % (INF as u64 + 1)) as i32,
+            }
+        };
+        (0..len)
+            .map(|_| NtVec(std::array::from_fn(|_| lane())))
+            .collect()
+    }
+
+    /// `rank_update` of `ring` (the dispatched rule-lane kernel) equals the
+    /// scalar tile sweep bit for bit on one `rows × cols × depth` shape,
+    /// with row strides wider than the panels (the gaps must stay as
+    /// they were).
+    fn assert_rank_update_matches(
+        ring: &CykRing,
+        (rows, cols, depth): (usize, usize, usize),
+        seed: u64,
+        all_inf: bool,
+    ) {
+        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let (cs, as_, bs) = (cols + 3, depth + 1, cols + 2);
+        let c0 = panel(rows * cs, &mut s, false);
+        let a = panel(rows * as_, &mut s, all_inf);
+        let b = panel(depth * bs, &mut s, all_inf);
+        let (mut lanes, mut scalar) = (c0.clone(), c0.clone());
+        ring.rank_update(&mut lanes, cs, &a, as_, &b, bs, rows, cols, depth);
+        ScalarCyk(ring.clone()).rank_update(&mut scalar, cs, &a, as_, &b, bs, rows, cols, depth);
+        assert!(
+            lanes == scalar,
+            "{rows}×{cols}×{depth} seed {seed} all_inf {all_inf}"
+        );
+        if all_inf {
+            assert!(lanes == c0, "INF operands must leave C alone");
+        }
+        if (rows, cols, depth) == (4, 4, 4) {
+            let mut tile = c0;
+            ring.tile4(&mut tile, cs, &a, as_, &b, bs);
+            assert!(tile == scalar, "tile4 seed {seed}");
+        }
+    }
+
+    /// A random grammar of the generator's largest shape: 8 nonterminals,
+    /// 12 binary rules (two rule groups, the second half full).
+    fn largest_random_grammar(seed: u64) -> Grammar {
+        (0u64..)
+            .map(|k| random_grammar(seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))))
+            .find(|g| g.nt_count == MAX_NT && g.binary.len() == 12)
+            .expect("the generator reaches its largest shape")
+    }
+
+    /// 21 rules (three groups, a 5-lane tail): duplicate `(b, c)` pairs
+    /// under one head and under two, weights 0 and 10⁶, and heads 5..8
+    /// that no rule produces.
+    fn hand_built_grammar() -> Grammar {
+        let mut binary = vec![
+            (0, 1, 2, 0),
+            (0, 1, 2, MAX_WEIGHT),
+            (1, 1, 2, 3),
+            (2, 1, 2, 0),
+            (0, 7, 7, MAX_WEIGHT),
+            (4, 0, 0, 0),
+        ];
+        binary.extend((0..15).map(|r| ((r % 5) as u8, (r % 8) as u8, (7 - r % 8) as u8, r * 37)));
+        let g = Grammar {
+            nt_count: MAX_NT,
+            start: 0,
+            binary,
+            terminal: vec![vec![(0, 0), (7, MAX_WEIGHT)], vec![(1, 2)]],
+        };
+        g.validate().unwrap();
+        g
+    }
+
+    /// The kernel's shapes: 4 × nb × depth stage-2 strips and 4 × 4 × 4cc
+    /// left-tile updates for nb = 4..64, a few square stage-1 blocks, and
+    /// all-`INF` operand panels.
+    #[test]
+    fn rule_lane_rank_update_equals_scalar_extend_combine() {
+        let mut grammars: Vec<Grammar> = (0..3).map(largest_random_grammar).collect();
+        grammars.push(hand_built_grammar());
+        for (gi, g) in grammars.into_iter().enumerate() {
+            let ring = CykRing::new(Arc::new(g));
+            let seed = |x: usize| (gi * 1_000_003 + x) as u64;
+            for nb in (4..=64).step_by(4) {
+                for depth in (4..nb).step_by(4) {
+                    assert_rank_update_matches(
+                        &ring,
+                        (4, nb, depth),
+                        seed(nb * 100 + depth),
+                        false,
+                    );
+                    assert_rank_update_matches(&ring, (4, 4, depth), seed(nb * 7 + depth), false);
+                }
+            }
+            for nb in [4, 12, 32] {
+                assert_rank_update_matches(&ring, (nb, nb, nb), seed(nb), false);
+                assert_rank_update_matches(&ring, (nb, nb, nb), seed(nb), true);
+            }
+            assert_rank_update_matches(&ring, (4, 4, 4), seed(1), false);
+        }
+    }
+
+    /// The kernel's no-saturation argument rests on this invariant: after a
+    /// solve on any tier, every lane of every chart cell lies in `[0, INF]`.
+    #[test]
+    fn chart_lanes_stay_within_zero_and_inf() {
+        let ctx = ExecContext::disabled();
+        for (trial, g) in [largest_random_grammar(5), hand_built_grammar()]
+            .into_iter()
+            .enumerate()
+        {
+            let g = Arc::new(g);
+            let tokens = random_tokens(&g, 45, trial as u64);
+            for chart in [
+                cyk_parse_on(&SerialEngine, g.clone(), &tokens, &ctx),
+                cyk_parse_on(&SimdEngine::new(8), g.clone(), &tokens, &ctx),
+                cyk_parse_on(&ParallelEngine::new(16, 2, 2), g.clone(), &tokens, &ctx),
+            ] {
+                for (i, j, v) in chart.unwrap().chart.iter() {
+                    assert!(
+                        v.0.iter().all(|lane| (0..=INF).contains(lane)),
+                        "trial {trial} cell ({i},{j}) = {v:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_grammar_is_a_typed_error_on_every_engine() {
+        let mut g = demo_grammar();
+        g.binary.push((0, 1, 2, MAX_WEIGHT + 1));
+        let g = Arc::new(g);
+        let ctx = ExecContext::disabled();
+        for err in [
+            cyk_parse_on(&SerialEngine, g.clone(), &[0, 1], &ctx).unwrap_err(),
+            cyk_parse_on(&BlockedEngine::new(8), g.clone(), &[0, 1], &ctx).unwrap_err(),
+            cyk_parse_on(&SimdEngine::new(8), g.clone(), &[0, 1], &ctx).unwrap_err(),
+            cyk_parse_on(&ParallelEngine::new(8, 2, 2), g.clone(), &[0, 1], &ctx).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, SolveError::InvalidProblem { reason } if reason.contains("weight")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid grammar")]
+    fn cyk_rec_panics_on_an_invalid_grammar() {
+        let mut g = demo_grammar();
+        g.start = 9;
+        let _ = CykRec::new(Arc::new(g), &[0]);
     }
 
     #[test]

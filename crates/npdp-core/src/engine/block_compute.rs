@@ -50,9 +50,9 @@ pub fn stage1<T: DpValue>(c: &mut [T], a: &[T], b: &[T], nb: usize) {
 }
 
 /// [`stage1`] over an arbitrary [`Semiring`]: one `nb × nb × nb`
-/// [`Semiring::rank_update`] — the host-native kernel for min-plus
-/// `f32`/`f64`, the 4×4 tile sweep through [`Semiring::tile4`] for
-/// everything else.
+/// [`Semiring::rank_update`] — the host-native kernels for min-plus
+/// `f32`/`f64`/`i64` and for CYK's rule lanes, the 4×4 tile sweep through
+/// [`Semiring::tile4`] for everything else.
 pub fn stage1_ring<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
@@ -67,9 +67,11 @@ pub fn stage1_ring<S: Semiring>(
 /// The scalar edge pass of a computing block `(r, cc)` of `C`: resolves the
 /// candidates whose operands share the tile being computed — `k` in the
 /// tile-row range (reading `dlo = Block(bi, bi)`) and `k` in the tile-column
-/// range (reading `dhi = Block(bj, bj)`). Cells are swept bottom-up,
+/// range (reading `dhi = Block(bj, bj)`) — then applies `finalize` to each
+/// cell, whose last candidate this is. Cells are swept bottom-up,
 /// left-to-right so same-tile operands are final when read.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn scalar_edge<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
@@ -78,6 +80,7 @@ fn scalar_edge<S: Semiring>(
     nb: usize,
     r: usize,
     cc: usize,
+    finalize: &impl Fn(usize, usize, S::Elem) -> S::Elem,
 ) {
     for il in (0..4).rev() {
         let ii = r * 4 + il;
@@ -102,16 +105,23 @@ fn scalar_edge<S: Semiring>(
                 };
                 best = ring.combine(best, ring.extend(c[ii * nb + k], hi));
             }
-            c[ii * nb + jj] = best;
+            c[ii * nb + jj] = finalize(ii, jj, best);
         }
     }
 }
 
 /// Fully resolve the inner dependences of one 4×4 diagonal tile `(t, t)` of a
-/// diagonal memory block: the original Fig. 1 flowchart confined to the tile.
-/// Below-diagonal and diagonal cells are `+∞` padding and are never written.
+/// diagonal memory block: the original Fig. 1 flowchart confined to the
+/// tile, finalizing each cell after its last candidate. Below-diagonal and
+/// diagonal cells are `+∞` padding and are never written.
 #[inline]
-fn diag_tile_closure<S: Semiring>(ring: &S, c: &mut [S::Elem], nb: usize, t: usize) {
+fn diag_tile_closure<S: Semiring>(
+    ring: &S,
+    c: &mut [S::Elem],
+    nb: usize,
+    t: usize,
+    finalize: &impl Fn(usize, usize, S::Elem) -> S::Elem,
+) {
     let base = t * 4;
     for jl in 1..4 {
         for il in (0..jl).rev() {
@@ -121,9 +131,15 @@ fn diag_tile_closure<S: Semiring>(ring: &S, c: &mut [S::Elem], nb: usize, t: usi
                 let kk = base + k;
                 best = ring.combine(best, ring.extend(c[ii * nb + kk], c[kk * nb + jj]));
             }
-            c[ii * nb + jj] = best;
+            c[ii * nb + jj] = finalize(ii, jj, best);
         }
     }
+}
+
+/// The identity `finalize` of the plain closure.
+#[inline(always)]
+fn no_finalize<T>(_: usize, _: usize, acc: T) -> T {
+    acc
 }
 
 /// Stage 2 for an off-diagonal memory block `C = (bi, bj)`, `bi < bj`:
@@ -139,16 +155,20 @@ fn diag_tile_closure<S: Semiring>(ring: &S, c: &mut [S::Elem], nb: usize, t: usi
 /// the same order as a tile-by-tile sweep: rows below, columns left, own
 /// tile.
 pub fn stage2_offdiag<T: DpValue>(c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
-    stage2_offdiag_ring(&MinPlus::<T>::new(), c, dlo, dhi, nb);
+    stage2_offdiag_ring(&MinPlus::<T>::new(), c, dlo, dhi, nb, no_finalize);
 }
 
-/// [`stage2_offdiag`] over an arbitrary [`Semiring`].
+/// [`stage2_offdiag`] over an arbitrary [`Semiring`], with a per-cell
+/// `finalize(i, j, acc)` (block-local coordinates) applied right after the
+/// cell's last candidate — before any other cell reads it. Pass the
+/// identity for a plain closure.
 pub fn stage2_offdiag_ring<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
     dlo: &[S::Elem],
     dhi: &[S::Elem],
     nb: usize,
+    finalize: impl Fn(usize, usize, S::Elem) -> S::Elem,
 ) {
     debug_assert!(nb.is_multiple_of(4));
     let nt = nb / 4;
@@ -180,8 +200,8 @@ pub fn stage2_offdiag_ring<S: Semiring>(
             //     staged as soon as its edge pass is done.
             let c_tile = &mut c[r * 4 * nb + cc * 4..];
             ring.rank_update(c_tile, nb, &left, nb, &dhi[cc * 4..], nb, 4, 4, cc * 4);
-            // (c) same-tile remainder: the original flowchart.
-            scalar_edge(ring, c, Some(dlo), Some(dhi), nb, r, cc);
+            // (c) same-tile remainder: the original flowchart, then finalize.
+            scalar_edge(ring, c, Some(dlo), Some(dhi), nb, r, cc, &finalize);
             for il in 0..4 {
                 let (dst, src) = (il * nb + cc * 4, (r * 4 + il) * nb + cc * 4);
                 left[dst..dst + 4].copy_from_slice(&c[src..src + 4]);
@@ -194,17 +214,24 @@ pub fn stage2_offdiag_ring<S: Semiring>(
 /// full NPDP recurrence restricted to the block, using the same
 /// tile-then-scalar structure as stage 2.
 pub fn compute_diag<T: DpValue>(c: &mut [T], nb: usize) {
-    compute_diag_ring(&MinPlus::<T>::new(), c, nb);
+    compute_diag_ring(&MinPlus::<T>::new(), c, nb, no_finalize);
 }
 
-/// [`compute_diag`] over an arbitrary [`Semiring`].
-pub fn compute_diag_ring<S: Semiring>(ring: &S, c: &mut [S::Elem], nb: usize) {
+/// [`compute_diag`] over an arbitrary [`Semiring`], with a per-cell
+/// `finalize(i, j, acc)` (block-local coordinates) applied right after the
+/// cell's last candidate, as in [`stage2_offdiag_ring`].
+pub fn compute_diag_ring<S: Semiring>(
+    ring: &S,
+    c: &mut [S::Elem],
+    nb: usize,
+    finalize: impl Fn(usize, usize, S::Elem) -> S::Elem,
+) {
     debug_assert!(nb.is_multiple_of(4));
     let nt = nb / 4;
     for r in (0..nt).rev() {
         for cc in r..nt {
             if r == cc {
-                diag_tile_closure(ring, c, nb, r);
+                diag_tile_closure(ring, c, nb, r, &finalize);
                 continue;
             }
             // Middle k-tiles: both operands are final tiles of this block.
@@ -215,7 +242,7 @@ pub fn compute_diag_ring<S: Semiring>(ring: &S, c: &mut [S::Elem], nb: usize) {
                 ring.tile4(c_tile, nb, &a_scratch, 4, &b_scratch, 4);
             }
             // Edge k-tiles (tk == r and tk == cc) have same-tile operands.
-            scalar_edge(ring, c, None, None, nb, r, cc);
+            scalar_edge(ring, c, None, None, nb, r, cc, &finalize);
         }
     }
 }
@@ -400,8 +427,8 @@ mod tests {
 
         let mut dlo = round(seeded_block(nb, seed, true));
         let mut dhi = round(seeded_block(nb, seed + 1, true));
-        compute_diag_ring(&fast, &mut dlo, nb);
-        compute_diag_ring(&fast, &mut dhi, nb);
+        compute_diag_ring(&fast, &mut dlo, nb, no_finalize);
+        compute_diag_ring(&fast, &mut dhi, nb, no_finalize);
         let a = round(seeded_block(nb, seed + 2, false));
         let c0 = round(seeded_block(nb, seed + 3, false));
 
@@ -409,8 +436,8 @@ mod tests {
         stage1_ring(&fast, &mut x, &a, &dhi, nb);
         stage1_ring(&slow, &mut y, &a, &dhi, nb);
         assert!(same(&x, &y), "stage 1 nb={nb} seed={seed}");
-        stage2_offdiag_ring(&fast, &mut x, &dlo, &dhi, nb);
-        stage2_offdiag_ring(&slow, &mut y, &dlo, &dhi, nb);
+        stage2_offdiag_ring(&fast, &mut x, &dlo, &dhi, nb, no_finalize);
+        stage2_offdiag_ring(&slow, &mut y, &dlo, &dhi, nb, no_finalize);
         assert!(same(&x, &y), "stage 2 nb={nb} seed={seed}");
     }
 

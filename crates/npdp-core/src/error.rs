@@ -27,6 +27,13 @@ pub enum SolveError {
         /// What is wrong with it.
         issue: SeedIssue,
     },
+    /// The problem as a whole is outside what the chosen engine can solve:
+    /// an invalid grammar, or a split-dependent recurrence handed to a
+    /// blocked or parallel tier.
+    InvalidProblem {
+        /// What is wrong with it.
+        reason: String,
+    },
     /// A scheduler task panicked on every attempt of its retry budget.
     TaskFailed {
         /// Scheduler task index.
@@ -65,6 +72,7 @@ impl std::fmt::Display for SolveError {
                 };
                 write!(f, "invalid problem seed at ({i},{j}): {what}")
             }
+            SolveError::InvalidProblem { reason } => write!(f, "invalid problem: {reason}"),
             SolveError::TaskFailed {
                 task,
                 attempts,

@@ -18,22 +18,27 @@
 //!
 //! * [`solve_serial`] — the Fig. 1 flowchart; the only tier that honors
 //!   `extend_at` overrides ([`Recurrence::split_dependent`]).
-//! * [`solve_blocked`] — the NDL sweep: stage-1 block "matmuls" through
-//!   [`Semiring::rank_update`] (the host-native kernel for min-plus
-//!   `f32`/`f64`), then a finalize-aware stage-2/diagonal scalar pass.
+//! * [`solve_blocked`] — the NDL sweep: the same three block procedures as
+//!   the min-plus engines (`block_compute::{stage1_ring,
+//!   stage2_offdiag_ring, compute_diag_ring}`), so stage 1 and the stage-2
+//!   strips go through [`Semiring::rank_update`] — the host-native kernels
+//!   for min-plus `f32`/`f64`/`i64` and for CYK's rule lanes, the 4×4 tile
+//!   sweep otherwise.
 //! * [`solve_parallel`] — the CellNPDP task queue over scheduling blocks,
 //!   all four [`Scheduler`] disciplines, same `SharedBlocked` state machine.
 //!
-//! `finalize` is sound on the blocked tiers because every within-block read
-//! of the stage-2 sweep (columns ascending, rows descending) touches only
-//! cells finalized earlier in that sweep, and stage-1 operand blocks are
-//! fully final — so each cell is finalized exactly once, after all its
-//! candidates.
+//! `finalize` is sound on the blocked tiers because the block procedures
+//! take it as a per-cell hook applied right after the cell's last
+//! candidate (its scalar edge pass), and every read of a cell — by a later
+//! rank-update strip, a left-tile update or another edge pass of the same
+//! block, or by a later block — comes after that. Stage-1 operand blocks
+//! are fully final. So each logical cell is finalized exactly once, after
+//! all its candidates; padding cells past `n` are never finalized.
 
 use npdp_exec::{ExecContext, Scheduler, Tuning};
 use task_queue::{diagonal_batched_grid, run, scheduling_grid, ExecStats};
 
-use crate::engine::block_compute::stage1_ring;
+use crate::engine::block_compute::{compute_diag_ring, stage1_ring, stage2_offdiag_ring};
 use crate::engine::shared::SharedBlocked;
 use crate::engine::{BlockedEngine, ParallelEngine, SerialEngine, SimdEngine};
 use crate::error::SolveError;
@@ -110,11 +115,10 @@ pub fn solve_serial<R: Recurrence>(rec: &R) -> TriangularMatrix<RingElem<R>> {
     d
 }
 
-/// Stage-2 scalar pass of an off-diagonal block `(bi, bj)` with row origin
-/// `oi = bi·nb` and column origin `oj = bj·nb`: resolves splits in block
-/// `bi`'s row range (reading `dlo`) and block `bj`'s column range (reading
-/// `dhi`), then finalizes each logical cell. `c` arrives holding
-/// `seed ⊕ stage-1` accumulations.
+/// Stage 2 of an off-diagonal block `(bi, bj)` with row origin `oi = bi·nb`
+/// and column origin `oj = bj·nb`: [`stage2_offdiag_ring`] with `rec`'s
+/// `finalize` on every logical cell (padding cells past `n` stay as
+/// reduced). `c` arrives holding `seed ⊕ stage-1` accumulations.
 fn rec_stage2<R: Recurrence>(
     rec: &R,
     c: &mut [RingElem<R>],
@@ -124,51 +128,32 @@ fn rec_stage2<R: Recurrence>(
     oi: usize,
     oj: usize,
 ) {
-    let n = rec.side();
-    let ring = rec.ring();
-    for j in 0..nb {
-        for i in (0..nb).rev() {
-            let mut acc = c[i * nb + j];
-            // Splits in this block's row range (k > global i): operand
-            // d(i, k) from the low diagonal block, d(k, j) from this block's
-            // lower rows — finalized earlier in this sweep.
-            for k in i + 1..nb {
-                acc = ring.combine(acc, ring.extend(dlo[i * nb + k], c[k * nb + j]));
-            }
-            // Splits in this block's column range (k < global j): d(i, k)
-            // from this block's earlier columns, d(k, j) from the high
-            // diagonal block.
-            for k in 0..j {
-                acc = ring.combine(acc, ring.extend(c[i * nb + k], dhi[k * nb + j]));
-            }
-            let (gi, gj) = (oi + i, oj + j);
-            c[i * nb + j] = if gi < n && gj < n {
-                rec.finalize(gi, gj, acc)
-            } else {
-                acc
-            };
-        }
-    }
+    let finalize = finalize_at(rec, oi, oj);
+    stage2_offdiag_ring(rec.ring(), c, dlo, dhi, nb, finalize);
 }
 
 /// Compute a diagonal block `(b, b)` at global origin `o` from its own
-/// seeds: the full recurrence restricted to the block, finalizing each
-/// logical cell.
+/// seeds: [`compute_diag_ring`] with `rec`'s `finalize` on every logical
+/// cell.
 fn rec_diag<R: Recurrence>(rec: &R, c: &mut [RingElem<R>], nb: usize, o: usize) {
+    compute_diag_ring(rec.ring(), c, nb, finalize_at(rec, o, o));
+}
+
+/// `rec.finalize` in the block-local coordinates of the block at global
+/// origin `(oi, oj)`; the identity on padding cells (`gi ≥ n` or `gj ≥ n`).
+#[inline]
+fn finalize_at<R: Recurrence>(
+    rec: &R,
+    oi: usize,
+    oj: usize,
+) -> impl Fn(usize, usize, RingElem<R>) -> RingElem<R> + '_ {
     let n = rec.side();
-    let ring = rec.ring();
-    for j in 0..nb {
-        for i in (0..j).rev() {
-            let mut acc = c[i * nb + j];
-            for k in i + 1..j {
-                acc = ring.combine(acc, ring.extend(c[i * nb + k], c[k * nb + j]));
-            }
-            let (gi, gj) = (o + i, o + j);
-            c[i * nb + j] = if gj < n {
-                rec.finalize(gi, gj, acc)
-            } else {
-                acc
-            };
+    move |i, j, acc| {
+        let (gi, gj) = (oi + i, oj + j);
+        if gi < n && gj < n {
+            rec.finalize(gi, gj, acc)
+        } else {
+            acc
         }
     }
 }
@@ -206,12 +191,11 @@ fn extract_triangular<R: Recurrence>(
 /// buffer (the SPE local store), stage 1 through the ring's tile kernel.
 ///
 /// # Panics
-/// On split-dependent recurrences (see [`Recurrence::split_dependent`]).
+/// On split-dependent recurrences (see [`Recurrence::split_dependent`]);
+/// the [`SolveRecurrence`] engines report those as
+/// [`SolveError::InvalidProblem`] instead.
 pub fn solve_blocked<R: Recurrence>(rec: &R, nb: usize) -> TriangularMatrix<RingElem<R>> {
-    assert!(
-        !rec.split_dependent(),
-        "split-dependent recurrences solve serially only (stage-1 tile kernels compose candidates in bulk)"
-    );
+    assert!(!rec.split_dependent(), "{SPLIT_DEPENDENT}");
     let ring = rec.ring();
     let mut m = seeded_blocked(rec, nb);
     let mb = m.blocks_per_side();
@@ -247,7 +231,7 @@ pub fn solve_blocked<R: Recurrence>(rec: &R, nb: usize) -> TriangularMatrix<Ring
 /// [`Scheduler`] disciplines, bit-identical results by construction.
 ///
 /// # Panics
-/// On split-dependent recurrences.
+/// On split-dependent recurrences, as [`solve_blocked`].
 pub fn solve_parallel<R: Recurrence>(
     rec: &R,
     nb: usize,
@@ -256,10 +240,7 @@ pub fn solve_parallel<R: Recurrence>(
     scheduler: Scheduler,
     ctx: &ExecContext,
 ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
-    assert!(
-        !rec.split_dependent(),
-        "split-dependent recurrences solve serially only (stage-1 tile kernels compose candidates in bulk)"
-    );
+    assert!(!rec.split_dependent(), "{SPLIT_DEPENDENT}");
     let ring = rec.ring();
     let metrics = &ctx.metrics;
     let mut m = seeded_blocked(rec, nb);
@@ -322,6 +303,22 @@ pub fn solve_parallel<R: Recurrence>(
     Ok((extract_triangular(rec, &m), stats))
 }
 
+/// Why the blocked and parallel tiers refuse split-dependent recurrences.
+const SPLIT_DEPENDENT: &str =
+    "split-dependent recurrences solve serially only (stage-1 tile kernels compose candidates in bulk)";
+
+/// The blocked and parallel engines' check before [`solve_blocked`] /
+/// [`solve_parallel`]: a split-dependent recurrence is an invalid problem
+/// for them, not a panic.
+fn blockable<R: Recurrence>(rec: &R) -> Result<(), SolveError> {
+    match rec.split_dependent() {
+        true => Err(SolveError::InvalidProblem {
+            reason: SPLIT_DEPENDENT.into(),
+        }),
+        false => Ok(()),
+    }
+}
+
 /// Engines that can run an arbitrary [`Recurrence`]. This is the generic
 /// counterpart of [`crate::engine::Engine`]: same tiers, same dependence
 /// arguments, element type chosen per call by the recurrence's ring.
@@ -356,6 +353,7 @@ impl SolveRecurrence for BlockedEngine {
         rec: &R,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
+        blockable(rec)?;
         let out = {
             let _t = ctx.metrics.timed("engine.wall_ns");
             solve_blocked(rec, self.nb)
@@ -375,6 +373,7 @@ impl SolveRecurrence for SimdEngine {
         rec: &R,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
+        blockable(rec)?;
         let out = {
             let _t = ctx.metrics.timed("engine.wall_ns");
             solve_blocked(rec, self.nb)
@@ -390,6 +389,7 @@ impl SolveRecurrence for ParallelEngine {
         rec: &R,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
+        blockable(rec)?;
         let nb = match ctx.tuning {
             Tuning::Auto => Self::autotune_nb_for(
                 self.workers,
@@ -729,6 +729,35 @@ mod tests {
                 assert_eq!(d.get(i, j + 1), expect.get(i, j), "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn blocked_engines_report_split_dependent_as_invalid_problem() {
+        let rec = SharedSplitRec::new(
+            MinPlus::<i64>::new(),
+            8,
+            |_| 1i64,
+            |a: i64, b: i64, _, k: usize, _| a + b + k as i64,
+        );
+        let ctx = ExecContext::disabled();
+        let errors = [
+            BlockedEngine::new(4)
+                .solve_recurrence(&rec, &ctx)
+                .unwrap_err(),
+            SimdEngine::new(4).solve_recurrence(&rec, &ctx).unwrap_err(),
+            ParallelEngine::new(4, 2, 2)
+                .solve_recurrence(&rec, &ctx)
+                .unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(&err, SolveError::InvalidProblem { reason } if reason.contains("split-dependent")),
+                "{err:?}"
+            );
+        }
+        // The serial tier honors `extend_at` and solves it.
+        let (serial, _) = SerialEngine.solve_recurrence(&rec, &ctx).unwrap();
+        assert_eq!(serial.first_difference(&solve_serial(&rec)), None);
     }
 
     #[test]

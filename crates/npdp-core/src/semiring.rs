@@ -7,7 +7,8 @@
 //! `min2`/`add_sat`/`INFINITY` contract is exactly `combine`/`extend`/`zero`
 //! for [`MinPlus`], and the SIMD kernels ride along through
 //! [`Semiring::tile4`] (one 4×4 tile) and [`Semiring::rank_update`] (a
-//! whole panel: the host-native register-blocked kernel for `f32`/`f64`).
+//! whole panel: the host-native register-blocked kernel for
+//! `f32`/`f64`/`i64`).
 //! Other instances ([`MaxPlusRing`], the CYK tropical vector ring in
 //! `apps::cyk`, the Zuker track ring in the `zuker` crate) reuse every
 //! engine unchanged.
@@ -92,8 +93,9 @@ pub trait Semiring: Clone + Send + Sync + 'static {
     /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
     /// ascending — through [`Semiring::tile4`]; [`MinPlus`] overrides it
     /// with [`DpValue::rank_update`], the host-native register-blocked
-    /// kernel for `f32`/`f64`. Either way every cell sees its candidates in
-    /// ascending `k`.
+    /// kernel for `f32`/`f64`/`i64`, and the CYK ring with its rule-lane
+    /// kernel. Either way every cell sees its candidates in ascending `k`
+    /// (or, for integers, in an order `min` cannot tell apart).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn rank_update(

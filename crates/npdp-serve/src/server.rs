@@ -974,7 +974,9 @@ fn respond(
         }
         Some(Err(e)) => {
             let status = match e {
-                SolveError::InvalidSeed { .. } => Status::Invalid,
+                SolveError::InvalidSeed { .. } | SolveError::InvalidProblem { .. } => {
+                    Status::Invalid
+                }
                 _ => Status::Failed,
             };
             shared.metric("serve.responses_failed", 1);

@@ -15,7 +15,10 @@
 //! The host does not have to copy the SPU's shape: [`rank`] holds the
 //! host-native min-plus rank update (`C ⊕= A ⊗ B` on whole panels), an AVX2
 //! register-blocked micro-kernel chosen at run time, bit-identical to the
-//! 4×4 sweep it falls back to. It is the only `unsafe` code in the crate.
+//! 4×4 sweep it falls back to. [`lane`] holds its `i32` sibling for rings
+//! whose element is a vector of independent tropical lanes (rule-lane CYK):
+//! `C ⊕= A ⊗ B` lane by lane, one 256-bit register per element. These two
+//! modules are the only `unsafe` code in the crate.
 //!
 //! ```
 //! use simd_kernel::{block4x4_minplus_f32, F32x4, KERNEL_SIMD_INSTRUCTIONS};
@@ -35,6 +38,7 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod kernel;
+pub mod lane;
 pub mod rank;
 pub mod vec;
 
@@ -43,5 +47,6 @@ pub use kernel::{
     block4x4_minplus_f64_arrays, block4x4_minplus_scalar, BlockF32, BlockF64,
     KERNEL_SIMD_INSTRUCTIONS,
 };
-pub use rank::{minplus_rank_update_f32, minplus_rank_update_f64};
+pub use lane::{lanewise_rank_update_i32x8, I32Lanes};
+pub use rank::{minplus_rank_update_f32, minplus_rank_update_f64, minplus_rank_update_i64};
 pub use vec::{F32x4, F64x2, I32x4, I64x2};

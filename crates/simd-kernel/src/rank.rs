@@ -18,11 +18,20 @@
 //! FMA and no reassociation, so the dispatched kernel and the portable
 //! sweep produce the same bits (pinned by the tests below).
 //!
+//! [`minplus_rank_update_i64`] is the same kernel over saturating `i64`
+//! (6 × 8 tile, `vpaddq` then `vpcmpgtq` + blend for `min`). AVX2 has no
+//! saturating 64-bit add, so it runs only on panels whose A and B elements
+//! all lie in `[i64::MIN / 2, i64::MAX / 2]`, where no sum can overflow and
+//! the plain add *is* the saturating one. Min-plus tables always qualify
+//! (every cell is at most `i64::MAX / 4`); other panels take the portable
+//! sweep.
+//!
 //! # Dispatch
 //!
-//! [`minplus_rank_update_f32`] / [`minplus_rank_update_f64`] are the only
-//! entry points. They check the operand extents, then run the AVX2 kernel
-//! when `is_x86_feature_detected!("avx2")` holds and otherwise the 4×4 tile
+//! [`minplus_rank_update_f32`] / [`minplus_rank_update_f64`] /
+//! [`minplus_rank_update_i64`] are the only entry points. They check the
+//! operand extents, then run the AVX2 kernel when
+//! `is_x86_feature_detected!("avx2")` holds and otherwise the 4×4 tile
 //! sweep ([`block4x4_minplus_f32_arrays`] per tile), which is also what
 //! every non-x86_64 target compiles to.
 
@@ -131,7 +140,71 @@ pub fn minplus_rank_update_f64(
     portable_f64(c, cs, a, as_, b, bs, rows, cols, depth);
 }
 
-/// The 4×4 tile sweep both entry points fall back to: tile rows, then tile
+/// Saturating-`i64` [`minplus_rank_update_f32`]: `C[r][j] = min(C[r][j],
+/// min_k A[r][k].saturating_add(B[k][j]))`. The AVX2 tile is 6 rows × 8
+/// columns and takes panels whose A and B elements all lie in
+/// `[i64::MIN / 2, i64::MAX / 2]` (module docs); the fallback is the 4×4
+/// saturating sweep.
+///
+/// # Panics
+///
+/// As [`minplus_rank_update_f32`].
+#[allow(clippy::too_many_arguments)]
+pub fn minplus_rank_update_i64(
+    c: &mut [i64],
+    cs: usize,
+    a: &[i64],
+    as_: usize,
+    b: &[i64],
+    bs: usize,
+    rows: usize,
+    cols: usize,
+    depth: usize,
+) {
+    check_extents(c.len(), cs, a.len(), as_, b.len(), bs, rows, cols, depth);
+    if rows == 0 || cols == 0 || depth == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && halves(a, as_, rows, depth) && halves(b, bs, depth, cols)
+    {
+        // SAFETY: AVX2 was detected just above, `check_extents` proved every
+        // panel lies inside its slice, and no A + B sum can overflow.
+        unsafe { avx2::rank_update_i64(c, cs, a, as_, b, bs, rows, cols, depth) };
+        return;
+    }
+    portable_i64(c, cs, a, as_, b, bs, rows, cols, depth);
+}
+
+/// Whether every element of the `h × w` panel (row stride `stride`) lies in
+/// `[i64::MIN / 2, i64::MAX / 2]`, so that any sum of two of them is exact.
+#[cfg(target_arch = "x86_64")]
+fn halves(x: &[i64], stride: usize, h: usize, w: usize) -> bool {
+    (0..h).all(|r| {
+        x[r * stride..r * stride + w]
+            .iter()
+            .fold(true, |ok, v| ok & (i64::MIN / 2..=i64::MAX / 2).contains(v))
+    })
+}
+
+/// One saturating-`i64` 4×4 tile: the scalar loop of `DpValue`'s default
+/// `tile4_update` for `i64`.
+fn block4x4_minplus_i64(c: &mut [i64], cs: usize, a: &[i64], as_: usize, b: &[i64], bs: usize) {
+    for r in 0..4 {
+        for j in 0..4 {
+            let mut best = c[r * cs + j];
+            for k in 0..4 {
+                let cand = a[r * as_ + k].saturating_add(b[k * bs + j]);
+                if cand < best {
+                    best = cand;
+                }
+            }
+            c[r * cs + j] = best;
+        }
+    }
+}
+
+/// The 4×4 tile sweep every entry point falls back to: tile rows, then tile
 /// columns, then k-tiles in ascending order — the loop `stage1` ran before
 /// the host kernel existed.
 macro_rules! portable_sweep {
@@ -168,6 +241,7 @@ macro_rules! portable_sweep {
 
 portable_sweep!(portable_f32, f32, block4x4_minplus_f32_arrays);
 portable_sweep!(portable_f64, f64, block4x4_minplus_f64_arrays);
+portable_sweep!(portable_i64, i64, block4x4_minplus_i64);
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -201,7 +275,7 @@ mod avx2 {
                 bs: usize,
                 depth: usize,
             ) {
-                let mut acc = [[$splat(0.0); NV]; ROWS];
+                let mut acc = [[$splat(<$elem>::default()); NV]; ROWS];
                 for (r, row) in acc.iter_mut().enumerate() {
                     for (v, lane) in row.iter_mut().enumerate() {
                         // SAFETY: row `r < ROWS`, columns `v·LANES..` below
@@ -210,7 +284,7 @@ mod avx2 {
                     }
                 }
                 for k in 0..depth {
-                    let mut bv = [$splat(0.0); NV];
+                    let mut bv = [$splat(<$elem>::default()); NV];
                     for (v, lane) in bv.iter_mut().enumerate() {
                         // SAFETY: row `k < depth` of B, columns inside the
                         // `NV·LANES` panel.
@@ -266,6 +340,47 @@ mod avx2 {
         _mm256_set1_pd,
         _mm256_add_pd,
         _mm256_min_pd
+    );
+
+    /// Unaligned load of four `i64`.
+    ///
+    /// # Safety
+    ///
+    /// `p` points at four readable `i64`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_i64(p: *const i64) -> __m256i {
+        // SAFETY: the caller vouches for four readable elements; `loadu`
+        // has no alignment requirement.
+        unsafe { _mm256_loadu_si256(p.cast()) }
+    }
+
+    /// Unaligned store of four `i64`.
+    ///
+    /// # Safety
+    ///
+    /// `p` points at four writable `i64`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_i64(p: *mut i64, v: __m256i) {
+        // SAFETY: as `load_i64`, for writing.
+        unsafe { _mm256_storeu_si256(p.cast(), v) }
+    }
+
+    /// `acc` unless `cand` is strictly smaller, lane by lane: `min2(acc,
+    /// cand)` (AVX2 has no `vpminsq`).
+    #[target_feature(enable = "avx2")]
+    fn min_i64(cand: __m256i, acc: __m256i) -> __m256i {
+        _mm256_blendv_epi8(acc, cand, _mm256_cmpgt_epi64(acc, cand))
+    }
+
+    micro_kernel!(
+        tile_i64,
+        i64,
+        4,
+        load_i64,
+        store_i64,
+        _mm256_set1_epi64x,
+        _mm256_add_epi64,
+        min_i64
     );
 
     /// Walks C in column panels (widest register tile first) and, inside
@@ -336,6 +451,7 @@ mod avx2 {
         (4, tile4_f32, 1)
     );
     panel_sweep!(rank_update_f64, f64, (8, tile_f64, 2), (4, tile_f64, 1));
+    panel_sweep!(rank_update_i64, i64, (8, tile_i64, 2), (4, tile_i64, 1));
 }
 
 #[cfg(test)]
@@ -374,6 +490,61 @@ mod tests {
         }
     }
 
+    /// `i64` values around the AVX2 kernel's no-overflow range: both of its
+    /// ends, `i64::MAX / 4` padding, negatives, `0` and ties. One value in
+    /// `outlier` (about one in 64) lies outside it — `i64::MAX`, `i64::MIN`
+    /// or one past an end — sending the whole call to the portable sweep.
+    fn hard_i64(s: &mut u64, outlier: bool) -> i64 {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let pick = *s >> 58;
+        if outlier && pick == 0 {
+            return [i64::MAX, i64::MIN, i64::MAX / 2 + 1, i64::MIN / 2 - 1]
+                [(*s >> 20) as usize % 4];
+        }
+        match pick % 8 {
+            0 => i64::MAX / 4,
+            1 => i64::MAX / 2,
+            2 => i64::MIN / 2,
+            3 => 0,
+            4 => ((*s >> 40) % 4) as i64,
+            5 => -(((*s >> 30) % 1000) as i64),
+            _ => (*s >> 3) as i64 % (i64::MAX / 4),
+        }
+    }
+
+    fn hard_i64_in_range(s: &mut u64) -> i64 {
+        hard_i64(s, false)
+    }
+
+    fn hard_i64_with_outliers(s: &mut u64) -> i64 {
+        hard_i64(s, true)
+    }
+
+    /// Exact bit patterns, for comparing whole panels.
+    trait Bits {
+        fn bits(self) -> u64;
+    }
+
+    impl Bits for f32 {
+        fn bits(self) -> u64 {
+            self.to_bits().into()
+        }
+    }
+
+    impl Bits for f64 {
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+    }
+
+    impl Bits for i64 {
+        fn bits(self) -> u64 {
+            self as u64
+        }
+    }
+
     /// Runs the dispatched entry point and the portable sweep on the same
     /// hard inputs and compares the bits of all of C. Strides are wider than
     /// the panels, so both must also leave the gap columns alone.
@@ -389,7 +560,7 @@ mod tests {
                 let mut portable = c;
                 $fast(&mut fast, cs, &a, as_, &b, bs, rows, cols, depth);
                 $portable(&mut portable, cs, &a, as_, &b, bs, rows, cols, depth);
-                let bits = |v: &[$elem]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let bits = |v: &[$elem]| v.iter().map(|x| x.bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&fast),
                     bits(&portable),
@@ -414,6 +585,20 @@ mod tests {
         minplus_rank_update_f64,
         portable_f64
     );
+    assert_matches!(
+        assert_i64_matches,
+        i64,
+        hard_i64_in_range,
+        minplus_rank_update_i64,
+        portable_i64
+    );
+    assert_matches!(
+        assert_i64_outliers_match,
+        i64,
+        hard_i64_with_outliers,
+        minplus_rank_update_i64,
+        portable_i64
+    );
 
     /// Every square stage-1 shape from nb = 4 to 96: the dispatched kernel
     /// equals the portable sweep bit for bit.
@@ -422,6 +607,8 @@ mod tests {
         for nb in (4..=96).step_by(4) {
             assert_f32_matches(nb, nb, nb, 0, nb as u64);
             assert_f64_matches(nb, nb, nb, 0, nb as u64);
+            assert_i64_matches(nb, nb, nb, 0, nb as u64);
+            assert_i64_outliers_match(nb, nb, nb, 0, nb as u64);
         }
     }
 
@@ -433,6 +620,7 @@ mod tests {
             for depth in (4..nb).step_by(4) {
                 assert_f32_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
                 assert_f64_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
+                assert_i64_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
             }
         }
     }
@@ -455,6 +643,22 @@ mod tests {
         let mut c = vec![f64::INFINITY; 16];
         minplus_rank_update_f64(&mut c, 4, &[f64::MAX; 16], 4, &[f64::MAX; 16], 4, 4, 4, 4);
         assert!(c.iter().all(|v| *v == f64::INFINITY));
+    }
+
+    /// The portable sweep saturates where a plain add would wrap, and the
+    /// dispatched entry point (sent there by the out-of-range operands)
+    /// saturates the same way.
+    #[test]
+    fn i64_outliers_saturate() {
+        let mut c = vec![5i64; 16];
+        minplus_rank_update_i64(&mut c, 4, &[i64::MAX; 16], 4, &[i64::MAX; 16], 4, 4, 4, 4);
+        assert!(
+            c.iter().all(|&v| v == 5),
+            "MAX + MAX saturates, never wraps"
+        );
+        let mut c = vec![5i64; 16];
+        minplus_rank_update_i64(&mut c, 4, &[i64::MIN; 16], 4, &[-1; 16], 4, 4, 4, 4);
+        assert!(c.iter().all(|&v| v == i64::MIN));
     }
 
     #[test]
@@ -498,6 +702,8 @@ mod tests {
         ) {
             assert_f32_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
             assert_f64_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_i64_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_i64_outliers_match(4 * rows, 4 * cols, 4 * depth, pad, seed);
         }
     }
 }

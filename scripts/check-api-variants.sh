@@ -60,7 +60,8 @@ fi
 echo "API variant guard: no new _metered/_traced/_faulted/_instrumented names."
 
 # Host-native kernels dispatch at run time behind one public function per
-# element type (`minplus_rank_update_f32`, `_f64`); an ISA- or speed-suffixed
+# element type (`minplus_rank_update_f32`, `_f64`, and the lane-wise
+# `lanewise_rank_update_i32x8`); an ISA- or speed-suffixed
 # public twin would let callers bypass the dispatch and its fallback.
 isa=$(grep -rnoE 'pub(\([a-z]+\))? (unsafe )?fn [a-zA-Z0-9_]+_(avx2|avx512[a-z]*|sse[0-9]*|neon|fast|portable)\s*[(<]' \
           crates/*/src --include='*.rs' || true)
@@ -81,3 +82,17 @@ for lint in 'unsafe_op_in_unsafe_fn' 'clippy::undocumented_unsafe_blocks'; do
     fi
 done
 echo "Kernel guard: one dispatching entry point per type; unsafe documented."
+
+# `SharedBlocked` (engine/shared.rs) is the only unsafe code in npdp-core:
+# raw-pointer block views behind a per-block atomic state machine. Kernels
+# that need `std::arch` live in simd-kernel, behind a safe dispatching entry
+# point; the token may not appear anywhere else in npdp-core's sources.
+core_unsafe=$(grep -rnw 'unsafe' crates/npdp-core/src --include='*.rs' \
+                  | grep -v '^crates/npdp-core/src/engine/shared\.rs:' || true)
+if [ -n "$core_unsafe" ]; then
+    echo "ERROR: unsafe outside crates/npdp-core/src/engine/shared.rs:" >&2
+    printf '  %s\n' "$core_unsafe" >&2
+    echo "Put the unsafe kernel in simd-kernel behind a safe entry point." >&2
+    exit 1
+fi
+echo "Core guard: npdp-core's only unsafe code is engine/shared.rs."
