@@ -10,7 +10,6 @@
 pub mod cli;
 pub mod compare;
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use npdp_core::{DpValue, Engine, TriangularMatrix};
@@ -20,18 +19,6 @@ pub use npdp_exec::ExecContext;
 pub use npdp_fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 pub use npdp_metrics::{Metrics, Recorder, Report};
 pub use npdp_trace::Tracer;
-
-/// Parse the shared `--json <path>` flag from the process arguments.
-#[deprecated(since = "0.1.0", note = "use `Cli::parse().json`")]
-pub fn json_out() -> Option<PathBuf> {
-    Cli::parse().json
-}
-
-/// Parse the shared `--trace <path>` flag from the process arguments.
-#[deprecated(since = "0.1.0", note = "use `Cli::parse().trace`")]
-pub fn trace_out() -> Option<PathBuf> {
-    Cli::parse().trace
-}
 
 /// Create the parent directory of an output path (like a well-behaved tool:
 /// `--json out/reports/BENCH_x.json` must not fail just because `out/` does
@@ -100,13 +87,6 @@ impl FaultArgs {
     }
 }
 
-/// Parse `--faults <seed>` and `--fault-rate <r>` from the process
-/// arguments.
-#[deprecated(since = "0.1.0", note = "use `Cli::parse().faults`")]
-pub fn fault_args() -> Option<FaultArgs> {
-    Cli::parse().faults
-}
-
 /// Write an injector's counter snapshot (`fault.injected`, `dma.retries`,
 /// `mailbox.resends`, `queue.task_panics`, `spe.rebalanced_blocks`, …) into
 /// `report` under the canonical keys (overwriting earlier values — pass the
@@ -123,12 +103,6 @@ pub fn merge_fault_counters(report: &mut Report, faults: &FaultInjector) {
 /// they sample, and run in milliseconds at paper scale anyway.
 pub(crate) fn env_repro_small() -> bool {
     std::env::var("NPDP_REPRO_SMALL").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// True when `NPDP_REPRO_SMALL` is set (see [`Cli::small`]).
-#[deprecated(since = "0.1.0", note = "use `Cli::parse().small`")]
-pub fn repro_small() -> bool {
-    env_repro_small()
 }
 
 /// Write `report` to `path` if the `--json` flag was given, printing a

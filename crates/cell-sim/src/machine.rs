@@ -295,8 +295,7 @@ pub enum QueuePolicy {
 /// What to simulate: the problem, the blocking, the machine slice and the
 /// scheduling discipline. The *how to observe / perturb it* — tracing,
 /// metrics, fault plan, retry policy — comes separately through an
-/// [`ExecContext`], so one [`simulate`] covers what used to be six
-/// `simulate_cellnpdp*` spellings.
+/// [`ExecContext`], so one [`simulate`] covers every configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SimSpec {
     /// Problem size (intervals).
@@ -383,8 +382,7 @@ impl SimSpec {
 }
 
 /// Simulate one CellNPDP (or NDL-scalar) run of `spec` on the machine `cfg`
-/// under the policies of `ctx` — the one entry point behind every legacy
-/// `simulate_cellnpdp*` spelling:
+/// under the policies of `ctx` — the simulator's one entry point:
 ///
 /// * `ctx.tracer` — timeline emission: one `Worker` track per SPE carrying
 ///   `Block` spans over the *compute* intervals of the double-buffering
@@ -425,173 +423,6 @@ pub fn simulate(cfg: &CellConfig, spec: &SimSpec, ctx: &ExecContext) -> SimRepor
         report.record_into(&ctx.metrics);
     }
     report
-}
-
-/// Simulate CellNPDP (NDL + SIMD kernels + task queue) on `spes` SPEs.
-///
-/// `nb` is the memory-block side (cells), `sb` the scheduling-block side
-/// (memory blocks).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate(cfg, &SimSpec::cellnpdp(..), &ExecContext::disabled())`"
-)]
-pub fn simulate_cellnpdp(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::cellnpdp(n, nb, sb, prec, spes),
-        &ExecContext::disabled(),
-    )
-}
-
-/// [`simulate_cellnpdp`] with an explicit ready-queue policy.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate` with `SimSpec::cellnpdp(..).with_policy(policy)`"
-)]
-pub fn simulate_cellnpdp_with_policy(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-    policy: QueuePolicy,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::cellnpdp(n, nb, sb, prec, spes).with_policy(policy),
-        &ExecContext::disabled(),
-    )
-}
-
-/// [`simulate_cellnpdp_with_policy`] under a fault plan.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate` with an `ExecContext` carrying the injector and retry policy"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_cellnpdp_faulted(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-    policy: QueuePolicy,
-    faults: &npdp_fault::FaultInjector,
-    retry: npdp_fault::RetryPolicy,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::cellnpdp(n, nb, sb, prec, spes).with_policy(policy),
-        &ExecContext::disabled()
-            .with_faults(faults)
-            .with_retry(retry),
-    )
-}
-
-/// [`simulate_cellnpdp_with_policy`] plus timeline emission.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate` with `ExecContext::disabled().with_tracer(tracer)`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_cellnpdp_traced(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-    policy: QueuePolicy,
-    tracer: &Tracer,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::cellnpdp(n, nb, sb, prec, spes).with_policy(policy),
-        &ExecContext::disabled().with_tracer(tracer),
-    )
-}
-
-/// [`simulate_cellnpdp_with_policy`] with the diagonal-batched scheduling
-/// grid (see [`SimSpec::batched`]).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate` with `SimSpec::cellnpdp(..).batched(min_parallel)`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_cellnpdp_batched(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-    policy: QueuePolicy,
-    min_parallel: usize,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::cellnpdp(n, nb, sb, prec, spes)
-            .with_policy(policy)
-            .batched(min_parallel),
-        &ExecContext::disabled(),
-    )
-}
-
-/// [`simulate_cellnpdp_batched`] plus timeline emission, for analyzer-level
-/// comparison of the plain and batched disciplines on identical block costs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate` with a batched `SimSpec` and `ExecContext::disabled().with_tracer(tracer)`"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_cellnpdp_batched_traced(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-    policy: QueuePolicy,
-    min_parallel: usize,
-    tracer: &Tracer,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::cellnpdp(n, nb, sb, prec, spes)
-            .with_policy(policy)
-            .batched(min_parallel),
-        &ExecContext::disabled().with_tracer(tracer),
-    )
-}
-
-/// Simulate the NDL + *scalar* configuration (the paper's "NDL" ablation
-/// bar) on `spes` SPEs.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `simulate(cfg, &SimSpec::ndl_scalar(..), &ExecContext::disabled())`"
-)]
-pub fn simulate_ndl_scalar(
-    cfg: &CellConfig,
-    n: usize,
-    nb: usize,
-    sb: usize,
-    prec: Precision,
-    spes: usize,
-) -> SimReport {
-    simulate(
-        cfg,
-        &SimSpec::ndl_scalar(n, nb, sb, prec, spes),
-        &ExecContext::disabled(),
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -980,11 +811,21 @@ pub fn ndl_bytes_transferred(n: u64, nb: u64, prec: Precision) -> u64 {
 }
 
 #[cfg(test)]
-// The deprecated wrappers double as equivalence proofs: these tests keep
-// exercising them on purpose until the wrappers are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+
+    /// An untraced, fault-free CellNPDP simulation with the default queue.
+    fn cellnpdp(
+        cfg: &CellConfig,
+        n: usize,
+        nb: usize,
+        sb: usize,
+        prec: Precision,
+        spes: usize,
+    ) -> SimReport {
+        let spec = SimSpec::cellnpdp(n, nb, sb, prec, spes);
+        simulate(cfg, &spec, &ExecContext::disabled())
+    }
 
     #[test]
     fn kernel_cycles_sp_near_paper() {
@@ -1010,7 +851,7 @@ mod tests {
         // should land in the same decade.
         let cfg = CellConfig::qs20();
         let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-        let r = simulate_cellnpdp(&cfg, 4096, nb, 2, Precision::Single, 16);
+        let r = cellnpdp(&cfg, 4096, nb, 2, Precision::Single, 16);
         assert!(
             (0.05..1.0).contains(&r.seconds),
             "simulated {} s",
@@ -1024,7 +865,7 @@ mod tests {
         // ~m/3, so the measurement needs m/3 ≫ 16 (n = 8192 → m = 94).
         let cfg = CellConfig::qs20();
         let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-        let r = simulate_cellnpdp(&cfg, 8192, nb, 1, Precision::Single, 16);
+        let r = cellnpdp(&cfg, 8192, nb, 1, Precision::Single, 16);
         assert!(r.utilization > 0.5, "utilization {}", r.utilization);
         assert!(r.utilization <= 1.0);
     }
@@ -1037,7 +878,7 @@ mod tests {
         let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
         let u: Vec<f64> = [8192, 16384, 24576]
             .iter()
-            .map(|&n| simulate_cellnpdp(&cfg, n, nb, 1, Precision::Single, 16).utilization)
+            .map(|&n| cellnpdp(&cfg, n, nb, 1, Precision::Single, 16).utilization)
             .collect();
         for w in u.windows(2) {
             assert!(
@@ -1054,8 +895,8 @@ mod tests {
         // tasks (sb = 1) are needed to reach it.
         let cfg = CellConfig::qs20();
         let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-        let t1 = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 1).seconds;
-        let t16 = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
+        let t1 = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 1).seconds;
+        let t16 = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
         let speedup = t1 / t16;
         assert!((11.0..=16.0).contains(&speedup), "speedup {speedup}");
     }
@@ -1065,8 +906,8 @@ mod tests {
         let cfg = CellConfig::qs20();
         let nb_sp = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
         let nb_dp = cfg.block_side_for_bytes(32 * 1024, Precision::Double);
-        let sp = simulate_cellnpdp(&cfg, 4096, nb_sp, 2, Precision::Single, 16).seconds;
-        let dp = simulate_cellnpdp(&cfg, 4096, nb_dp, 2, Precision::Double, 16).seconds;
+        let sp = cellnpdp(&cfg, 4096, nb_sp, 2, Precision::Single, 16).seconds;
+        let dp = cellnpdp(&cfg, 4096, nb_dp, 2, Precision::Double, 16).seconds;
         // Paper Table II: 0.22 s vs 4.41 s (20×); the structural factors
         // (lanes, latency, stall) must produce at least ~6×.
         assert!(dp > 6.0 * sp, "sp={sp} dp={dp}");
@@ -1083,13 +924,13 @@ mod tests {
         let cfg = CellConfig::qs20();
         let mut last = 0.0;
         for nb in [64, 32, 16, 8] {
-            let t = simulate_cellnpdp(&cfg, 2048, nb, 1, Precision::Single, 1).seconds;
+            let t = cellnpdp(&cfg, 2048, nb, 1, Precision::Single, 1).seconds;
             assert!(t >= last * 0.98, "block side {nb}: {t} < {last}");
             last = t;
         }
         // And the smallest block is clearly memory-bound.
-        let t64 = simulate_cellnpdp(&cfg, 2048, 64, 1, Precision::Single, 1).seconds;
-        let t8 = simulate_cellnpdp(&cfg, 2048, 8, 1, Precision::Single, 1).seconds;
+        let t64 = cellnpdp(&cfg, 2048, 64, 1, Precision::Single, 1).seconds;
+        let t8 = cellnpdp(&cfg, 2048, 8, 1, Precision::Single, 1).seconds;
         assert!(t8 > 1.5 * t64, "t8={t8} t64={t64}");
     }
 
@@ -1097,8 +938,13 @@ mod tests {
     fn ndl_scalar_between_original_and_simd() {
         let cfg = CellConfig::qs20();
         let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-        let scalar = simulate_ndl_scalar(&cfg, 2048, nb, 2, Precision::Single, 1).seconds;
-        let simd = simulate_cellnpdp(&cfg, 2048, nb, 2, Precision::Single, 1).seconds;
+        let scalar = simulate(
+            &cfg,
+            &SimSpec::ndl_scalar(2048, nb, 2, Precision::Single, 1),
+            &ExecContext::disabled(),
+        )
+        .seconds;
+        let simd = cellnpdp(&cfg, 2048, nb, 2, Precision::Single, 1).seconds;
         // SPE procedure speedup ~28× in the paper.
         let f = scalar / simd;
         assert!((8.0..60.0).contains(&f), "SPEP factor {f}");
@@ -1117,23 +963,16 @@ mod tests {
         // beat FIFO, and both must stay within the structural bound.
         let cfg = CellConfig::qs20();
         let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-        let fifo = simulate_cellnpdp_with_policy(
+        let fifo = simulate(
             &cfg,
-            4096,
-            nb,
-            1,
-            Precision::Single,
-            16,
-            QueuePolicy::Fifo,
+            &SimSpec::cellnpdp(4096, nb, 1, Precision::Single, 16).with_policy(QueuePolicy::Fifo),
+            &ExecContext::disabled(),
         );
-        let cpf = simulate_cellnpdp_with_policy(
+        let cpf = simulate(
             &cfg,
-            4096,
-            nb,
-            1,
-            Precision::Single,
-            16,
-            QueuePolicy::CriticalPathFirst,
+            &SimSpec::cellnpdp(4096, nb, 1, Precision::Single, 16)
+                .with_policy(QueuePolicy::CriticalPathFirst),
+            &ExecContext::disabled(),
         );
         assert!(
             cpf.seconds <= fifo.seconds * 1.02,
@@ -1141,7 +980,7 @@ mod tests {
             cpf.seconds,
             fifo.seconds
         );
-        let t1 = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 1).seconds;
+        let t1 = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 1).seconds;
         let bound = (4096f64 / nb as f64).ceil() / 3.0;
         assert!(
             t1 / cpf.seconds <= bound * 1.05,
@@ -1156,10 +995,18 @@ mod tests {
         // end of Fig. 13 where per-task overhead rivals block compute: merge
         // only the near-serial apex (min_parallel = 3) of a tiny run.
         let cfg = CellConfig::qs20();
-        let plain =
-            simulate_cellnpdp_with_policy(&cfg, 16, 4, 1, Precision::Single, 4, QueuePolicy::Fifo);
-        let batched =
-            simulate_cellnpdp_batched(&cfg, 16, 4, 1, Precision::Single, 4, QueuePolicy::Fifo, 3);
+        let plain = simulate(
+            &cfg,
+            &SimSpec::cellnpdp(16, 4, 1, Precision::Single, 4).with_policy(QueuePolicy::Fifo),
+            &ExecContext::disabled(),
+        );
+        let batched = simulate(
+            &cfg,
+            &SimSpec::cellnpdp(16, 4, 1, Precision::Single, 4)
+                .with_policy(QueuePolicy::Fifo)
+                .batched(3),
+            &ExecContext::disabled(),
+        );
         assert!(
             batched.seconds < plain.seconds,
             "batched {} plain {}",
@@ -1243,16 +1090,13 @@ mod tests {
         // the tail costs more than the dispatch it saves — but it must never
         // change what is computed or transferred.
         let cfg = CellConfig::qs20();
-        let plain = simulate_cellnpdp(&cfg, 1024, 64, 1, Precision::Single, 8);
-        let batched = simulate_cellnpdp_batched(
+        let plain = cellnpdp(&cfg, 1024, 64, 1, Precision::Single, 8);
+        let batched = simulate(
             &cfg,
-            1024,
-            64,
-            1,
-            Precision::Single,
-            8,
-            QueuePolicy::Fifo,
-            8,
+            &SimSpec::cellnpdp(1024, 64, 1, Precision::Single, 8)
+                .with_policy(QueuePolicy::Fifo)
+                .batched(8),
+            &ExecContext::disabled(),
         );
         assert_eq!(batched.kernel_calls, plain.kernel_calls);
         assert_eq!(batched.dma.bytes, plain.dma.bytes);
@@ -1263,17 +1107,12 @@ mod tests {
     fn traced_simulation_matches_untraced_and_analyzes() {
         use npdp_trace::analysis::analyze;
         let cfg = CellConfig::qs20();
-        let plain = simulate_cellnpdp(&cfg, 512, 64, 1, Precision::Single, 4);
+        let plain = cellnpdp(&cfg, 512, 64, 1, Precision::Single, 4);
         let tracer = Tracer::new();
-        let traced = simulate_cellnpdp_traced(
+        let traced = simulate(
             &cfg,
-            512,
-            64,
-            1,
-            Precision::Single,
-            4,
-            QueuePolicy::Fifo,
-            &tracer,
+            &SimSpec::cellnpdp(512, 64, 1, Precision::Single, 4).with_policy(QueuePolicy::Fifo),
+            &ExecContext::disabled().with_tracer(&tracer),
         );
         // Tracing observes, never steers the discrete-event schedule.
         assert_eq!(plain.seconds, traced.seconds);
@@ -1314,15 +1153,11 @@ mod tests {
         use npdp_trace::analysis::pair_spans;
         let cfg = CellConfig::qs20();
         let tracer = Tracer::new();
-        simulate_cellnpdp_traced(
+        simulate(
             &cfg,
-            768,
-            64,
-            2,
-            Precision::Single,
-            6,
-            QueuePolicy::CriticalPathFirst,
-            &tracer,
+            &SimSpec::cellnpdp(768, 64, 2, Precision::Single, 6)
+                .with_policy(QueuePolicy::CriticalPathFirst),
+            &ExecContext::disabled().with_tracer(&tracer),
         );
         let data = tracer.snapshot();
         let mut blocks: Vec<(u32, u32)> = pair_spans(&data)
@@ -1356,15 +1191,10 @@ mod tests {
     fn untraced_simulation_registers_no_tracks() {
         let cfg = CellConfig::qs20();
         let tracer = Tracer::noop();
-        simulate_cellnpdp_traced(
+        simulate(
             &cfg,
-            256,
-            64,
-            1,
-            Precision::Single,
-            2,
-            QueuePolicy::Fifo,
-            &tracer,
+            &SimSpec::cellnpdp(256, 64, 1, Precision::Single, 2).with_policy(QueuePolicy::Fifo),
+            &ExecContext::disabled().with_tracer(&tracer),
         );
         assert_eq!(tracer.snapshot().tracks.len(), 0);
     }
@@ -1372,7 +1202,7 @@ mod tests {
     #[test]
     fn report_imbalance_reasonable() {
         let cfg = CellConfig::qs20();
-        let r = simulate_cellnpdp(&cfg, 8192, 88, 2, Precision::Single, 16);
+        let r = cellnpdp(&cfg, 8192, 88, 2, Precision::Single, 16);
         assert!(r.imbalance() < 1.5, "imbalance {}", r.imbalance());
     }
 }

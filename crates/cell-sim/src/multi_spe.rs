@@ -12,8 +12,8 @@
 
 use npdp_core::{BlockedMatrix, SolveError, TriangularMatrix};
 use npdp_exec::ExecContext;
-use npdp_fault::{site2, site3, FaultInjector, FaultKind, RetryPolicy};
-use npdp_trace::{EventKind, TimeDomain, Tracer, TrackDesc};
+use npdp_fault::{site2, site3, FaultKind};
+use npdp_trace::{EventKind, TimeDomain, TrackDesc};
 use task_queue::scheduling_grid;
 
 use crate::mailbox::{Mailbox, MailboxWrite};
@@ -90,56 +90,6 @@ pub fn functional_cellnpdp_multi_spe(
 ) -> (TriangularMatrix<f32>, MultiSpeReport) {
     functional_cellnpdp_multi_spe_with(seeds, nb, sb, spes, &ExecContext::disabled())
         .expect("fault-free protocol run cannot fail")
-}
-
-/// [`functional_cellnpdp_multi_spe`] plus timeline emission in
-/// [`TimeDomain::Ticks`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `functional_cellnpdp_multi_spe_with` with `ExecContext::disabled().with_tracer(tracer)`"
-)]
-pub fn functional_cellnpdp_multi_spe_traced(
-    seeds: &TriangularMatrix<f32>,
-    nb: usize,
-    sb: usize,
-    spes: usize,
-    tracer: &Tracer,
-) -> (TriangularMatrix<f32>, MultiSpeReport) {
-    functional_cellnpdp_multi_spe_with(
-        seeds,
-        nb,
-        sb,
-        spes,
-        &ExecContext::disabled().with_tracer(tracer),
-    )
-    .expect("fault-free protocol run cannot fail")
-}
-
-/// The fault-tolerant Fig. 8 protocol under a fault plan.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `functional_cellnpdp_multi_spe_with` with an `ExecContext` carrying the injector and retry policy"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn functional_cellnpdp_multi_spe_faulted(
-    seeds: &TriangularMatrix<f32>,
-    nb: usize,
-    sb: usize,
-    spes: usize,
-    faults: &FaultInjector,
-    retry: RetryPolicy,
-    tracer: &Tracer,
-) -> Result<(TriangularMatrix<f32>, MultiSpeReport), SolveError> {
-    functional_cellnpdp_multi_spe_with(
-        seeds,
-        nb,
-        sb,
-        spes,
-        &ExecContext::disabled()
-            .with_faults(faults)
-            .with_retry(retry)
-            .with_tracer(tracer),
-    )
 }
 
 /// The fault-tolerant Fig. 8 protocol, under the policies of `ctx`
@@ -410,12 +360,11 @@ pub fn functional_cellnpdp_multi_spe_with(
 }
 
 #[cfg(test)]
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so these tests keep exercising them on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use npdp_core::{Engine, SerialEngine};
+    use npdp_fault::{FaultInjector, RetryPolicy};
+    use npdp_trace::Tracer;
 
     fn random_seeds(n: usize, seed: u64) -> TriangularMatrix<f32> {
         let mut s = seed;
@@ -479,7 +428,14 @@ mod tests {
         let seeds = random_seeds(48, 13);
         let (plain, plain_report) = functional_cellnpdp_multi_spe(&seeds, 8, 2, 3);
         let tracer = Tracer::new();
-        let (traced, report) = functional_cellnpdp_multi_spe_traced(&seeds, 8, 2, 3, &tracer);
+        let (traced, report) = functional_cellnpdp_multi_spe_with(
+            &seeds,
+            8,
+            2,
+            3,
+            &ExecContext::disabled().with_tracer(&tracer),
+        )
+        .expect("fault-free protocol run cannot fail");
         assert_eq!(plain.first_difference(&traced), None);
         assert_eq!(plain_report.rounds, report.rounds);
 
@@ -528,14 +484,14 @@ mod tests {
         faults: &FaultInjector,
         spes: usize,
     ) -> Result<(TriangularMatrix<f32>, MultiSpeReport), npdp_core::SolveError> {
-        functional_cellnpdp_multi_spe_faulted(
+        functional_cellnpdp_multi_spe_with(
             seeds,
             8,
             2,
             spes,
-            faults,
-            RetryPolicy::DEFAULT,
-            &Tracer::noop(),
+            &ExecContext::disabled()
+                .with_faults(faults)
+                .with_retry(RetryPolicy::DEFAULT),
         )
     }
 

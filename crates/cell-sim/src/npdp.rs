@@ -289,26 +289,6 @@ pub fn functional_cellnpdp_f32(
         .expect("fault-free run cannot fail")
 }
 
-/// [`functional_cellnpdp_f32`] under a fault plan.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `functional_cellnpdp_f32_with` with an `ExecContext` carrying the injector and retry policy"
-)]
-pub fn functional_cellnpdp_f32_faulted(
-    seeds: &TriangularMatrix<f32>,
-    nb: usize,
-    faults: &FaultInjector,
-    retry: RetryPolicy,
-) -> Result<(TriangularMatrix<f32>, u64), SolveError> {
-    functional_cellnpdp_f32_with(
-        seeds,
-        nb,
-        &npdp_exec::ExecContext::disabled()
-            .with_faults(faults)
-            .with_retry(retry),
-    )
-}
-
 /// [`functional_cellnpdp_f32`] under the fault plan of `ctx` (only
 /// `ctx.faults` / `ctx.retry` apply to this single-SPE functional run):
 /// every DMA transfer is checksum-verified on receive and retried with
@@ -426,12 +406,10 @@ pub(crate) fn spe_compute_block_checked(
 }
 
 #[cfg(test)]
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so these tests keep exercising them on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use npdp_core::{Engine, SerialEngine};
+    use npdp_exec::ExecContext;
 
     fn random_seeds(n: usize, seed: u64) -> TriangularMatrix<f32> {
         let mut s = seed;
@@ -518,8 +496,14 @@ mod tests {
             max_attempts: 16,
             base_backoff: 1,
         };
-        let (got, calls) = functional_cellnpdp_f32_faulted(&seeds, 8, &faults, retry)
-            .expect("a 16-attempt budget absorbs a 0.3 fault rate");
+        let (got, calls) = functional_cellnpdp_f32_with(
+            &seeds,
+            8,
+            &ExecContext::disabled()
+                .with_faults(&faults)
+                .with_retry(retry),
+        )
+        .expect("a 16-attempt budget absorbs a 0.3 fault rate");
         assert_eq!(clean.first_difference(&got), None);
         assert_eq!(clean_calls, calls);
         assert!(faults.injected_total() > 0, "plan injected nothing");
@@ -531,14 +515,15 @@ mod tests {
         let seeds = random_seeds(16, 2);
         let faults =
             FaultInjector::new(npdp_fault::FaultPlan::seeded(5).with_rate(FaultKind::DmaFail, 1.0));
-        let err = functional_cellnpdp_f32_faulted(
+        let err = functional_cellnpdp_f32_with(
             &seeds,
             8,
-            &faults,
-            RetryPolicy {
-                max_attempts: 2,
-                base_backoff: 1,
-            },
+            &ExecContext::disabled()
+                .with_faults(&faults)
+                .with_retry(RetryPolicy {
+                    max_attempts: 2,
+                    base_backoff: 1,
+                }),
         )
         .unwrap_err();
         assert!(
@@ -552,8 +537,14 @@ mod tests {
         let seeds = random_seeds(16, 4);
         let (clean, _) = functional_cellnpdp_f32(&seeds, 8);
         let faults = FaultInjector::new(npdp_fault::FaultPlan::seeded(9));
-        let (got, _) = functional_cellnpdp_f32_faulted(&seeds, 8, &faults, RetryPolicy::DEFAULT)
-            .expect("zero-rate plan cannot fail");
+        let (got, _) = functional_cellnpdp_f32_with(
+            &seeds,
+            8,
+            &ExecContext::disabled()
+                .with_faults(&faults)
+                .with_retry(RetryPolicy::DEFAULT),
+        )
+        .expect("zero-rate plan cannot fail");
         assert_eq!(clean.first_difference(&got), None);
         assert_eq!(faults.injected_total(), 0);
     }

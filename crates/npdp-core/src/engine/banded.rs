@@ -11,9 +11,10 @@
 //!
 //! Work drops from `Θ(n³)` to `Θ(n·band²)`.
 
-use crate::engine::scalar_kernels::SimdKernels;
-use crate::engine::{compute_offdiag_block, BlockKernels, Engine};
+use crate::engine::Engine;
 use crate::layout::{BlockedMatrix, TriangularMatrix};
+use crate::recurrence::{compute_block, ClosureRec};
+use crate::semiring::MinPlus;
 use crate::value::DpValue;
 
 /// Banded closure with NDL blocks and SIMD computing blocks,
@@ -66,7 +67,7 @@ impl<T: DpValue> Engine<T> for BandedEngine {
         let nb = self.nb;
         let mut m = BlockedMatrix::from_triangular(seeds, nb);
         let mb = m.blocks_per_side();
-        let kernels = SimdKernels;
+        let rec = ClosureRec::new(MinPlus::new(), seeds);
         let mut scratch = vec![T::INFINITY; nb * nb];
 
         // A block (bi, bj) contains an in-band cell iff its *minimum* span
@@ -75,13 +76,9 @@ impl<T: DpValue> Engine<T> for BandedEngine {
 
         for bj in 0..mb {
             for bi in (bj.saturating_sub(block_band)..=bj).rev() {
-                if bi == bj {
-                    kernels.diag(m.block_mut(bi, bi), nb);
-                } else {
-                    scratch.copy_from_slice(m.block(bi, bj));
-                    compute_offdiag_block(&mut scratch, bi, bj, nb, &kernels, |r, c| m.block(r, c));
-                    m.block_mut(bi, bj).copy_from_slice(&scratch);
-                }
+                scratch.copy_from_slice(m.block(bi, bj));
+                compute_block(&rec, &mut scratch, bi, bj, nb, |r, c| m.block(r, c));
+                m.block_mut(bi, bj).copy_from_slice(&scratch);
             }
         }
 

@@ -250,6 +250,7 @@ pub fn compute_diag_ring<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::scalar_kernels::ScalarTiles;
 
     /// Reference: the original triple loop over an `nb × nb` block stored
     /// dense with +∞ padding, treating the block as a self-contained
@@ -382,29 +383,9 @@ mod tests {
         }
     }
 
-    /// Min-plus through the `Semiring` defaults only: `rank_update` is the
-    /// 4×4 tile sweep over `tile4`, as every non-float ring runs it.
-    #[derive(Clone)]
-    struct TileOnly<T>(MinPlus<T>);
-
-    impl<T: DpValue> Semiring for TileOnly<T> {
-        type Elem = T;
-        fn zero(&self) -> T {
-            self.0.zero()
-        }
-        fn combine(&self, a: T, b: T) -> T {
-            self.0.combine(a, b)
-        }
-        fn extend(&self, a: T, b: T) -> T {
-            self.0.extend(a, b)
-        }
-        fn tile4(&self, c: &mut [T], cs: usize, a: &[T], as_: usize, b: &[T], bs: usize) {
-            self.0.tile4(c, cs, a, as_, b, bs);
-        }
-    }
-
     /// Both stages through `MinPlus` (the host-native kernel for floats)
-    /// equal the same stages through the tile-sweep defaults, bit for bit,
+    /// equal the same stages through the `Semiring` defaults (the scalar
+    /// 4×4 tile sweep every non-float ring runs), bit for bit,
     /// on blocks full of `+0` ties and `+∞` padding.
     fn stages_match_tile_sweep<T: DpValue>(
         nb: usize,
@@ -422,7 +403,7 @@ mod tests {
                 })
                 .collect()
         };
-        let (fast, slow) = (MinPlus::<T>::new(), TileOnly(MinPlus::<T>::new()));
+        let (fast, slow) = (MinPlus::<T>::new(), ScalarTiles::<T>::new());
         let same = |x: &[T], y: &[T]| x.iter().zip(y).all(|(&p, &q)| bits(p) == bits(q));
 
         let mut dlo = round(seeded_block(nb, seed, true));

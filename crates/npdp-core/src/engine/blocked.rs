@@ -1,88 +1,21 @@
-//! Single-threaded NDL engines: the blocked layout swept in dependence
-//! order, with either scalar or SIMD block kernels.
+//! The NDL engine: the blocked layout swept in dependence order with scalar
+//! 4×4 tile kernels — the new data layout without the SPE procedure's SIMD
+//! computing blocks.
 
 use npdp_exec::ExecContext;
-use npdp_metrics::Metrics;
-use npdp_trace::{EventKind, TrackDesc};
 use task_queue::ExecStats;
 
-use crate::engine::scalar_kernels::{ScalarKernels, SimdKernels};
-use crate::engine::{compute_offdiag_block, validate_seeds, BlockKernels, Engine};
+use crate::engine::scalar_kernels::ScalarTiles;
+use crate::engine::{solve_closure, validate_seeds, Engine};
 use crate::error::SolveError;
-use crate::layout::{BlockedMatrix, TriangularMatrix};
+use crate::layout::TriangularMatrix;
+use crate::recurrence::{ClosureRec, SolveRecurrence};
 use crate::value::DpValue;
 
-/// Solve the closure on a [`BlockedMatrix`] in place, single-threaded, with
-/// the given kernel family. Blocks run in dependence order (block columns
-/// ascending, block rows descending); each off-diagonal block is staged
-/// through a scratch buffer, mirroring the SPE local store.
-pub(crate) fn solve_blocked_in_place<T, K>(m: &mut BlockedMatrix<T>, kernels: &K)
-where
-    T: DpValue,
-    K: BlockKernels<T> + ?Sized,
-{
-    solve_blocked_in_place_metered(m, kernels, &Metrics::noop());
-}
-
-/// [`solve_blocked_in_place`] with per-block work attribution:
-/// `engine.blocks_swept`, `engine.kernel_invocations` (stage-1 + stage-2 +
-/// diagonal kernel calls) and `engine.cells_computed` (logical cells only,
-/// so the total matches the serial engine exactly).
-pub(crate) fn solve_blocked_in_place_metered<T, K>(
-    m: &mut BlockedMatrix<T>,
-    kernels: &K,
-    metrics: &Metrics,
-) where
-    T: DpValue,
-    K: BlockKernels<T> + ?Sized,
-{
-    let nb = m.block_side();
-    let mb = m.blocks_per_side();
-    let mut scratch = vec![T::INFINITY; nb * nb];
-    for bj in 0..mb {
-        for bi in (0..=bj).rev() {
-            if bi == bj {
-                kernels.diag(m.block_mut(bi, bi), nb);
-                metrics.add("engine.kernel_invocations", 1);
-            } else {
-                scratch.copy_from_slice(m.block(bi, bj));
-                compute_offdiag_block(&mut scratch, bi, bj, nb, kernels, |r, c| m.block(r, c));
-                m.block_mut(bi, bj).copy_from_slice(&scratch);
-                // (bj - bi - 1) stage-1 multiplications plus one stage-2.
-                metrics.add("engine.kernel_invocations", (bj - bi) as u64);
-            }
-            metrics.add("engine.blocks_swept", 1);
-            metrics.add(
-                "engine.cells_computed",
-                m.logical_cells_in_block(bi, bj) as u64,
-            );
-        }
-    }
-}
-
-fn solve_via_blocked<T: DpValue>(
-    seeds: &TriangularMatrix<T>,
-    nb: usize,
-    kernels: &dyn BlockKernels<T>,
-) -> TriangularMatrix<T> {
-    solve_via_blocked_metered(seeds, nb, kernels, &Metrics::noop())
-}
-
-fn solve_via_blocked_metered<T: DpValue>(
-    seeds: &TriangularMatrix<T>,
-    nb: usize,
-    kernels: &dyn BlockKernels<T>,
-    metrics: &Metrics,
-) -> TriangularMatrix<T> {
-    let _t = metrics.timed("engine.wall_ns");
-    let mut m = BlockedMatrix::from_triangular(seeds, nb);
-    solve_blocked_in_place_metered(&mut m, kernels, metrics);
-    debug_assert!(m.padding_is_inert());
-    m.to_triangular()
-}
-
 /// New data layout with scalar inner loops: isolates the layout benefit
-/// (paper Fig. 10, "NDL" bar).
+/// (paper Fig. 10, "NDL" bar). As an [`Engine`] it solves the min-plus
+/// closure through the shared block sweep over a scalar-tile min-plus ring;
+/// as a [`SolveRecurrence`] engine it runs the recurrence's own ring.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockedEngine {
     /// Memory-block side length (multiple of 4).
@@ -90,6 +23,8 @@ pub struct BlockedEngine {
 }
 
 impl BlockedEngine {
+    pub(crate) const NAME: &'static str = "blocked (NDL, scalar kernels)";
+
     /// NDL engine with memory blocks of side `nb`.
     pub fn new(nb: usize) -> Self {
         assert!(
@@ -102,11 +37,11 @@ impl BlockedEngine {
 
 impl<T: DpValue> Engine<T> for BlockedEngine {
     fn name(&self) -> &'static str {
-        "blocked (NDL, scalar kernels)"
+        Self::NAME
     }
 
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
-        solve_via_blocked(seeds, self.nb, &ScalarKernels)
+        solve_closure(self, ScalarTiles::new(), seeds)
     }
 
     fn solve_with(
@@ -115,34 +50,7 @@ impl<T: DpValue> Engine<T> for BlockedEngine {
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
         validate_seeds(seeds)?;
-        let track = ctx.tracer.register(TrackDesc::control(format!(
-            "engine: {}",
-            <Self as Engine<T>>::name(self)
-        )));
-        let _span = ctx.tracer.span(track, EventKind::Solve);
-        let out = solve_via_blocked_metered(seeds, self.nb, &ScalarKernels, &ctx.metrics);
-        Ok((out, ExecStats::serial()))
-    }
-}
-
-/// New data layout + the SPE procedure's SIMD computing blocks,
-/// single-threaded (paper Fig. 10, "NDL+SPEP" bar).
-#[derive(Debug, Clone, Copy)]
-pub struct SimdEngineInner {
-    pub(crate) nb: usize,
-}
-
-impl SimdEngineInner {
-    pub(crate) fn solve<T: DpValue>(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
-        solve_via_blocked(seeds, self.nb, &SimdKernels)
-    }
-
-    pub(crate) fn solve_metered<T: DpValue>(
-        &self,
-        seeds: &TriangularMatrix<T>,
-        metrics: &Metrics,
-    ) -> TriangularMatrix<T> {
-        solve_via_blocked_metered(seeds, self.nb, &SimdKernels, metrics)
+        self.solve_recurrence(&ClosureRec::new(ScalarTiles::new(), seeds), ctx)
     }
 }
 

@@ -1,5 +1,5 @@
-//! Operation accounting: run any NDL engine with counting kernels and get
-//! the exact number of stage-1/stage-2 tile updates and scalar edge passes.
+//! Operation accounting: run the SIMD engine's sweep over a counting
+//! min-plus ring and get the exact number of stage-1/stage-2 tile updates.
 //!
 //! This is the host-side mirror of the Cell machine model's cost formulas —
 //! the integration tests assert that the analytic accounting, the host
@@ -7,11 +7,14 @@
 //! invocations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use crate::engine::blocked::solve_blocked_in_place;
-use crate::engine::scalar_kernels::SimdKernels;
-use crate::engine::BlockKernels;
-use crate::layout::{BlockedMatrix, TriangularMatrix};
+use npdp_exec::ExecContext;
+use npdp_metrics::Metrics;
+
+use crate::layout::TriangularMatrix;
+use crate::recurrence::{solve_blocked, ClosureRec};
+use crate::semiring::{MinPlus, Semiring};
 use crate::value::DpValue;
 
 /// Exact operation counts of one blocked solve.
@@ -36,55 +39,70 @@ impl OpCounts {
     }
 }
 
-/// Counting wrapper around the SIMD kernels.
-struct CountingKernels<'a> {
-    inner: SimdKernels,
-    c: &'a Counters,
+/// [`MinPlus`] that adds up the 4×4 tile volume of every `rank_update` and
+/// `tile4` call it receives. Stage 1 is the one full `nb × nb × nb` rank
+/// update; every other call belongs to stage 2 or a diagonal block. Rings
+/// are `'static`, so the counters sit behind an `Arc`.
+#[derive(Clone)]
+struct Counting<T> {
+    inner: MinPlus<T>,
+    nb: usize,
+    stage1_tiles: Arc<AtomicU64>,
+    stage2_tiles: Arc<AtomicU64>,
 }
 
-#[derive(Default)]
-struct Counters {
-    s1_tiles: AtomicU64,
-    s2_tiles: AtomicU64,
-    s1_calls: AtomicU64,
-    s2_calls: AtomicU64,
-    diag_calls: AtomicU64,
+impl<T: DpValue> Semiring for Counting<T> {
+    type Elem = T;
+
+    fn zero(&self) -> T {
+        self.inner.zero()
+    }
+
+    fn one(&self) -> Option<T> {
+        self.inner.one()
+    }
+
+    fn combine(&self, a: T, b: T) -> T {
+        self.inner.combine(a, b)
+    }
+
+    fn extend(&self, a: T, b: T) -> T {
+        self.inner.extend(a, b)
+    }
+
+    fn tile4(&self, c: &mut [T], cs: usize, a: &[T], as_: usize, b: &[T], bs: usize) {
+        self.stage2_tiles.fetch_add(1, Ordering::Relaxed);
+        self.inner.tile4(c, cs, a, as_, b, bs);
+    }
+
+    fn rank_update(
+        &self,
+        c: &mut [T],
+        cs: usize,
+        a: &[T],
+        as_: usize,
+        b: &[T],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        let tiles = ((rows / 4) * (cols / 4) * (depth / 4)) as u64;
+        let nb = self.nb;
+        let stage = if (rows, cols, depth) == (nb, nb, nb) {
+            &self.stage1_tiles
+        } else {
+            &self.stage2_tiles
+        };
+        stage.fetch_add(tiles, Ordering::Relaxed);
+        self.inner
+            .rank_update(c, cs, a, as_, b, bs, rows, cols, depth);
+    }
 }
 
-impl<T: DpValue> BlockKernels<T> for CountingKernels<'_> {
-    fn stage1(&self, c: &mut [T], a: &[T], b: &[T], nb: usize) {
-        let nt = (nb / 4) as u64;
-        self.c.s1_calls.fetch_add(1, Ordering::Relaxed);
-        self.c.s1_tiles.fetch_add(nt * nt * nt, Ordering::Relaxed);
-        self.inner.stage1(c, a, b, nb);
-    }
-
-    fn stage2(&self, c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
-        let nt = (nb / 4) as u64;
-        self.c.s2_calls.fetch_add(1, Ordering::Relaxed);
-        // Per tile (r, cc): (nt-1-r) + cc SIMD updates → Σ = nt²(nt-1).
-        self.c
-            .s2_tiles
-            .fetch_add(nt * nt * (nt - 1), Ordering::Relaxed);
-        self.inner.stage2(c, dlo, dhi, nb);
-    }
-
-    fn diag(&self, c: &mut [T], nb: usize) {
-        let nt = nb / 4;
-        self.c.diag_calls.fetch_add(1, Ordering::Relaxed);
-        let mut middles = 0u64;
-        for r in 0..nt {
-            for cc in r + 1..nt {
-                middles += (cc - r - 1) as u64;
-            }
-        }
-        self.c.s2_tiles.fetch_add(middles, Ordering::Relaxed);
-        self.inner.diag(c, nb);
-    }
-}
-
-/// Solve with the SIMD engine and return exact operation counts alongside
-/// the table.
+/// Solve with the SIMD engine's sweep and return exact operation counts
+/// alongside the table: tile updates from the counting ring, calls from the
+/// sweep's own per-block counters.
 pub fn solve_simd_counted<T: DpValue>(
     seeds: &TriangularMatrix<T>,
     nb: usize,
@@ -93,21 +111,27 @@ pub fn solve_simd_counted<T: DpValue>(
         nb > 0 && nb.is_multiple_of(4),
         "block side must be a multiple of 4"
     );
-    let counters = Counters::default();
-    let kernels = CountingKernels {
-        inner: SimdKernels,
-        c: &counters,
+    let ring = Counting {
+        inner: MinPlus::new(),
+        nb,
+        stage1_tiles: Arc::default(),
+        stage2_tiles: Arc::default(),
     };
-    let mut m = BlockedMatrix::from_triangular(seeds, nb);
-    solve_blocked_in_place(&mut m, &kernels);
+    let (metrics, recorder) = Metrics::recording();
+    let ctx = ExecContext::disabled().with_metrics(&metrics);
+    let out = solve_blocked(&ClosureRec::new(ring.clone(), seeds), nb, &ctx);
+    // Each diagonal block is one kernel invocation; each off-diagonal block
+    // is its stage-1 products plus one stage 2.
+    let blocks = recorder.get("engine.blocks_swept");
+    let diag_calls = seeds.n().div_ceil(nb).max(1) as u64;
     let counts = OpCounts {
-        stage1_tile_updates: counters.s1_tiles.load(Ordering::Relaxed),
-        stage2_tile_updates: counters.s2_tiles.load(Ordering::Relaxed),
-        stage1_calls: counters.s1_calls.load(Ordering::Relaxed),
-        stage2_calls: counters.s2_calls.load(Ordering::Relaxed),
-        diag_calls: counters.diag_calls.load(Ordering::Relaxed),
+        stage1_tile_updates: ring.stage1_tiles.load(Ordering::Relaxed),
+        stage2_tile_updates: ring.stage2_tiles.load(Ordering::Relaxed),
+        stage1_calls: recorder.get("engine.kernel_invocations") - blocks,
+        stage2_calls: blocks - diag_calls,
+        diag_calls,
     };
-    (m.to_triangular(), counts)
+    (out, counts)
 }
 
 /// Analytic tile-update count for a padded triangle of `mb` blocks with

@@ -10,10 +10,18 @@
 //! |---|---|---|---|---|
 //! | [`SerialEngine`] | triangular | scalar | — | "original algorithm" (Fig. 1) |
 //! | [`TiledEngine`] | triangular | scalar | — | tiling of prior work (Fig. 4) |
-//! | [`BlockedEngine`] | **NDL** | scalar | — | + new data layout |
-//! | [`SimdEngine`] | **NDL** | **4×4 SIMD** | — | + SPE procedure |
-//! | [`ParallelEngine`] | **NDL** | **4×4 SIMD** | **task queue** | CellNPDP (Fig. 8) |
-//! | [`WavefrontEngine`] | NDL | 4×4 SIMD | rayon barriers | cross-check |
+//! | [`BlockedEngine`] | **NDL** | scalar 4×4 tiles | — | + new data layout |
+//! | [`SimdEngine`] | **NDL** | **`MinPlus` (SIMD)** | — | + SPE procedure |
+//! | [`ParallelEngine`] | **NDL** | **`MinPlus` (SIMD)** | **task queue** | CellNPDP (Fig. 8) |
+//! | [`WavefrontEngine`] | NDL | `MinPlus` (SIMD) | rayon barriers | cross-check |
+//!
+//! The blocked, SIMD and parallel engines are one engine stack: their
+//! `Engine` impls solve [`ClosureRec`] through the [`SolveRecurrence`]
+//! tiers, so the kernel axis is a ring choice. "NDL" hands in min-plus with
+//! the [`Semiring`] trait's scalar tile defaults, "+SPEP" and CellNPDP hand
+//! in [`MinPlus`](crate::semiring::MinPlus) and its host-native kernels,
+//! and one sweep ([`crate::recurrence::solve_blocked`]) or one task body
+//! ([`crate::recurrence::solve_parallel`]) runs every block.
 
 pub(crate) mod banded;
 pub mod block_compute;
@@ -37,12 +45,13 @@ pub use tiled::TiledEngine;
 pub use wavefront::WavefrontEngine;
 
 use npdp_exec::ExecContext;
-use npdp_metrics::Metrics;
-use npdp_trace::{EventKind, Tracer, TrackDesc};
+use npdp_trace::{EventKind, TrackDesc};
 use task_queue::ExecStats;
 
 use crate::error::SolveError;
 use crate::layout::TriangularMatrix;
+use crate::recurrence::{ClosureRec, SolveRecurrence};
+use crate::semiring::Semiring;
 use crate::value::DpValue;
 
 /// Validate every problem seed (NaN, negative lengths) before a solve.
@@ -64,6 +73,26 @@ pub fn validate_seeds<T: DpValue>(seeds: &TriangularMatrix<T>) -> Result<(), Sol
     unreachable!("flat-storage scan flagged a seed the cell walk cannot find")
 }
 
+/// The NDL engines' raw [`Engine::solve`]: the closure of `seeds` under
+/// `ring` through `engine`'s [`SolveRecurrence`] tier, unvalidated and
+/// uninstrumented.
+pub(crate) fn solve_closure<E, S>(
+    engine: &E,
+    ring: S,
+    seeds: &TriangularMatrix<S::Elem>,
+) -> TriangularMatrix<S::Elem>
+where
+    E: SolveRecurrence,
+    S: Semiring,
+{
+    // Only a real worker panic can make a disabled-context solve fail.
+    let rec = ClosureRec::new(ring, seeds);
+    let (out, _) = engine
+        .solve_recurrence(&rec, &ExecContext::disabled())
+        .unwrap_or_else(|e| panic!("{e}"));
+    out
+}
+
 /// A solver for the NPDP min-plus interval closure.
 pub trait Engine<T: DpValue> {
     /// Short name for reports and benchmark tables.
@@ -72,8 +101,7 @@ pub trait Engine<T: DpValue> {
     /// Solve the closure over the seeded triangle, returning the completed
     /// DP table. Seeds are the initial `d[i][j]` values (`+∞` where absent).
     ///
-    /// This is the engine's one mathematical implementation; every
-    /// instrumented spelling goes through [`Engine::solve_with`].
+    /// Seeds are not validated here; [`Engine::solve_with`] does that.
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T>;
 
     /// The one generic instrumented entry point: solve under the policies of
@@ -87,9 +115,11 @@ pub trait Engine<T: DpValue> {
     ///
     /// The default wraps [`Engine::solve`] in a control-track `Solve` span
     /// and an `engine.wall_ns` timer and attributes `engine.cells_computed`
-    /// (the `n(n-1)/2` logical DP cells) in one shot; blocked engines
-    /// override it to attribute work per memory block and the parallel
-    /// engine to run the task-queue driver, returning real scheduler stats.
+    /// (the `n(n-1)/2` logical DP cells) in one shot; the NDL engines
+    /// override it to validate and then run
+    /// [`SolveRecurrence::solve_recurrence`],
+    /// which attributes work per memory block (and, on the parallel tier,
+    /// runs the task-queue driver, returning real scheduler stats).
     fn solve_with(
         &self,
         seeds: &TriangularMatrix<T>,
@@ -107,97 +137,4 @@ pub trait Engine<T: DpValue> {
         ctx.metrics.add("engine.cells_computed", seeds.len() as u64);
         Ok((out, ExecStats::serial()))
     }
-
-    /// Validating solve: rejects NaN / negative-length seeds with a typed
-    /// [`SolveError`] instead of computing garbage.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(seeds, &ExecContext::disabled())`"
-    )]
-    fn try_solve(&self, seeds: &TriangularMatrix<T>) -> Result<TriangularMatrix<T>, SolveError> {
-        self.solve_with(seeds, &ExecContext::disabled())
-            .map(|(out, _)| out)
-    }
-
-    /// Solve while emitting metrics (`engine.wall_ns`,
-    /// `engine.cells_computed`, and per-block counters on blocked engines).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with` with `ExecContext::disabled().with_metrics(metrics)`"
-    )]
-    fn solve_metered(&self, seeds: &TriangularMatrix<T>, metrics: &Metrics) -> TriangularMatrix<T> {
-        self.solve_with(seeds, &ExecContext::disabled().with_metrics(metrics))
-            .map(|(out, _)| out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Solve with a model-chosen memory-block size ([`ParallelEngine`] picks
-    /// `nb` from the §V performance model; engines without a tunable block
-    /// behave exactly like [`Engine::solve`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with` with `ExecContext::disabled().autotuned()`"
-    )]
-    fn solve_autotuned(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
-        self.solve_with(seeds, &ExecContext::disabled().autotuned())
-            .map(|(out, _)| out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Solve while emitting both metrics and a timeline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with` with `ExecContext::disabled().with_metrics(metrics).with_tracer(tracer)`"
-    )]
-    fn solve_traced(
-        &self,
-        seeds: &TriangularMatrix<T>,
-        metrics: &Metrics,
-        tracer: &Tracer,
-    ) -> TriangularMatrix<T> {
-        self.solve_with(
-            seeds,
-            &ExecContext::disabled()
-                .with_metrics(metrics)
-                .with_tracer(tracer),
-        )
-        .map(|(out, _)| out)
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// Kernel family used inside a memory block: scalar loops or the 4×4
-/// computing-block SIMD kernels. This is the paper's "SPE procedure"
-/// ablation axis, shared between the single-threaded and parallel
-/// orchestrators.
-pub(crate) trait BlockKernels<T: DpValue>: Sync {
-    /// Stage 1: `C ⊗= A × B` with distinct, final operand blocks.
-    fn stage1(&self, c: &mut [T], a: &[T], b: &[T], nb: usize);
-    /// Stage 2: resolve inner dependences of an off-diagonal block against
-    /// its two diagonal blocks.
-    fn stage2(&self, c: &mut [T], dlo: &[T], dhi: &[T], nb: usize);
-    /// Compute a diagonal block from its own seeds.
-    fn diag(&self, c: &mut [T], nb: usize);
-}
-
-/// Compute one off-diagonal memory block into `scratch` (the "local store"),
-/// given accessors for the dependency blocks. Shared by all NDL engines.
-#[inline]
-pub(crate) fn compute_offdiag_block<'a, T, K, F>(
-    scratch: &mut [T],
-    bi: usize,
-    bj: usize,
-    nb: usize,
-    kernels: &K,
-    block: F,
-) where
-    T: DpValue,
-    K: BlockKernels<T> + ?Sized,
-    F: Fn(usize, usize) -> &'a [T],
-{
-    debug_assert!(bi < bj);
-    for bk in bi + 1..bj {
-        kernels.stage1(scratch, block(bi, bk), block(bk, bj), nb);
-    }
-    kernels.stage2(scratch, block(bi, bi), block(bj, bj), nb);
 }

@@ -1,24 +1,23 @@
 //! The full CellNPDP algorithm (paper Fig. 8): NDL + SIMD computing blocks +
 //! the task-queue parallel procedure over scheduling blocks.
 
-use npdp_exec::{ExecContext, Tuning};
-use npdp_fault::{FaultInjector, RetryPolicy};
-use npdp_metrics::Metrics;
-use npdp_trace::{EventKind, Tracer};
-use task_queue::{diagonal_batched_grid, run, scheduling_grid, ExecStats};
+use npdp_exec::ExecContext;
+use task_queue::ExecStats;
 
-use crate::engine::scalar_kernels::SimdKernels;
-use crate::engine::shared::SharedBlocked;
-use crate::engine::{compute_offdiag_block, validate_seeds, BlockKernels, Engine};
+use crate::engine::{solve_closure, validate_seeds, Engine};
 use crate::error::SolveError;
 use crate::layout::{BlockedMatrix, TriangularMatrix};
+use crate::recurrence::{sweep_parallel, ClosureRec, SolveRecurrence};
+use crate::semiring::MinPlus;
 use crate::value::DpValue;
 
 pub use npdp_exec::Scheduler;
 
 /// CellNPDP on the host: every worker thread plays an SPE against the shared
 /// ready queue; the dependence graph is the simplified left+below graph over
-/// scheduling blocks.
+/// scheduling blocks. As an [`Engine`] it solves the min-plus closure
+/// through the shared parallel tier
+/// ([`crate::recurrence::solve_parallel`]) over [`MinPlus`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelEngine {
     /// Memory-block side length (multiple of 4).
@@ -49,12 +48,12 @@ impl ParallelEngine {
         }
     }
 
-    /// Switch the ready-queue discipline (ablation).
     /// Model-chosen memory-block side for an `n`-interval problem on
     /// `workers` host threads: a host-profile [`npdp_tune::Tuner`] scored
     /// over the Fig. 13 ladder. `elem_bytes` is the DP element size
     /// (`size_of::<T>()`); it selects the SP or DP kernel profile and the
-    /// working-set bound. Used by [`Engine::solve_autotuned`].
+    /// working-set bound. The [`Scheduler::CentralQueue`] shape of
+    /// [`Self::autotune_nb_for`].
     pub fn autotune_nb(workers: usize, n: usize, elem_bytes: usize) -> usize {
         Self::autotune_nb_for(workers, n, elem_bytes, Scheduler::CentralQueue)
     }
@@ -62,7 +61,7 @@ impl ParallelEngine {
     /// Scheduler-aware [`Self::autotune_nb`]: the pipelined discipline
     /// hides dispatch and amortizes the wavefront ramp/tail, which moves
     /// the model's interior optimum (small blocks stop being punished as
-    /// hard), so [`Engine::solve_with`] under [`Tuning::Auto`] scores the
+    /// hard), so a solve under [`npdp_exec::Tuning::Auto`] scores the
     /// ladder with the matching [`npdp_tune::Tuner::pipelined`] shape.
     pub fn autotune_nb_for(
         workers: usize,
@@ -94,6 +93,7 @@ impl ParallelEngine {
         tuner.predicted_nb(n.max(1))
     }
 
+    /// Switch the ready-queue discipline (ablation).
     pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
         self
@@ -107,227 +107,28 @@ impl ParallelEngine {
         Self::new(88, 4, workers)
     }
 
-    /// Solve and also return scheduler statistics (for load-balance
-    /// experiments).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with(seeds, &ExecContext::disabled())`"
-    )]
-    pub fn solve_with_stats<T: DpValue>(
-        &self,
-        seeds: &TriangularMatrix<T>,
-    ) -> (TriangularMatrix<T>, ExecStats) {
-        self.solve_with(seeds, &ExecContext::disabled())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Solve with metric emission plus scheduler statistics.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with` with `ExecContext::disabled().with_metrics(metrics)`"
-    )]
-    pub fn solve_with_stats_metered<T: DpValue>(
-        &self,
-        seeds: &TriangularMatrix<T>,
-        metrics: &Metrics,
-    ) -> (TriangularMatrix<T>, ExecStats) {
-        self.solve_with(seeds, &ExecContext::disabled().with_metrics(metrics))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Solve with metrics and a timeline plus scheduler statistics.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with` with `ExecContext::disabled().with_metrics(metrics).with_tracer(tracer)`"
-    )]
-    pub fn solve_with_stats_instrumented<T: DpValue>(
-        &self,
-        seeds: &TriangularMatrix<T>,
-        metrics: &Metrics,
-        tracer: &Tracer,
-    ) -> (TriangularMatrix<T>, ExecStats) {
-        self.solve_with(
-            seeds,
-            &ExecContext::disabled()
-                .with_metrics(metrics)
-                .with_tracer(tracer),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Run CellNPDP over an already-blocked matrix in place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_blocked_with(m, &ExecContext::disabled())`"
-    )]
-    pub fn solve_blocked_in_place<T: DpValue>(&self, m: &mut BlockedMatrix<T>) -> ExecStats {
-        self.solve_blocked_with(m, &ExecContext::disabled())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::solve_blocked_in_place`] with metric emission.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_blocked_with` with `ExecContext::disabled().with_metrics(metrics)`"
-    )]
-    pub fn solve_blocked_in_place_metered<T: DpValue>(
-        &self,
-        m: &mut BlockedMatrix<T>,
-        metrics: &Metrics,
-    ) -> ExecStats {
-        self.solve_blocked_with(m, &ExecContext::disabled().with_metrics(metrics))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::solve_blocked_in_place_metered`] plus timeline emission.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_blocked_with` with `ExecContext::disabled().with_metrics(metrics).with_tracer(tracer)`"
-    )]
-    pub fn solve_blocked_in_place_instrumented<T: DpValue>(
-        &self,
-        m: &mut BlockedMatrix<T>,
-        metrics: &Metrics,
-        tracer: &Tracer,
-    ) -> ExecStats {
-        self.solve_blocked_with(
-            m,
-            &ExecContext::disabled()
-                .with_metrics(metrics)
-                .with_tracer(tracer),
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fault-tolerant solve: validates every seed, runs the scheduler
-    /// through the panic-isolating executor core — optionally under fault
-    /// injection — and converts worker failures into a typed error instead
-    /// of a panic or a hang.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_with` with an `ExecContext` carrying the injector and retry policy"
-    )]
-    pub fn try_solve_with_stats_faulted<T: DpValue>(
-        &self,
-        seeds: &TriangularMatrix<T>,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        faults: &FaultInjector,
-        retry: RetryPolicy,
-    ) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
-        self.solve_with(
-            seeds,
-            &ExecContext::disabled()
-                .with_metrics(metrics)
-                .with_tracer(tracer)
-                .with_faults(faults)
-                .with_retry(retry),
-        )
-    }
-
-    /// Fault-tolerant core over an already-blocked matrix.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `solve_blocked_with` with an `ExecContext` carrying the injector and retry policy"
-    )]
-    pub fn try_solve_blocked_in_place_faulted<T: DpValue>(
-        &self,
-        m: &mut BlockedMatrix<T>,
-        metrics: &Metrics,
-        tracer: &Tracer,
-        faults: &FaultInjector,
-        retry: RetryPolicy,
-    ) -> Result<ExecStats, SolveError> {
-        self.solve_blocked_with(
-            m,
-            &ExecContext::disabled()
-                .with_metrics(metrics)
-                .with_tracer(tracer)
-                .with_faults(faults)
-                .with_retry(retry),
-        )
-    }
-
-    /// The parallel tier's one implementation: CellNPDP over an
-    /// already-blocked matrix in place, under the policies of `ctx` —
-    /// counters into `ctx.metrics`, a timeline into `ctx.tracer`, faults
-    /// from `ctx.faults` retried per `ctx.retry`. The ready-queue
-    /// discipline comes from the engine's own [`ParallelEngine::scheduler`]
-    /// field (`ctx.scheduler` configures the raw [`task_queue::run`]
-    /// driver, not an engine that already carries a discipline). On `Err`
-    /// the matrix is left partially finalized and must be discarded.
-    ///
-    /// Injected [`npdp_fault::FaultKind::TaskPanic`] faults fire in the
-    /// executor *before* the task body claims any block, so a retried task
-    /// replays cleanly and a recovered run stays bit-identical; a *real*
-    /// panic mid-task trips the block state machine on requeue, exhausts the
-    /// retry budget and surfaces as [`SolveError::TaskFailed`].
+    /// CellNPDP over an already-blocked min-plus matrix in place, under the
+    /// policies of `ctx`: the shared parallel tier's sweep
+    /// ([`crate::recurrence::solve_parallel`]), with the engine's own
+    /// [`ParallelEngine::scheduler`] (`ctx.scheduler` configures the raw
+    /// [`task_queue::run`] driver, not an engine that already carries a
+    /// discipline). On `Err` the matrix is left partially finalized and
+    /// must be discarded.
     pub fn solve_blocked_with<T: DpValue>(
         &self,
         m: &mut BlockedMatrix<T>,
         ctx: &ExecContext,
     ) -> Result<ExecStats, SolveError> {
-        let nb = self.nb;
-        let metrics = &ctx.metrics;
-        let tracer = &ctx.tracer;
-        assert_eq!(m.block_side(), nb, "matrix blocked with a different nb");
-        let mb = m.blocks_per_side();
-        // Per-block logical-cell counts, precomputed so the hot worker loop
-        // only increments counters.
-        let cell_counts: Vec<Vec<u64>> = if metrics.enabled() {
-            (0..mb)
-                .map(|bi| {
-                    (bi..mb)
-                        .map(|bj| m.logical_cells_in_block(bi, bj) as u64)
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let shared = SharedBlocked::new(m);
-        // The batched variant folds diagonals with fewer tasks than workers
-        // into one trailing batch; member order keeps the sweep
-        // dependence-safe, so results stay bit-identical.
-        let sched = match self.scheduler {
-            Scheduler::LocalityBatched => diagonal_batched_grid(mb, self.sb, self.workers),
-            _ => scheduling_grid(mb, self.sb),
-        };
-        let kernels = SimdKernels;
-
-        let body = |task: usize| {
-            for &(bi, bj) in &sched.members[task] {
-                // The executor bound this thread's track, so the block span
-                // nests inside its task span.
-                let kind = EventKind::Block {
-                    bi: bi as u32,
-                    bj: bj as u32,
-                };
-                tracer.begin_current(kind);
-                let c = shared.claim(bi, bj);
-                if bi == bj {
-                    kernels.diag(c, nb);
-                    metrics.add("engine.kernel_invocations", 1);
-                } else {
-                    compute_offdiag_block(c, bi, bj, nb, &kernels, |r, cc| {
-                        shared.read_final(r, cc)
-                    });
-                    metrics.add("engine.kernel_invocations", (bj - bi) as u64);
-                }
-                shared.finalize(bi, bj);
-                tracer.end_current(kind);
-                metrics.add("engine.blocks_swept", 1);
-                if metrics.enabled() {
-                    metrics.add("engine.cells_computed", cell_counts[bi][bj - bi]);
-                }
-            }
-        };
-        // One generic driver call; the engine's own discipline wins over
-        // whatever `ctx.scheduler` was set to.
-        let exec_ctx = ctx.clone().with_scheduler(self.scheduler);
-        let result = run(&sched.graph, self.workers, &exec_ctx, body);
-        let stats = result.map_err(SolveError::from)?;
-        assert!(shared.all_final(), "scheduler left unfinished blocks");
+        assert_eq!(
+            m.block_side(),
+            self.nb,
+            "matrix blocked with a different nb"
+        );
+        // The matrix holds its own seeds; the closure's are its contents.
+        let seeds = m.to_triangular();
+        let rec = ClosureRec::new(MinPlus::new(), &seeds);
+        let stats = sweep_parallel(&rec, m, self.sb, self.workers, self.scheduler, ctx)?;
+        debug_assert!(m.padding_is_inert());
         Ok(stats)
     }
 }
@@ -338,49 +139,24 @@ impl<T: DpValue> Engine<T> for ParallelEngine {
     }
 
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
-        // No validation here (matching every other engine's raw `solve`);
-        // only a real worker panic can make the disabled-context core fail.
-        let mut m = BlockedMatrix::from_triangular(seeds, self.nb);
-        self.solve_blocked_with(&mut m, &ExecContext::disabled())
-            .unwrap_or_else(|e| panic!("{e}"));
-        m.to_triangular()
+        solve_closure(self, MinPlus::new(), seeds)
     }
 
-    /// Unlike the serial engines, the parallel tier emits no control-track
-    /// `Solve` span: its timeline is the per-worker `Task`/`Block` spans
-    /// (paper Fig. 10b), and the trace schema pins that track set.
     fn solve_with(
         &self,
         seeds: &TriangularMatrix<T>,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
-        let engine = match ctx.tuning {
-            Tuning::Auto => ParallelEngine {
-                nb: Self::autotune_nb_for(
-                    self.workers,
-                    seeds.n(),
-                    std::mem::size_of::<T>(),
-                    self.scheduler,
-                ),
-                ..*self
-            },
-            Tuning::Fixed => *self,
-        };
         validate_seeds(seeds)?;
-        let _t = ctx.metrics.timed("engine.wall_ns");
-        let mut m = BlockedMatrix::from_triangular(seeds, engine.nb);
-        let stats = engine.solve_blocked_with(&mut m, ctx)?;
-        Ok((m.to_triangular(), stats))
+        self.solve_recurrence(&ClosureRec::new(MinPlus::new(), seeds), ctx)
     }
 }
 
 #[cfg(test)]
-// The deprecated wrappers double as equivalence proofs: these tests keep
-// exercising them on purpose until the wrappers are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::engine::SerialEngine;
+    use npdp_fault::{FaultInjector, RetryPolicy};
 
     fn random_seeds(n: usize, seed: u64) -> TriangularMatrix<f32> {
         let mut s = seed;
@@ -431,7 +207,7 @@ mod tests {
     fn stats_account_for_all_tasks() {
         let seeds = random_seeds(64, 5);
         let engine = ParallelEngine::new(8, 2, 4);
-        let (_, stats) = engine.solve_with_stats(&seeds);
+        let (_, stats) = engine.solve_with(&seeds, &ExecContext::disabled()).unwrap();
         // 64/8 = 8 blocks per side → coarse 4×4 triangle → 10 tasks.
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 10);
     }
@@ -469,11 +245,12 @@ mod tests {
         let seeds = random_seeds(64, 5);
         // 64/8 = 8 blocks per side, sb=1 → 36 plain tasks; with 4 workers
         // diagonals 5..7 (3+2+1 tasks) fold into one batch → 31.
-        let plain = ParallelEngine::new(8, 1, 4).solve_with_stats(&seeds).1;
+        let ctx = ExecContext::disabled();
+        let plain = ParallelEngine::new(8, 1, 4).solve_with(&seeds, &ctx);
         let batched = ParallelEngine::new(8, 1, 4)
             .with_scheduler(Scheduler::LocalityBatched)
-            .solve_with_stats(&seeds)
-            .1;
+            .solve_with(&seeds, &ctx);
+        let (plain, batched) = (plain.unwrap().1, batched.unwrap().1);
         assert_eq!(plain.tasks_per_worker.iter().sum::<usize>(), 36);
         assert_eq!(batched.tasks_per_worker.iter().sum::<usize>(), 31);
     }
@@ -526,7 +303,9 @@ mod tests {
             let seeds = random_seeds(n, 11);
             let expect = SerialEngine.solve(&seeds);
             let engine = ParallelEngine::new(8, 1, 4);
-            let got = engine.solve_autotuned(&seeds);
+            let (got, _) = engine
+                .solve_with(&seeds, &ExecContext::disabled().autotuned())
+                .unwrap();
             assert_eq!(got.as_slice(), expect.as_slice(), "n = {n}");
             let nb = ParallelEngine::autotune_nb(4, n, 4);
             assert_eq!(nb % 4, 0, "nb = {nb} not a computing-block multiple");
@@ -552,17 +331,14 @@ mod tests {
             let faults =
                 FaultInjector::new(FaultPlan::seeded(123).with_rate(FaultKind::TaskPanic, 0.3));
             let engine = ParallelEngine::new(8, 1, 4).with_scheduler(scheduler);
+            let ctx = ExecContext::disabled()
+                .with_faults(&faults)
+                .with_retry(RetryPolicy {
+                    max_attempts: 16,
+                    base_backoff: 1,
+                });
             let (got, _) = engine
-                .try_solve_with_stats_faulted(
-                    &seeds,
-                    &Metrics::noop(),
-                    &Tracer::noop(),
-                    &faults,
-                    RetryPolicy {
-                        max_attempts: 16,
-                        base_backoff: 1,
-                    },
-                )
+                .solve_with(&seeds, &ctx)
                 .expect("recovers under injected panics");
             assert_eq!(expect.first_difference(&got), None, "{scheduler:?}");
             assert!(faults.injected(FaultKind::TaskPanic) > 0, "{scheduler:?}");
@@ -579,13 +355,7 @@ mod tests {
         let seeds = random_seeds(48, 3);
         let faults = FaultInjector::new(FaultPlan::seeded(5).with_rate(FaultKind::TaskPanic, 1.0));
         let err = ParallelEngine::new(8, 1, 3)
-            .try_solve_with_stats_faulted(
-                &seeds,
-                &Metrics::noop(),
-                &Tracer::noop(),
-                &faults,
-                RetryPolicy::DEFAULT,
-            )
+            .solve_with(&seeds, &ExecContext::disabled().with_faults(&faults))
             .unwrap_err();
         assert!(matches!(err, SolveError::TaskFailed { .. }), "{err:?}");
     }
@@ -593,9 +363,11 @@ mod tests {
     #[test]
     fn try_solve_rejects_bad_seeds() {
         use crate::error::{SeedIssue, SolveError};
+        let ctx = ExecContext::disabled();
         let mut seeds = random_seeds(20, 1);
         seeds.set(3, 7, f32::NAN);
-        let err = Engine::<f32>::try_solve(&ParallelEngine::new(8, 2, 2), &seeds).unwrap_err();
+        let err =
+            Engine::<f32>::solve_with(&ParallelEngine::new(8, 2, 2), &seeds, &ctx).unwrap_err();
         assert_eq!(
             err,
             SolveError::InvalidSeed {
@@ -607,7 +379,7 @@ mod tests {
 
         let mut seeds = random_seeds(20, 2);
         seeds.set(0, 5, -2.0);
-        let err = Engine::<f32>::try_solve(&SerialEngine, &seeds).unwrap_err();
+        let err = Engine::<f32>::solve_with(&SerialEngine, &seeds, &ctx).unwrap_err();
         assert_eq!(
             err,
             SolveError::InvalidSeed {
@@ -618,7 +390,8 @@ mod tests {
         );
 
         let seeds = random_seeds(20, 3);
-        let ok = Engine::<f32>::try_solve(&ParallelEngine::new(8, 2, 2), &seeds).unwrap();
+        let (ok, _) =
+            Engine::<f32>::solve_with(&ParallelEngine::new(8, 2, 2), &seeds, &ctx).unwrap();
         assert_eq!(ok.first_difference(&SerialEngine.solve(&seeds)), None);
     }
 

@@ -1,81 +1,53 @@
-//! The two kernel families implementing [`BlockKernels`]: plain scalar loops
-//! (the NDL-only ablation) and the 4×4 computing-block SIMD kernels
-//! (the full SPE procedure).
+//! The NDL ablation's kernels: min-plus with nothing but its scalar
+//! operations, so every block procedure runs the [`Semiring`] trait's
+//! defaults — stage 1 and the stage-2 strips sweep 4×4 tiles through the
+//! scalar 64-iteration `tile4` instead of the host-native kernels. This is
+//! the kernel axis of the paper's Fig. 10(b) "NDL" bar as a ring choice;
+//! [`MinPlus`] is the "+SPEP" side.
 
-use crate::engine::{block_compute, BlockKernels};
+use crate::semiring::{MinPlus, Semiring};
 use crate::value::DpValue;
 
-/// Scalar per-cell loops inside each memory block: isolates the benefit of
-/// the new data layout from the benefit of the SIMD computing blocks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarKernels;
+/// Min-plus forwarding only `zero`/`one`/`combine`/`extend`: the trait's
+/// scalar `tile4` and `rank_update` defaults do the block work.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScalarTiles<T>(MinPlus<T>);
 
-impl<T: DpValue> BlockKernels<T> for ScalarKernels {
-    fn stage1(&self, c: &mut [T], a: &[T], b: &[T], nb: usize) {
-        for i in 0..nb {
-            for j in 0..nb {
-                let mut best = c[i * nb + j];
-                for k in 0..nb {
-                    best = T::min2(best, T::add_sat(a[i * nb + k], b[k * nb + j]));
-                }
-                c[i * nb + j] = best;
-            }
-        }
-    }
-
-    fn stage2(&self, c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
-        // Columns ascending, rows descending: same-block operands are final
-        // when read.
-        for j in 0..nb {
-            for i in (0..nb).rev() {
-                let mut best = c[i * nb + j];
-                for k in i + 1..nb {
-                    best = T::min2(best, T::add_sat(dlo[i * nb + k], c[k * nb + j]));
-                }
-                for k in 0..j {
-                    best = T::min2(best, T::add_sat(c[i * nb + k], dhi[k * nb + j]));
-                }
-                c[i * nb + j] = best;
-            }
-        }
-    }
-
-    fn diag(&self, c: &mut [T], nb: usize) {
-        // The original flowchart confined to one padded block.
-        for j in 0..nb {
-            for i in (0..j).rev() {
-                let mut best = c[i * nb + j];
-                for k in i + 1..j {
-                    best = T::min2(best, T::add_sat(c[i * nb + k], c[k * nb + j]));
-                }
-                c[i * nb + j] = best;
-            }
-        }
+impl<T> ScalarTiles<T> {
+    /// The scalar-tile min-plus ring (zero-sized).
+    pub(crate) const fn new() -> Self {
+        ScalarTiles(MinPlus::new())
     }
 }
 
-/// The paper's SPE procedure: 4×4 computing blocks through the
-/// register-blocked SIMD kernel, scalar only on the same-tile remainder.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimdKernels;
+impl<T: DpValue> Semiring for ScalarTiles<T> {
+    type Elem = T;
 
-impl<T: DpValue> BlockKernels<T> for SimdKernels {
-    fn stage1(&self, c: &mut [T], a: &[T], b: &[T], nb: usize) {
-        block_compute::stage1(c, a, b, nb);
+    #[inline(always)]
+    fn zero(&self) -> T {
+        self.0.zero()
     }
 
-    fn stage2(&self, c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
-        block_compute::stage2_offdiag(c, dlo, dhi, nb);
+    #[inline(always)]
+    fn one(&self) -> Option<T> {
+        self.0.one()
     }
 
-    fn diag(&self, c: &mut [T], nb: usize) {
-        block_compute::compute_diag(c, nb);
+    #[inline(always)]
+    fn combine(&self, a: T, b: T) -> T {
+        self.0.combine(a, b)
+    }
+
+    #[inline(always)]
+    fn extend(&self, a: T, b: T) -> T {
+        self.0.extend(a, b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::block_compute::{compute_diag_ring, stage1_ring, stage2_offdiag_ring};
 
     fn seeded(nb: usize, seed: u64, diag: bool) -> Vec<f32> {
         let mut s = seed;
@@ -96,6 +68,13 @@ mod tests {
         v
     }
 
+    const SCALAR: ScalarTiles<f32> = ScalarTiles::new();
+    const SIMD: MinPlus<f32> = MinPlus::new();
+
+    fn id(_: usize, _: usize, v: f32) -> f32 {
+        v
+    }
+
     #[test]
     fn simd_and_scalar_kernels_agree_on_stage1() {
         for nb in [4, 8, 16] {
@@ -103,8 +82,8 @@ mod tests {
             let b = seeded(nb, 2, false);
             let c0 = seeded(nb, 3, false);
             let (mut cs, mut cv) = (c0.clone(), c0);
-            BlockKernels::<f32>::stage1(&ScalarKernels, &mut cs, &a, &b, nb);
-            BlockKernels::<f32>::stage1(&SimdKernels, &mut cv, &a, &b, nb);
+            stage1_ring(&SCALAR, &mut cs, &a, &b, nb);
+            stage1_ring(&SIMD, &mut cv, &a, &b, nb);
             assert_eq!(cs, cv, "nb={nb}");
         }
     }
@@ -114,12 +93,12 @@ mod tests {
         for nb in [4, 8, 16] {
             let mut dlo = seeded(nb, 4, true);
             let mut dhi = seeded(nb, 5, true);
-            BlockKernels::<f32>::diag(&ScalarKernels, &mut dlo, nb);
-            BlockKernels::<f32>::diag(&ScalarKernels, &mut dhi, nb);
+            compute_diag_ring(&SCALAR, &mut dlo, nb, id);
+            compute_diag_ring(&SCALAR, &mut dhi, nb, id);
             let c0 = seeded(nb, 6, false);
             let (mut cs, mut cv) = (c0.clone(), c0);
-            BlockKernels::<f32>::stage2(&ScalarKernels, &mut cs, &dlo, &dhi, nb);
-            BlockKernels::<f32>::stage2(&SimdKernels, &mut cv, &dlo, &dhi, nb);
+            stage2_offdiag_ring(&SCALAR, &mut cs, &dlo, &dhi, nb, id);
+            stage2_offdiag_ring(&SIMD, &mut cv, &dlo, &dhi, nb, id);
             assert_eq!(cs, cv, "nb={nb}");
         }
     }
@@ -129,8 +108,8 @@ mod tests {
         for nb in [4, 8, 12, 16] {
             let c0 = seeded(nb, 7, true);
             let (mut cs, mut cv) = (c0.clone(), c0);
-            BlockKernels::<f32>::diag(&ScalarKernels, &mut cs, nb);
-            BlockKernels::<f32>::diag(&SimdKernels, &mut cv, nb);
+            compute_diag_ring(&SCALAR, &mut cs, nb, id);
+            compute_diag_ring(&SIMD, &mut cv, nb, id);
             assert_eq!(cs, cv, "nb={nb}");
         }
     }

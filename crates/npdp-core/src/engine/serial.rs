@@ -15,6 +15,8 @@ use crate::value::DpValue;
 pub struct SerialEngine;
 
 impl SerialEngine {
+    pub(crate) const NAME: &'static str = "serial (original, Fig. 1)";
+
     /// Run the closure in place.
     pub fn solve_in_place<T: DpValue>(d: &mut TriangularMatrix<T>) {
         let n = d.n();
@@ -32,7 +34,7 @@ impl SerialEngine {
 
 impl<T: DpValue> Engine<T> for SerialEngine {
     fn name(&self) -> &'static str {
-        "serial (original, Fig. 1)"
+        Self::NAME
     }
 
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {

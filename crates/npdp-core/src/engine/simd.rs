@@ -2,17 +2,19 @@
 //! blocks.
 
 use npdp_exec::ExecContext;
-use npdp_trace::{EventKind, TrackDesc};
 use task_queue::ExecStats;
 
-use crate::engine::blocked::SimdEngineInner;
-use crate::engine::{validate_seeds, Engine};
+use crate::engine::{solve_closure, validate_seeds, Engine};
 use crate::error::SolveError;
 use crate::layout::TriangularMatrix;
+use crate::recurrence::{ClosureRec, SolveRecurrence};
+use crate::semiring::MinPlus;
 use crate::value::DpValue;
 
 /// New data layout + 4×4 SIMD computing blocks, single-threaded — what one
-/// SPE runs, executed on one host core (paper Fig. 10, "NDL+SPEP").
+/// SPE runs, executed on one host core (paper Fig. 10, "NDL+SPEP"). As an
+/// [`Engine`] it solves the min-plus closure through the shared block sweep
+/// over [`MinPlus`] and its host-native kernels.
 #[derive(Debug, Clone, Copy)]
 pub struct SimdEngine {
     /// Memory-block side length (multiple of 4).
@@ -20,6 +22,8 @@ pub struct SimdEngine {
 }
 
 impl SimdEngine {
+    pub(crate) const NAME: &'static str = "simd (NDL + SPE procedure)";
+
     /// SIMD engine with memory blocks of side `nb`.
     pub fn new(nb: usize) -> Self {
         assert!(
@@ -32,11 +36,11 @@ impl SimdEngine {
 
 impl<T: DpValue> Engine<T> for SimdEngine {
     fn name(&self) -> &'static str {
-        "simd (NDL + SPE procedure)"
+        Self::NAME
     }
 
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
-        SimdEngineInner { nb: self.nb }.solve(seeds)
+        solve_closure(self, MinPlus::new(), seeds)
     }
 
     fn solve_with(
@@ -45,13 +49,7 @@ impl<T: DpValue> Engine<T> for SimdEngine {
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
         validate_seeds(seeds)?;
-        let track = ctx.tracer.register(TrackDesc::control(format!(
-            "engine: {}",
-            <Self as Engine<T>>::name(self)
-        )));
-        let _span = ctx.tracer.span(track, EventKind::Solve);
-        let out = SimdEngineInner { nb: self.nb }.solve_metered(seeds, &ctx.metrics);
-        Ok((out, ExecStats::serial()))
+        self.solve_recurrence(&ClosureRec::new(MinPlus::new(), seeds), ctx)
     }
 }
 

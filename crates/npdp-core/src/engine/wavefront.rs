@@ -5,10 +5,11 @@
 
 use rayon::prelude::*;
 
-use crate::engine::scalar_kernels::SimdKernels;
 use crate::engine::shared::SharedBlocked;
-use crate::engine::{compute_offdiag_block, BlockKernels, Engine};
+use crate::engine::Engine;
 use crate::layout::{BlockedMatrix, TriangularMatrix};
+use crate::recurrence::{compute_block, ClosureRec};
+use crate::semiring::MinPlus;
 use crate::value::DpValue;
 
 /// NDL + SIMD kernels, parallelized by block anti-diagonals with a barrier
@@ -46,22 +47,16 @@ impl WavefrontEngine {
         }
     }
 
-    fn solve_inner<T: DpValue>(&self, m: &mut BlockedMatrix<T>) {
+    fn solve_inner<T: DpValue>(&self, seeds: &TriangularMatrix<T>, m: &mut BlockedMatrix<T>) {
         let nb = self.nb;
         let mb = m.blocks_per_side();
+        let rec = ClosureRec::new(MinPlus::new(), seeds);
         let shared = SharedBlocked::new(m);
-        let kernels = SimdKernels;
         for d in 0..mb {
             (0..mb - d).into_par_iter().for_each(|bi| {
                 let bj = bi + d;
                 let c = shared.claim(bi, bj);
-                if bi == bj {
-                    kernels.diag(c, nb);
-                } else {
-                    compute_offdiag_block(c, bi, bj, nb, &kernels, |r, cc| {
-                        shared.read_final(r, cc)
-                    });
-                }
+                compute_block(&rec, c, bi, bj, nb, |r, cc| shared.read_final(r, cc));
                 shared.finalize(bi, bj);
             });
         }
@@ -77,13 +72,13 @@ impl<T: DpValue> Engine<T> for WavefrontEngine {
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
         let mut m = BlockedMatrix::from_triangular(seeds, self.nb);
         match self.threads {
-            None => self.solve_inner(&mut m),
+            None => self.solve_inner(seeds, &mut m),
             Some(t) => {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(t)
                     .build()
                     .expect("failed to build rayon pool");
-                pool.install(|| self.solve_inner(&mut m));
+                pool.install(|| self.solve_inner(seeds, &mut m));
             }
         }
         m.to_triangular()

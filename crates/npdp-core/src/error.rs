@@ -1,10 +1,10 @@
 //! Typed solve failures.
 //!
-//! The engines historically panicked (or worse, hung) on bad input and
-//! worker faults; the fault-tolerant entry points ([`crate::Engine::try_solve`],
-//! `ParallelEngine::try_solve_with_stats_faulted` and the `cell-sim`
-//! protocol variants) report them as [`SolveError`] instead — a solve either
-//! returns a bit-identical table or one of these, never a hang.
+//! Bad input and worker faults never panic or hang a solve: the
+//! context-taking entry points ([`crate::Engine::solve_with`],
+//! [`crate::SolveRecurrence::solve_recurrence`] and the `cell-sim`
+//! protocol runs) report them as [`SolveError`] instead — a solve either
+//! returns a bit-identical table or one of these.
 
 /// Why a seed value is unusable (see [`crate::DpValue::seed_issue`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

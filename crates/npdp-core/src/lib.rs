@@ -58,5 +58,3 @@ pub use recurrence::{Recurrence, SolveRecurrence};
 pub use semiring::{MaxPlusRing, MinPlus, Semiring};
 pub use task_queue::ExecStats;
 pub use value::DpValue;
-#[allow(deprecated)]
-pub use value::MaxPlus;

@@ -13,19 +13,23 @@
 //! `finalize` hook that lets per-interval terms (optimal-BST subtree
 //! weights, Zuker energy assembly) run *on the engines*, not just serially.
 //!
-//! Three solver tiers share every dependence argument with the min-plus
-//! engines:
+//! Three solver tiers run every DP in the workspace, the min-plus closure
+//! included — the `Engine` impls of [`BlockedEngine`],
+//! [`SimdEngine`] and [`ParallelEngine`] are adapters that solve
+//! [`ClosureRec`] over a min-plus ring:
 //!
 //! * [`solve_serial`] — the Fig. 1 flowchart; the only tier that honors
 //!   `extend_at` overrides ([`Recurrence::split_dependent`]).
-//! * [`solve_blocked`] — the NDL sweep: the same three block procedures as
-//!   the min-plus engines (`block_compute::{stage1_ring,
-//!   stage2_offdiag_ring, compute_diag_ring}`), so stage 1 and the stage-2
-//!   strips go through [`Semiring::rank_update`] — the host-native kernels
-//!   for min-plus `f32`/`f64`/`i64` and for CYK's rule lanes, the 4×4 tile
-//!   sweep otherwise.
+//! * [`solve_blocked`] — the NDL sweep, the one single-threaded block
+//!   sweep: every block through the three block procedures
+//!   (`block_compute::{stage1_ring, stage2_offdiag_ring,
+//!   compute_diag_ring}`), so stage 1 and the stage-2 strips go through
+//!   [`Semiring::rank_update`] — the host-native kernels for min-plus
+//!   `f32`/`f64`/`i64` and for CYK's rule lanes, the 4×4 tile sweep
+//!   otherwise.
 //! * [`solve_parallel`] — the CellNPDP task queue over scheduling blocks,
-//!   all four [`Scheduler`] disciplines, same `SharedBlocked` state machine.
+//!   all four [`Scheduler`] disciplines, the `SharedBlocked` state machine,
+//!   the same per-block procedure.
 //!
 //! `finalize` is sound on the blocked tiers because the block procedures
 //! take it as a per-cell hook applied right after the cell's last
@@ -36,6 +40,8 @@
 //! all its candidates; padding cells past `n` are never finalized.
 
 use npdp_exec::{ExecContext, Scheduler, Tuning};
+use npdp_metrics::Metrics;
+use npdp_trace::{EventKind, TrackDesc};
 use task_queue::{diagonal_batched_grid, run, scheduling_grid, ExecStats};
 
 use crate::engine::block_compute::{compute_diag_ring, stage1_ring, stage2_offdiag_ring};
@@ -115,30 +121,6 @@ pub fn solve_serial<R: Recurrence>(rec: &R) -> TriangularMatrix<RingElem<R>> {
     d
 }
 
-/// Stage 2 of an off-diagonal block `(bi, bj)` with row origin `oi = bi·nb`
-/// and column origin `oj = bj·nb`: [`stage2_offdiag_ring`] with `rec`'s
-/// `finalize` on every logical cell (padding cells past `n` stay as
-/// reduced). `c` arrives holding `seed ⊕ stage-1` accumulations.
-fn rec_stage2<R: Recurrence>(
-    rec: &R,
-    c: &mut [RingElem<R>],
-    dlo: &[RingElem<R>],
-    dhi: &[RingElem<R>],
-    nb: usize,
-    oi: usize,
-    oj: usize,
-) {
-    let finalize = finalize_at(rec, oi, oj);
-    stage2_offdiag_ring(rec.ring(), c, dlo, dhi, nb, finalize);
-}
-
-/// Compute a diagonal block `(b, b)` at global origin `o` from its own
-/// seeds: [`compute_diag_ring`] with `rec`'s `finalize` on every logical
-/// cell.
-fn rec_diag<R: Recurrence>(rec: &R, c: &mut [RingElem<R>], nb: usize, o: usize) {
-    compute_diag_ring(rec.ring(), c, nb, finalize_at(rec, o, o));
-}
-
 /// `rec.finalize` in the block-local coordinates of the block at global
 /// origin `(oi, oj)`; the identity on padding cells (`gi ≥ n` or `gj ≥ n`).
 #[inline]
@@ -156,6 +138,45 @@ fn finalize_at<R: Recurrence>(
             acc
         }
     }
+}
+
+/// One memory block `(bi, bj)` of the sweep, computed in place in `c`
+/// (which arrives holding the block's seeds): a diagonal block from its own
+/// seeds, an off-diagonal one through stage 1 against every final pair
+/// `(bi, bk) × (bk, bj)` and then stage 2 against its two diagonal blocks,
+/// with `rec`'s `finalize` on every logical cell. `block(r, c)` reads a
+/// final block. Both tiers, and the wavefront and banded engines, compute
+/// every block through here.
+pub(crate) fn compute_block<'a, R: Recurrence>(
+    rec: &R,
+    c: &mut [RingElem<R>],
+    bi: usize,
+    bj: usize,
+    nb: usize,
+    block: impl Fn(usize, usize) -> &'a [RingElem<R>],
+) {
+    let ring = rec.ring();
+    if bi == bj {
+        compute_diag_ring(ring, c, nb, finalize_at(rec, bi * nb, bi * nb));
+        return;
+    }
+    for bk in bi + 1..bj {
+        stage1_ring(ring, c, block(bi, bk), block(bk, bj), nb);
+    }
+    let finalize = finalize_at(rec, bi * nb, bj * nb);
+    stage2_offdiag_ring(ring, c, block(bi, bi), block(bj, bj), nb, finalize);
+}
+
+/// The work counters of one computed block `(bi, bj)` holding `cells`
+/// logical cells: `engine.kernel_invocations` (one diagonal computation,
+/// or `bj - bi - 1` stage-1 products plus one stage 2),
+/// `engine.blocks_swept` and `engine.cells_computed` (summing to
+/// `n(n-1)/2` over a solve).
+#[inline]
+fn count_block(metrics: &Metrics, bi: usize, bj: usize, cells: usize) {
+    metrics.add("engine.kernel_invocations", (bj - bi).max(1) as u64);
+    metrics.add("engine.blocks_swept", 1);
+    metrics.add("engine.cells_computed", cells as u64);
 }
 
 /// Seed a blocked matrix for `rec`: `zero` everywhere (padding included),
@@ -186,49 +207,42 @@ fn extract_triangular<R: Recurrence>(
     out
 }
 
-/// The NDL sweep over an arbitrary recurrence: block columns ascending,
-/// block rows descending; off-diagonal blocks staged through a scratch
-/// buffer (the SPE local store), stage 1 through the ring's tile kernel.
+/// The NDL sweep over an arbitrary recurrence — the one single-threaded
+/// block sweep: block columns ascending, block rows descending; off-diagonal
+/// blocks staged through a scratch buffer (the SPE local store). Per-block
+/// work counters go to `ctx.metrics`.
 ///
 /// # Panics
 /// On split-dependent recurrences (see [`Recurrence::split_dependent`]);
 /// the [`SolveRecurrence`] engines report those as
 /// [`SolveError::InvalidProblem`] instead.
-pub fn solve_blocked<R: Recurrence>(rec: &R, nb: usize) -> TriangularMatrix<RingElem<R>> {
+pub fn solve_blocked<R: Recurrence>(
+    rec: &R,
+    nb: usize,
+    ctx: &ExecContext,
+) -> TriangularMatrix<RingElem<R>> {
     assert!(!rec.split_dependent(), "{SPLIT_DEPENDENT}");
-    let ring = rec.ring();
     let mut m = seeded_blocked(rec, nb);
-    let mb = m.blocks_per_side();
-    let mut scratch = vec![ring.zero(); nb * nb];
-    for bj in 0..mb {
+    let mut scratch = vec![rec.ring().zero(); nb * nb];
+    for bj in 0..m.blocks_per_side() {
         for bi in (0..=bj).rev() {
-            if bi == bj {
-                rec_diag(rec, m.block_mut(bi, bi), nb, bi * nb);
-            } else {
-                scratch.copy_from_slice(m.block(bi, bj));
-                for bk in bi + 1..bj {
-                    stage1_ring(ring, &mut scratch, m.block(bi, bk), m.block(bk, bj), nb);
-                }
-                rec_stage2(
-                    rec,
-                    &mut scratch,
-                    m.block(bi, bi),
-                    m.block(bj, bj),
-                    nb,
-                    bi * nb,
-                    bj * nb,
-                );
-                m.block_mut(bi, bj).copy_from_slice(&scratch);
-            }
+            scratch.copy_from_slice(m.block(bi, bj));
+            compute_block(rec, &mut scratch, bi, bj, nb, |r, c| m.block(r, c));
+            m.block_mut(bi, bj).copy_from_slice(&scratch);
+            count_block(&ctx.metrics, bi, bj, m.logical_cells_in_block(bi, bj));
         }
     }
+    // Free the scratch before the export allocates the table: kept alive,
+    // it shifts where the allocator places the caller's next large buffer.
+    drop(scratch);
     extract_triangular(rec, &m)
 }
 
-/// CellNPDP over an arbitrary recurrence: the task-queue parallel tier with
-/// the same scheduling grids, dependence graph, block state machine and
-/// driver as [`ParallelEngine::solve_blocked_with`] — any of the four
-/// [`Scheduler`] disciplines, bit-identical results by construction.
+/// CellNPDP over an arbitrary recurrence: the task-queue parallel tier over
+/// scheduling blocks, any of the four [`Scheduler`] disciplines, the
+/// `SharedBlocked` state machine — bit-identical results by construction.
+/// Counters go to `ctx.metrics`, per-worker `Block` spans to `ctx.tracer`,
+/// and faults from `ctx.faults` are retried per `ctx.retry`.
 ///
 /// # Panics
 /// On split-dependent recurrences, as [`solve_blocked`].
@@ -240,23 +254,49 @@ pub fn solve_parallel<R: Recurrence>(
     scheduler: Scheduler,
     ctx: &ExecContext,
 ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
-    assert!(!rec.split_dependent(), "{SPLIT_DEPENDENT}");
-    let ring = rec.ring();
-    let metrics = &ctx.metrics;
     let mut m = seeded_blocked(rec, nb);
+    let stats = sweep_parallel(rec, &mut m, sb, workers, scheduler, ctx)?;
+    Ok((extract_triangular(rec, &m), stats))
+}
+
+/// [`solve_parallel`]'s sweep over an already-seeded blocked matrix, in
+/// place — the one parallel task body. On `Err` the matrix is left
+/// partially finalized and must be discarded.
+///
+/// Injected [`npdp_fault::FaultKind::TaskPanic`] faults fire in the
+/// executor *before* the task body claims any block, so a retried task
+/// replays cleanly and a recovered run stays bit-identical; a *real* panic
+/// mid-task trips the block state machine on requeue, exhausts the retry
+/// budget and surfaces as [`SolveError::TaskFailed`].
+pub(crate) fn sweep_parallel<R: Recurrence>(
+    rec: &R,
+    m: &mut BlockedMatrix<RingElem<R>>,
+    sb: usize,
+    workers: usize,
+    scheduler: Scheduler,
+    ctx: &ExecContext,
+) -> Result<ExecStats, SolveError> {
+    assert!(!rec.split_dependent(), "{SPLIT_DEPENDENT}");
+    let (metrics, tracer) = (&ctx.metrics, &ctx.tracer);
+    let nb = m.block_side();
     let mb = m.blocks_per_side();
-    let cell_counts: Vec<Vec<u64>> = if metrics.enabled() {
+    // Per-block logical-cell counts, precomputed so the hot worker loop
+    // only increments counters.
+    let cell_counts: Vec<Vec<usize>> = if metrics.enabled() {
         (0..mb)
             .map(|bi| {
                 (bi..mb)
-                    .map(|bj| m.logical_cells_in_block(bi, bj) as u64)
+                    .map(|bj| m.logical_cells_in_block(bi, bj))
                     .collect()
             })
             .collect()
     } else {
         Vec::new()
     };
-    let shared = SharedBlocked::new(&mut m);
+    let shared = SharedBlocked::new(m);
+    // The batched variant folds diagonals with fewer tasks than workers
+    // into one trailing batch; member order keeps the sweep
+    // dependence-safe, so results stay bit-identical.
     let sched = match scheduler {
         Scheduler::LocalityBatched => diagonal_batched_grid(mb, sb, workers),
         _ => scheduling_grid(mb, sb),
@@ -264,43 +304,28 @@ pub fn solve_parallel<R: Recurrence>(
 
     let body = |task: usize| {
         for &(bi, bj) in &sched.members[task] {
+            // The executor bound this thread's track, so the block span
+            // nests inside its task span.
+            let kind = EventKind::Block {
+                bi: bi as u32,
+                bj: bj as u32,
+            };
+            tracer.begin_current(kind);
             let c = shared.claim(bi, bj);
-            if bi == bj {
-                rec_diag(rec, c, nb, bi * nb);
-                metrics.add("engine.kernel_invocations", 1);
-            } else {
-                for bk in bi + 1..bj {
-                    stage1_ring(
-                        ring,
-                        c,
-                        shared.read_final(bi, bk),
-                        shared.read_final(bk, bj),
-                        nb,
-                    );
-                }
-                rec_stage2(
-                    rec,
-                    c,
-                    shared.read_final(bi, bi),
-                    shared.read_final(bj, bj),
-                    nb,
-                    bi * nb,
-                    bj * nb,
-                );
-                metrics.add("engine.kernel_invocations", (bj - bi) as u64);
-            }
+            compute_block(rec, c, bi, bj, nb, |r, cc| shared.read_final(r, cc));
             shared.finalize(bi, bj);
-            metrics.add("engine.blocks_swept", 1);
+            tracer.end_current(kind);
             if metrics.enabled() {
-                metrics.add("engine.cells_computed", cell_counts[bi][bj - bi]);
+                count_block(metrics, bi, bj, cell_counts[bi][bj - bi]);
             }
         }
     };
+    // One generic driver call; the tier's own discipline wins over
+    // whatever `ctx.scheduler` was set to.
     let exec_ctx = ctx.clone().with_scheduler(scheduler);
     let stats = run(&sched.graph, workers, &exec_ctx, body).map_err(SolveError::from)?;
     assert!(shared.all_final(), "scheduler left unfinished blocks");
-    drop(shared);
-    Ok((extract_triangular(rec, &m), stats))
+    Ok(stats)
 }
 
 /// Why the blocked and parallel tiers refuse split-dependent recurrences.
@@ -319,12 +344,26 @@ fn blockable<R: Recurrence>(rec: &R) -> Result<(), SolveError> {
     }
 }
 
-/// Engines that can run an arbitrary [`Recurrence`]. This is the generic
-/// counterpart of [`crate::engine::Engine`]: same tiers, same dependence
-/// arguments, element type chosen per call by the recurrence's ring.
+/// The single-threaded tiers' envelope around a solve: a control-track
+/// `Solve` span named after the engine, and the `engine.wall_ns` timer.
+fn single_threaded<T>(name: &str, ctx: &ExecContext, solve: impl FnOnce() -> T) -> T {
+    let track = ctx
+        .tracer
+        .register(TrackDesc::control(format!("engine: {name}")));
+    let _span = ctx.tracer.span(track, EventKind::Solve);
+    let _t = ctx.metrics.timed("engine.wall_ns");
+    solve()
+}
+
+/// Engines that can run an arbitrary [`Recurrence`]. The
+/// [`crate::engine::Engine`] impls of the blocked, SIMD and parallel engines
+/// are adapters over this trait: they solve `ClosureRec` over a min-plus
+/// ring.
 pub trait SolveRecurrence {
-    /// Solve `rec` under the policies of `ctx` (metrics; the parallel tier
-    /// additionally honors faults/retry and [`Tuning::Auto`]).
+    /// Solve `rec` under the policies of `ctx`: counters into
+    /// `ctx.metrics` and a timeline into `ctx.tracer` on every tier; the
+    /// parallel tier additionally honors faults/retry and
+    /// [`Tuning::Auto`].
     fn solve_recurrence<R: Recurrence>(
         &self,
         rec: &R,
@@ -338,13 +377,23 @@ impl SolveRecurrence for SerialEngine {
         rec: &R,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
-        let out = {
-            let _t = ctx.metrics.timed("engine.wall_ns");
-            solve_serial(rec)
-        };
+        let out = single_threaded(SerialEngine::NAME, ctx, || solve_serial(rec));
         ctx.metrics.add("engine.cells_computed", out.len() as u64);
         Ok((out, ExecStats::serial()))
     }
+}
+
+/// The blocked and SIMD engines' one [`SolveRecurrence`] body: the two
+/// differ only in the ring their `Engine` adapters hand in.
+fn solve_single<R: Recurrence>(
+    name: &str,
+    nb: usize,
+    rec: &R,
+    ctx: &ExecContext,
+) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
+    blockable(rec)?;
+    let out = single_threaded(name, ctx, || solve_blocked(rec, nb, ctx));
+    Ok((out, ExecStats::serial()))
 }
 
 impl SolveRecurrence for BlockedEngine {
@@ -353,36 +402,23 @@ impl SolveRecurrence for BlockedEngine {
         rec: &R,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
-        blockable(rec)?;
-        let out = {
-            let _t = ctx.metrics.timed("engine.wall_ns");
-            solve_blocked(rec, self.nb)
-        };
-        ctx.metrics.add("engine.cells_computed", out.len() as u64);
-        Ok((out, ExecStats::serial()))
+        solve_single(BlockedEngine::NAME, self.nb, rec, ctx)
     }
 }
 
 impl SolveRecurrence for SimdEngine {
-    // Identical math to `BlockedEngine`: on the generic path the kernel
-    // choice lives in `Semiring::rank_update` / `Semiring::tile4`, the
-    // SIMD fast paths for min-plus floats and the scalar ⊕/⊗ loop
-    // otherwise.
     fn solve_recurrence<R: Recurrence>(
         &self,
         rec: &R,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
-        blockable(rec)?;
-        let out = {
-            let _t = ctx.metrics.timed("engine.wall_ns");
-            solve_blocked(rec, self.nb)
-        };
-        ctx.metrics.add("engine.cells_computed", out.len() as u64);
-        Ok((out, ExecStats::serial()))
+        solve_single(SimdEngine::NAME, self.nb, rec, ctx)
     }
 }
 
+/// Unlike the single-threaded tiers, the parallel tier emits no
+/// control-track `Solve` span: its timeline is the per-worker `Task` /
+/// `Block` spans (paper Fig. 10b), and the trace schema pins that track set.
 impl SolveRecurrence for ParallelEngine {
     fn solve_recurrence<R: Recurrence>(
         &self,
@@ -404,9 +440,8 @@ impl SolveRecurrence for ParallelEngine {
     }
 }
 
-/// The pure min-plus closure as a recurrence over borrowed seeds — the
-/// bridge that proves the generic path bit-identical to the hardcoded
-/// engines (`tests/engines_agree.rs`).
+/// The pure closure of borrowed seeds under any ring: with a min-plus ring,
+/// what the blocked, SIMD and parallel engines' `Engine` impls solve.
 #[derive(Clone, Copy)]
 pub struct ClosureRec<'a, S: Semiring> {
     ring: S,
@@ -564,7 +599,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::semiring::{MaxPlusRing, MinPlus};
+    use crate::semiring::MinPlus;
 
     fn random_seeds(n: usize, seed: u64) -> TriangularMatrix<f32> {
         let mut s = seed;
@@ -593,7 +628,7 @@ mod tests {
             for nb in [4, 8, 16] {
                 let seeds = random_seeds(n, (n * 31 + nb) as u64);
                 let rec = ClosureRec::new(MinPlus::<f32>::new(), &seeds);
-                let via_rec = solve_blocked(&rec, nb);
+                let via_rec = solve_blocked(&rec, nb, &ExecContext::disabled());
                 let via_engine = SerialEngine.solve(&seeds);
                 assert_eq!(via_rec.first_difference(&via_engine), None, "n={n} nb={nb}");
             }
@@ -662,44 +697,10 @@ mod tests {
         let seeds = TriangularMatrix::from_fn(37, |i, j| ((i * 17 + j * 5) % 41) as i64);
         let rec = ClosureRec::new(MinPlus::<i64>::new(), &seeds);
         let expect = SerialEngine.solve(&seeds);
-        assert_eq!(solve_blocked(&rec, 8).first_difference(&expect), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn max_plus_ring_closure_matches_deprecated_newtype() {
-        // Satellite: old newtype path (engines over MaxPlus<f32>) vs new
-        // plain-scalar ring through the generic path — bit-identical.
-        use crate::value::MaxPlus;
-        let n = 48;
-        let base = random_seeds(n, 7);
-        let plain = TriangularMatrix::from_fn(n, |i, j| base.get(i, j) - 50.0);
-        let rec = ClosureRec::new(MaxPlusRing::<f32>::new(), &plain);
-
-        let lifted = TriangularMatrix::from_fn(n, |i, j| MaxPlus(plain.get(i, j)));
-        let old = SerialEngine.solve(&lifted);
-
-        for (name, new) in [
-            ("serial", solve_serial(&rec)),
-            ("blocked", solve_blocked(&rec, 8)),
-            (
-                "parallel",
-                solve_parallel(
-                    &rec,
-                    8,
-                    2,
-                    4,
-                    Scheduler::CentralQueue,
-                    &ExecContext::disabled(),
-                )
-                .unwrap()
-                .0,
-            ),
-        ] {
-            for (i, j, v) in new.iter() {
-                assert_eq!(v.to_bits(), old.get(i, j).0.to_bits(), "{name} ({i},{j})");
-            }
-        }
+        assert_eq!(
+            solve_blocked(&rec, 8, &ExecContext::disabled()).first_difference(&expect),
+            None
+        );
     }
 
     #[test]
@@ -769,6 +770,6 @@ mod tests {
             |_| 1i64,
             |a: i64, b: i64, _, k: usize, _| a + b + k as i64,
         );
-        let _ = solve_blocked(&rec, 4);
+        let _ = solve_blocked(&rec, 4, &ExecContext::disabled());
     }
 }

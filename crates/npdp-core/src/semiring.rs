@@ -151,9 +151,9 @@ pub(crate) fn sweep_tiles<T>(
 }
 
 /// The min-plus ring over any [`DpValue`] — the paper's algebra, delegating
-/// every operation (including the SIMD tile kernel) to the `DpValue`
-/// methods, so code generated through this ring is identical to the
-/// hardcoded engines.
+/// every operation (including the SIMD tile kernel and the host-native rank
+/// update) to the `DpValue` methods. The SIMD and parallel engines solve
+/// the closure through it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MinPlus<T>(PhantomData<T>);
 
@@ -210,12 +210,9 @@ impl<T: DpValue> Semiring for MinPlus<T> {
 }
 
 /// The max-plus ring over plain scalars — longest chains, most-profitable
-/// decompositions — replacing the deprecated order-reversing
-/// [`MaxPlus`](crate::value::MaxPlus) newtype. `combine` takes the larger
-/// value (first argument on ties, mirroring the newtype's reversed-order
-/// `min2` bit for bit), `extend` is the same saturating `+`, and `zero` is
-/// `-∞` (floats) or a safely negated quarter-`MIN` pseudo-infinity
-/// (integers).
+/// decompositions. `combine` takes the larger value (first argument on
+/// ties), `extend` is the same saturating `+` as min-plus, and `zero` is
+/// `-∞` (floats) or a quarter-`MIN` pseudo-infinity (integers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MaxPlusRing<T>(PhantomData<T>);
 
@@ -241,9 +238,8 @@ macro_rules! max_plus_ring {
                 Some(<$t as DpValue>::ZERO)
             }
 
-            // `MaxPlus::min2(a, b)` under the reversed order is "b if the
-            // underlying b is strictly larger, else a" — the exact same
-            // select, so old-vs-new results are bit-identical.
+            // "b if strictly larger, else a": the first argument wins ties,
+            // like min-plus `min2`.
             #[inline(always)]
             fn combine(&self, a: $t, b: $t) -> $t {
                 if b > a {
@@ -398,32 +394,5 @@ mod tests {
         let mut scalar = c0;
         ScalarOnly::run(&ring, &mut scalar, stride, &a, &b, stride);
         assert_eq!(via_ring, scalar);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn max_plus_ring_is_bit_identical_to_newtype() {
-        // Old newtype path vs new ring ops on the same pseudo-random
-        // stream: every select and every sum must match bit for bit.
-        use crate::value::{DpValue, MaxPlus};
-        let ring = MaxPlusRing::<f32>::new();
-        let mut s = 42u64;
-        let mut rnd = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f32) / (u32::MAX as f32) * 10.0 - 5.0
-        };
-        for _ in 0..500 {
-            let (a, b) = (rnd(), rnd());
-            let old = <MaxPlus<f32> as DpValue>::min2(MaxPlus(a), MaxPlus(b)).0;
-            assert_eq!(ring.combine(a, b).to_bits(), old.to_bits());
-            let old = <MaxPlus<f32> as DpValue>::add_sat(MaxPlus(a), MaxPlus(b)).0;
-            assert_eq!(ring.extend(a, b).to_bits(), old.to_bits());
-        }
-        assert_eq!(
-            ring.zero().to_bits(),
-            <MaxPlus<f32> as DpValue>::INFINITY.0.to_bits()
-        );
     }
 }

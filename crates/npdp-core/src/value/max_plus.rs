@@ -1,129 +1,15 @@
-//! Max-plus NPDP: the same interval closure under the (max, +) semiring —
-//! longest chains, most-profitable decompositions, best-case schedules.
-//!
-//! [`MaxPlus<T>`] wraps a [`DpValue`] and reverses its order, so *every*
-//! engine — including the SIMD kernels and the parallel tier — solves
-//! `d[i][j] = max(d[i][j], d[i][k] + d[k][j])` unchanged: `min` over the
-//! reversed order is `max`, and the padding identity `MaxPlus::INFINITY`
-//! is the underlying `-∞`.
-//!
-//! **Deprecated:** the [`Semiring`](crate::semiring::Semiring) abstraction
-//! ships max-plus as a plain ring over unwrapped scalars
-//! ([`MaxPlusRing`](crate::semiring::MaxPlusRing)) that runs on every
-//! engine through the `Recurrence` path with no newtype lifting; the
-//! bit-identity regression old-vs-new lives in `semiring.rs` and
-//! `tests/engines_agree.rs`.
+//! Max-plus closures — longest chains, most-profitable decompositions —
+//! over plain scalar values through
+//! [`MaxPlusRing`](crate::semiring::MaxPlusRing) and `ClosureRec`:
+//! behaviour tests on every engine tier.
 
-#![allow(deprecated)]
-
-use std::cmp::Ordering;
-
-use crate::value::DpValue;
-
-/// Order-reversing wrapper turning the min-plus engines into max-plus.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `semiring::MaxPlusRing` over plain scalars via the `Recurrence` path"
-)]
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(transparent)]
-pub struct MaxPlus<T>(pub T);
-
-/// The additive inverse of a value's `INFINITY` for floats, and a safely
-/// negated pseudo-infinity for integers.
-trait NegInfinity: DpValue {
-    const NEG_INFINITY: Self;
-    const NEG_PAD_FLOOR: Self;
-}
-
-impl NegInfinity for f32 {
-    const NEG_INFINITY: Self = f32::NEG_INFINITY;
-    const NEG_PAD_FLOOR: Self = f32::NEG_INFINITY;
-}
-
-impl NegInfinity for f64 {
-    const NEG_INFINITY: Self = f64::NEG_INFINITY;
-    const NEG_PAD_FLOOR: Self = f64::NEG_INFINITY;
-}
-
-impl NegInfinity for i32 {
-    const NEG_INFINITY: Self = i32::MIN / 4;
-    const NEG_PAD_FLOOR: Self = i32::MIN / 8;
-}
-
-impl NegInfinity for i64 {
-    const NEG_INFINITY: Self = i64::MIN / 4;
-    const NEG_PAD_FLOOR: Self = i64::MIN / 8;
-}
-
-impl<T: NegInfinity> PartialOrd for MaxPlus<T> {
-    #[inline(always)]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        other.0.partial_cmp(&self.0)
-    }
-}
-
-impl<T: NegInfinity> std::ops::Add for MaxPlus<T> {
-    type Output = Self;
-
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        MaxPlus(self.0 + rhs.0)
-    }
-}
-
-impl<T: NegInfinity> DpValue for MaxPlus<T> {
-    // Reversed order: the identity of "min" is the smallest underlying
-    // value, -∞.
-    const INFINITY: Self = MaxPlus(T::NEG_INFINITY);
-    const ZERO: Self = MaxPlus(T::ZERO);
-    const PAD_FLOOR: Self = MaxPlus(T::NEG_PAD_FLOOR);
-
-    #[inline(always)]
-    fn add_sat(a: Self, b: Self) -> Self {
-        MaxPlus(T::add_sat(a.0, b.0))
-    }
-
-    // Negative values are legitimate max-plus seeds (losses along a chain),
-    // so only NaN is rejected here.
-    #[inline]
-    fn seed_issue(v: Self) -> Option<crate::error::SeedIssue> {
-        #[allow(clippy::eq_op)]
-        if v.0 != v.0 {
-            Some(crate::error::SeedIssue::NotANumber)
-        } else {
-            None
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use npdp_exec::ExecContext;
+
     use crate::engine::{Engine, ParallelEngine, SerialEngine, SimdEngine};
     use crate::layout::TriangularMatrix;
-
-    fn lift(m: &TriangularMatrix<f32>) -> TriangularMatrix<MaxPlus<f32>> {
-        TriangularMatrix::from_fn(m.n(), |i, j| MaxPlus(m.get(i, j)))
-    }
-
-    fn reference_max_plus(seeds: &TriangularMatrix<f32>) -> TriangularMatrix<f32> {
-        let mut d = seeds.clone();
-        let n = d.n();
-        for j in 0..n {
-            for i in (0..j).rev() {
-                let mut best = d.get(i, j);
-                for k in i + 1..j {
-                    let cand = d.get(i, k) + d.get(k, j);
-                    if cand > best {
-                        best = cand;
-                    }
-                }
-                d.set(i, j, best);
-            }
-        }
-        d
-    }
+    use crate::recurrence::{solve_blocked, solve_serial, ClosureRec, SolveRecurrence};
+    use crate::semiring::{MaxPlusRing, Semiring};
 
     fn random_seeds(n: usize, seed: u64) -> TriangularMatrix<f32> {
         let mut s = seed;
@@ -131,84 +17,90 @@ mod tests {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            ((s >> 33) as f32) / (u32::MAX as f32) * 10.0 - 5.0
+            ((s >> 33) as f32) / (u32::MAX as f32) * 100.0
         })
     }
 
-    #[test]
-    fn reversed_order_basics() {
-        let a = MaxPlus(1.0f32);
-        let b = MaxPlus(2.0f32);
-        // In the reversed order, the larger underlying value is "smaller",
-        // so min2 picks the maximum.
-        assert_eq!(<MaxPlus<f32> as DpValue>::min2(a, b).0, 2.0);
-        assert_eq!(
-            <MaxPlus<f32> as DpValue>::min2(MaxPlus(f32::NEG_INFINITY), a).0,
-            1.0
-        );
+    /// The (max, +) closure by the Fig. 1 loop: the reference for
+    /// `MaxPlusRing` through the engine tiers.
+    fn reference_max_plus(seeds: &TriangularMatrix<f32>) -> TriangularMatrix<f32> {
+        let mut d = seeds.clone();
+        for j in 0..d.n() {
+            for i in (0..j).rev() {
+                let mut best = d.get(i, j);
+                for k in i + 1..j {
+                    best = best.max(d.get(i, k) + d.get(k, j));
+                }
+                d.set(i, j, best);
+            }
+        }
+        d
+    }
+
+    /// Seeds in `[-5, 5)`: max-plus chains carry losses as well as gains.
+    fn signed_seeds(n: usize, seed: u64) -> TriangularMatrix<f32> {
+        let base = random_seeds(n, seed);
+        TriangularMatrix::from_fn(n, |i, j| base.get(i, j) / 10.0 - 5.0)
     }
 
     #[test]
     fn serial_engine_computes_max_plus_closure() {
         for n in [3usize, 10, 25] {
-            let seeds = random_seeds(n, n as u64);
+            let seeds = signed_seeds(n, n as u64);
+            let rec = ClosureRec::new(MaxPlusRing::<f32>::new(), &seeds);
+            let (got, _) = SerialEngine
+                .solve_recurrence(&rec, &ExecContext::disabled())
+                .unwrap();
             let expect = reference_max_plus(&seeds);
-            let got = SerialEngine.solve(&lift(&seeds));
-            for (i, j, v) in expect.iter() {
-                assert_eq!(got.get(i, j).0, v, "({i},{j}) n={n}");
-            }
+            assert_eq!(got.first_difference(&expect), None, "n={n}");
         }
     }
 
     #[test]
     fn simd_and_parallel_engines_agree_on_max_plus() {
-        let seeds = lift(&random_seeds(60, 5));
-        let a = SerialEngine.solve(&seeds);
-        let b = SimdEngine::new(8).solve(&seeds);
-        let c = ParallelEngine::new(8, 2, 4).solve(&seeds);
+        let seeds = signed_seeds(60, 5);
+        let rec = ClosureRec::new(MaxPlusRing::<f32>::new(), &seeds);
+        let ctx = ExecContext::disabled();
+        let (a, _) = SerialEngine.solve_recurrence(&rec, &ctx).unwrap();
+        let (b, _) = SimdEngine::new(8).solve_recurrence(&rec, &ctx).unwrap();
+        let (c, _) = ParallelEngine::new(8, 2, 4)
+            .solve_recurrence(&rec, &ctx)
+            .unwrap();
         assert_eq!(a.first_difference(&b), None);
         assert_eq!(a.first_difference(&c), None);
     }
 
     #[test]
     fn longest_chain_on_unit_seeds() {
-        // Adjacent seeds of 1, everything else -∞: longest decomposition of
-        // (i, j) sums j - i units (same as min-plus for chains — but with
-        // mixed seeds max and min diverge, checked below).
+        // Adjacent seeds of 1, everything else -∞: the longest
+        // decomposition of (i, j) sums j - i units.
         let n = 12;
-        let seeds = TriangularMatrix::from_fn(n, |i, j| {
-            if j == i + 1 {
-                MaxPlus(1.0f32)
-            } else {
-                <MaxPlus<f32> as DpValue>::INFINITY
-            }
-        });
-        let out = SerialEngine.solve(&seeds);
-        assert_eq!(out.get(0, n - 1).0, (n - 1) as f32);
+        let ring = MaxPlusRing::<f32>::new();
+        let seeds = TriangularMatrix::from_fn(n, |i, j| if j == i + 1 { 1.0 } else { ring.zero() });
+        let out = solve_blocked(&ClosureRec::new(ring, &seeds), 4, &ExecContext::disabled());
+        assert_eq!(out.get(0, n - 1), (n - 1) as f32);
     }
 
     #[test]
     fn max_and_min_diverge_on_mixed_seeds() {
-        let n = 16;
-        let seeds = random_seeds(n, 9);
+        let seeds = signed_seeds(16, 9);
         let min_closure = SerialEngine.solve(&seeds);
-        let max_closure = SerialEngine.solve(&lift(&seeds));
+        let max_closure = solve_serial(&ClosureRec::new(MaxPlusRing::<f32>::new(), &seeds));
         let mut any_diff = false;
         for (i, j, v) in min_closure.iter() {
-            assert!(max_closure.get(i, j).0 >= v, "max ≥ min at ({i},{j})");
-            if max_closure.get(i, j).0 > v {
-                any_diff = true;
-            }
+            assert!(max_closure.get(i, j) >= v, "max ≥ min at ({i},{j})");
+            any_diff |= max_closure.get(i, j) > v;
         }
         assert!(any_diff);
     }
 
     #[test]
     fn integer_max_plus() {
-        let n = 20;
-        let seeds = TriangularMatrix::from_fn(n, |i, j| MaxPlus(((i * 7 + j * 3) % 11) as i64));
-        let a = SerialEngine.solve(&seeds);
-        let b = SimdEngine::new(4).solve(&seeds);
-        assert_eq!(a.first_difference(&b), None);
+        let seeds = TriangularMatrix::from_fn(20, |i, j| ((i * 7 + j * 3) % 11) as i64);
+        let rec = ClosureRec::new(MaxPlusRing::<i64>::new(), &seeds);
+        let (b, _) = SimdEngine::new(4)
+            .solve_recurrence(&rec, &ExecContext::disabled())
+            .unwrap();
+        assert_eq!(solve_serial(&rec).first_difference(&b), None);
     }
 }

@@ -346,6 +346,5 @@ mod tests {
     }
 }
 
-pub mod max_plus;
-#[allow(deprecated)]
-pub use max_plus::MaxPlus;
+#[cfg(test)]
+mod max_plus;

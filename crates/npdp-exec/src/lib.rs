@@ -15,14 +15,13 @@
 //! zero-overhead disabled mode (each disabled handle costs one untaken
 //! branch per event). The engines (`npdp-core`), the task-queue driver and
 //! the Cell simulator (`cell-sim`) each expose exactly one generic entry
-//! point taking an `&ExecContext`; the historical variant names survive as
-//! deprecated one-line wrappers that construct the equivalent context.
+//! point taking an `&ExecContext`.
 //!
 //! ```
 //! use npdp_exec::{ExecContext, Scheduler};
 //! use npdp_metrics::Metrics;
 //!
-//! // Fully disabled: behaves exactly like the legacy plain entry points.
+//! // Fully disabled: every handle is a no-op.
 //! let ctx = ExecContext::disabled();
 //! assert!(!ctx.metrics.enabled());
 //!
@@ -94,8 +93,7 @@ pub enum Tuning {
     #[default]
     Fixed,
     /// Let the engine pick its memory-block side from the §V performance
-    /// model (the legacy `solve_autotuned` behavior). Engines without a
-    /// tuner ignore this.
+    /// model. Engines without a tuner ignore this.
     Auto,
 }
 
@@ -165,7 +163,7 @@ impl ExecContext {
     }
 
     /// Let tuning-capable engines pick their block side from the
-    /// performance model (the legacy `solve_autotuned`).
+    /// performance model.
     pub fn autotuned(mut self) -> Self {
         self.tuning = Tuning::Auto;
         self

@@ -1,13 +1,11 @@
 //! The one generic executor driving every scheduling discipline.
 //!
-//! Historically this crate carried three near-identical worker pools —
-//! central queue ([`crate::pool`]), work stealing ([`crate::stealing`]) and
-//! locality-aware ([`crate::locality`]) — that shared the whole
-//! notify/claim/retry/abort protocol and differed only in how tasks enter,
-//! leave and revisit the ready set. [`run`] keeps exactly one copy of the
-//! worker loop and dispatches the ready-set discipline on
-//! [`ExecContext::scheduler`]; the old entry points are deprecated one-line
-//! wrappers that build the equivalent context.
+//! Every discipline shares the whole notify/claim/retry/abort protocol and
+//! differs only in how tasks enter, leave and revisit the ready set. [`run`]
+//! keeps exactly one copy of the worker loop and dispatches the ready-set
+//! discipline on [`ExecContext::scheduler`]. Beside it live what a run
+//! reports ([`ExecStats`], [`ExecError`]) and the deterministic
+//! [`execute_sequential`] reference.
 //!
 //! Per-discipline semantics are preserved exactly, including the metric
 //! vocabulary each one historically emitted:
@@ -51,7 +49,89 @@ use npdp_metrics::Metrics;
 use npdp_trace::{EventKind, Tracer, Track, TrackDesc};
 
 use crate::graph::TaskGraph;
-use crate::pool::{panic_message, ExecError, ExecStats};
+
+/// Typed failure of a [`run`]: the retry budget for a panicking task ran
+/// out and the workers shut down cleanly (no hang, no escaped panic).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExecError {
+    /// Task `task` panicked on every one of its `attempts` attempts.
+    TaskPanicked {
+        /// Graph index of the failing task.
+        task: usize,
+        /// Attempts made (first run + retries).
+        attempts: u32,
+        /// Panic payload of the last attempt, when it was a string.
+        message: String,
+    },
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::TaskPanicked {
+                task,
+                attempts,
+                message,
+            } => write!(
+                f,
+                "task {task} panicked on all {attempts} attempts: {message}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_owned()
+    }
+}
+
+/// Per-execution statistics, used by load-balance tests and the experiment
+/// harness.
+#[derive(Debug, Clone)]
+pub struct ExecStats {
+    /// Tasks executed by each worker.
+    pub tasks_per_worker: Vec<usize>,
+}
+
+impl ExecStats {
+    /// Stats of an execution that never used the task queue (single-threaded
+    /// engines): no workers, perfect balance.
+    pub fn serial() -> Self {
+        Self {
+            tasks_per_worker: Vec::new(),
+        }
+    }
+
+    /// Ratio of the busiest worker to the ideal even share; 1.0 is perfect.
+    pub fn imbalance(&self) -> f64 {
+        let total: usize = self.tasks_per_worker.iter().sum();
+        if total == 0 {
+            return 1.0;
+        }
+        let max = *self.tasks_per_worker.iter().max().unwrap();
+        max as f64 * self.tasks_per_worker.len() as f64 / total as f64
+    }
+}
+
+/// Deterministic single-threaded executor: runs tasks in a fixed topological
+/// order (Kahn with a LIFO ready stack). Reference semantics for tests.
+pub fn execute_sequential<F>(graph: &TaskGraph, mut task: F)
+where
+    F: FnMut(usize),
+{
+    let order = graph.topological_order().expect("task graph has a cycle");
+    for t in order {
+        task(t);
+    }
+}
 
 /// No worker recorded yet (roots, or tasks not yet ready).
 const NO_WORKER: u32 = u32::MAX;

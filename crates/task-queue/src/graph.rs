@@ -2,7 +2,7 @@
 
 /// A static DAG of tasks identified by dense indices `0..len`.
 ///
-/// Construction records edges; execution (see [`crate::pool`]) decrements a
+/// Construction records edges; execution (see [`crate::driver::run`]) decrements a
 /// per-task pending counter — the paper's "notified twice → ready" rule
 /// generalized to any in-degree.
 #[derive(Debug, Clone)]

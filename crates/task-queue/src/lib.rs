@@ -43,30 +43,19 @@
 
 pub mod driver;
 pub mod graph;
-pub mod locality;
-pub mod pool;
-pub mod stealing;
 pub mod triangle;
 
-pub use driver::{run, saturating_ns};
+// Behaviour tests of `run`, one module per ready-set discipline.
+#[cfg(test)]
+mod locality;
+#[cfg(test)]
+mod pool;
+#[cfg(test)]
+mod stealing;
+
+pub use driver::{execute_sequential, run, saturating_ns, ExecError, ExecStats};
 pub use graph::TaskGraph;
 pub use npdp_exec::{ExecContext, Scheduler};
-pub use pool::{execute_sequential, ExecError, ExecStats};
 pub use triangle::{
     diagonal_batched_grid, scheduling_grid, triangle_graph, SchedulingGrid, TriangleGrid,
-};
-
-// Historical entry points, kept importable from the crate root for
-// downstream code that has not migrated to `run` yet.
-#[allow(deprecated)]
-pub use locality::{execute_locality, try_execute_locality_faulted};
-#[allow(deprecated)]
-pub use pool::{
-    execute, execute_instrumented, execute_metered, execute_with_stats, try_execute,
-    try_execute_faulted,
-};
-#[allow(deprecated)]
-pub use stealing::{
-    execute_stealing, execute_stealing_instrumented, execute_stealing_metered,
-    try_execute_stealing, try_execute_stealing_faulted,
 };

@@ -1,4 +1,4 @@
-//! Locality-aware executor — the scheduling half of the diagonal-batched
+//! The locality-aware discipline of [`crate::driver::run`] — the scheduling half of the diagonal-batched
 //! discipline (see [`crate::triangle::diagonal_batched_grid`]).
 //!
 //! Structurally this is the work-stealing executor (per-worker LIFO deques,
@@ -12,86 +12,31 @@
 //! `queue.affinity_hits` / `queue.affinity_misses` (a miss means the task
 //! ran on a worker other than the one that produced its operands — an
 //! injector pickup or a steal).
+//!
+//! Behaviour tests of that discipline.
 
-//! The implementation lives in [`crate::driver::run`]
-//! ([`Scheduler::LocalityBatched`]); this module keeps the historical entry
-//! points as deprecated wrappers.
-
-use npdp_exec::{ExecContext, Scheduler};
-use npdp_fault::{FaultInjector, RetryPolicy};
-use npdp_metrics::Metrics;
-use npdp_trace::Tracer;
-
-use crate::driver::run;
-use crate::graph::TaskGraph;
-use crate::pool::{ExecError, ExecStats};
-
-/// Execute `graph` on `workers` threads with the locality-aware discipline.
-/// Semantics identical to [`crate::pool::execute`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with `ExecContext::disabled().with_scheduler(Scheduler::LocalityBatched)`"
-)]
-pub fn execute_locality<F>(graph: &TaskGraph, workers: usize, task: F) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &locality_ctx(), task).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Historical name of the locality-aware fault-tolerant core; see
-/// [`crate::driver::run`] for the semantics. Emits the stealing
-/// discipline's `queue.*` counters plus `queue.affinity_hits` /
-/// `queue.affinity_misses`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with a locality-batched context carrying metrics/tracer/faults/retry"
-)]
-pub fn try_execute_locality_faulted<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    tracer: &Tracer,
-    faults: &FaultInjector,
-    retry: RetryPolicy,
-    task: F,
-) -> Result<ExecStats, ExecError>
-where
-    F: Fn(usize) + Sync,
-{
-    run(
-        graph,
-        workers,
-        &locality_ctx()
-            .with_metrics(metrics)
-            .with_tracer(tracer)
-            .with_faults(faults)
-            .with_retry(retry),
-        task,
-    )
-}
-
-fn locality_ctx() -> ExecContext {
-    ExecContext::disabled().with_scheduler(Scheduler::LocalityBatched)
-}
-
-#[cfg(test)]
-// The deprecated wrappers double as equivalence proofs for the generic
-// driver, so these tests keep exercising them on purpose.
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::triangle::{diagonal_batched_grid, triangle_graph};
-    use npdp_fault::FaultKind;
+    use npdp_exec::{ExecContext, Scheduler};
+    use npdp_fault::{FaultInjector, FaultKind, RetryPolicy};
+    use npdp_metrics::Metrics;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+    use crate::driver::{run, ExecError};
+    use crate::graph::TaskGraph;
+    use crate::triangle::{diagonal_batched_grid, triangle_graph};
+
+    fn locality() -> ExecContext {
+        ExecContext::disabled().with_scheduler(Scheduler::LocalityBatched)
+    }
 
     #[test]
     fn executes_every_task_once() {
         let g = triangle_graph(10);
         let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        let stats = execute_locality(&g, 4, |t| {
+        let stats = run(&g, 4, &locality(), |t| {
             hits[t].fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
     }
@@ -104,7 +49,7 @@ mod tests {
         g.add_edge(1, 3);
         g.add_edge(2, 3);
         let done: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
-        execute_locality(&g, 4, |t| {
+        run(&g, 4, &locality(), |t| {
             match t {
                 1 | 2 => assert!(done[0].load(Ordering::SeqCst)),
                 3 => {
@@ -114,23 +59,15 @@ mod tests {
                 _ => {}
             }
             done[t].store(true, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
     }
 
     #[test]
     fn single_worker_serial_and_all_hits() {
         let g = triangle_graph(6);
         let (metrics, recorder) = Metrics::recording();
-        let stats = try_execute_locality_faulted(
-            &g,
-            1,
-            &metrics,
-            &Tracer::noop(),
-            &FaultInjector::noop(),
-            RetryPolicy::DEFAULT,
-            |_| {},
-        )
-        .unwrap();
+        let stats = run(&g, 1, &locality().with_metrics(&metrics), |_| {}).unwrap();
         assert_eq!(stats.tasks_per_worker, vec![21]);
         // One worker produces every operand itself: every non-root task is
         // an affinity hit.
@@ -145,22 +82,16 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = TaskGraph::new(0);
-        execute_locality(&g, 3, |_| panic!("nothing to run"));
+        run(&g, 3, &locality(), |_| panic!("nothing to run")).unwrap();
     }
 
     #[test]
     fn affinity_counters_partition_non_roots() {
         let g = triangle_graph(12);
         let (metrics, recorder) = Metrics::recording();
-        try_execute_locality_faulted(
-            &g,
-            4,
-            &metrics,
-            &Tracer::noop(),
-            &FaultInjector::noop(),
-            RetryPolicy::DEFAULT,
-            |_| std::thread::yield_now(),
-        )
+        run(&g, 4, &locality().with_metrics(&metrics), |_| {
+            std::thread::yield_now()
+        })
         .unwrap();
         let roots = g.roots().count() as u64;
         assert_eq!(
@@ -174,28 +105,21 @@ mod tests {
     fn runs_the_batched_grid() {
         let sg = diagonal_batched_grid(10, 1, 4);
         let hits: Vec<AtomicU32> = (0..sg.graph.len()).map(|_| AtomicU32::new(0)).collect();
-        execute_locality(&sg.graph, 4, |t| {
+        run(&sg.graph, 4, &locality(), |t| {
             hits[t].fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
     }
 
     #[test]
     fn panicking_task_errors_instead_of_hanging() {
         let g = triangle_graph(5);
-        let err = try_execute_locality_faulted(
-            &g,
-            4,
-            &Metrics::noop(),
-            &Tracer::noop(),
-            &FaultInjector::noop(),
-            RetryPolicy::DEFAULT,
-            |t| {
-                if t == 7 {
-                    panic!("boom in task 7");
-                }
-            },
-        )
+        let err = run(&g, 4, &locality(), |t| {
+            if t == 7 {
+                panic!("boom in task 7");
+            }
+        })
         .unwrap_err();
         let ExecError::TaskPanicked { task, attempts, .. } = err;
         assert_eq!(task, 7);
@@ -209,16 +133,13 @@ mod tests {
             npdp_fault::FaultPlan::seeded(17).with_rate(FaultKind::TaskPanic, 0.4),
         );
         let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        try_execute_locality_faulted(
+        run(
             &g,
             4,
-            &Metrics::noop(),
-            &Tracer::noop(),
-            &faults,
-            RetryPolicy {
+            &locality().with_faults(&faults).with_retry(RetryPolicy {
                 max_attempts: 16,
                 base_backoff: 1,
-            },
+            }),
             |t| {
                 hits[t].fetch_add(1, Ordering::SeqCst);
             },

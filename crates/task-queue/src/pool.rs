@@ -1,246 +1,28 @@
-//! The worker pool: every worker plays the SPE role of Fig. 8.
-//!
-//! The paper's PPE procedure maintains a central ready queue; SPEs fetch a
-//! ready task, execute it, and report completion, whereupon dependent tasks
-//! are notified and inserted when their notify count is reached. Here the
-//! queue is a lock-free [`crossbeam::queue::SegQueue`] and the notification
-//! counters are atomics, so completion handling is distributed over the
-//! workers instead of funnelled through one PPE thread — same protocol, no
-//! central bottleneck (on the CPU platform the paper likewise lets "all cores
-//! cooperatively manage the task queue", §VI-B).
-//!
-//! The implementation lives in [`crate::driver::run`]
-//! ([`Scheduler::CentralQueue`]); this module keeps the error/stats types,
-//! the deterministic sequential reference, and the historical entry points
-//! as deprecated wrappers.
+//! The central-queue discipline of [`crate::driver::run`] (the paper's
+//! Fig. 8 PPE procedure): every worker plays the SPE role against one
+//! shared ready queue; notification counters are atomics, so completion
+//! handling is distributed over the workers instead of funnelled through one
+//! PPE thread (on the CPU platform the paper likewise lets "all cores
+//! cooperatively manage the task queue", §VI-B). Behaviour tests of that
+//! discipline, of [`crate::ExecStats`] and of
+//! [`crate::execute_sequential`].
 
-use npdp_exec::{ExecContext, Scheduler};
-use npdp_fault::{FaultInjector, RetryPolicy};
-use npdp_metrics::Metrics;
-use npdp_trace::Tracer;
-
-use crate::driver::run;
-use crate::graph::TaskGraph;
-
-/// Typed failure of a pool execution: the retry budget for a panicking task
-/// ran out and the pool shut down cleanly (no hang, no escaped panic).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// Task `task` panicked on every one of its `attempts` attempts.
-    TaskPanicked {
-        /// Graph index of the failing task.
-        task: usize,
-        /// Attempts made (first run + retries).
-        attempts: u32,
-        /// Panic payload of the last attempt, when it was a string.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::TaskPanicked {
-                task,
-                attempts,
-                message,
-            } => write!(
-                f,
-                "task {task} panicked on all {attempts} attempts: {message}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-/// Best-effort extraction of a panic payload's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
-/// Per-execution statistics, used by load-balance tests and the experiment
-/// harness.
-#[derive(Debug, Clone)]
-pub struct ExecStats {
-    /// Tasks executed by each worker.
-    pub tasks_per_worker: Vec<usize>,
-}
-
-impl ExecStats {
-    /// Stats of an execution that never used the task queue (single-threaded
-    /// engines): no workers, perfect balance.
-    pub fn serial() -> Self {
-        Self {
-            tasks_per_worker: Vec::new(),
-        }
-    }
-
-    /// Ratio of the busiest worker to the ideal even share; 1.0 is perfect.
-    pub fn imbalance(&self) -> f64 {
-        let total: usize = self.tasks_per_worker.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let max = *self.tasks_per_worker.iter().max().unwrap();
-        max as f64 * self.tasks_per_worker.len() as f64 / total as f64
-    }
-}
-
-/// Execute every task of `graph` exactly once, respecting dependences, on
-/// `workers` threads. `task` is invoked with the task index.
-///
-/// Panics in `task` are caught, retried up to the default budget, and then
-/// re-raised as a single clean panic after every worker has shut down — the
-/// pool never hangs on a panicking task.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run(graph, workers, &ExecContext::disabled(), task)`"
-)]
-pub fn execute<F>(graph: &TaskGraph, workers: usize, task: F)
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &ExecContext::disabled(), task).unwrap_or_else(|e| panic!("{e}"));
-}
-
-/// Like [`execute`], returning per-worker task counts.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run(graph, workers, &ExecContext::disabled(), task)`"
-)]
-pub fn execute_with_stats<F>(graph: &TaskGraph, workers: usize, task: F) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &ExecContext::disabled(), task).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_with_stats`], also emitting scheduler counters into
-/// `metrics`: `queue.tasks_executed`, `queue.ready_pushes`,
-/// `queue.depth_hwm` (ready-queue high-water mark) and
-/// `queue.worker_idle_ns` (summed over workers).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with `ExecContext::disabled().with_metrics(metrics)`"
-)]
-pub fn execute_metered<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    task: F,
-) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(
-        graph,
-        workers,
-        &ExecContext::disabled().with_metrics(metrics),
-        task,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_metered`], also journaling a timeline into `tracer`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with `ExecContext::disabled().with_metrics(metrics).with_tracer(tracer)`"
-)]
-pub fn execute_instrumented<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    tracer: &Tracer,
-    task: F,
-) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(
-        graph,
-        workers,
-        &ExecContext::disabled()
-            .with_metrics(metrics)
-            .with_tracer(tracer),
-        task,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute`], but a task whose closure panics on every attempt of its
-/// retry budget produces an `Err` instead of propagating the panic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run(graph, workers, &ExecContext::disabled(), task)`"
-)]
-pub fn try_execute<F>(graph: &TaskGraph, workers: usize, task: F) -> Result<ExecStats, ExecError>
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &ExecContext::disabled(), task)
-}
-
-/// Historical name of the central-queue fault-tolerant core; see
-/// [`crate::driver::run`] for the semantics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with `ExecContext::disabled().with_metrics(..).with_tracer(..).with_faults(..).with_retry(..)`"
-)]
-pub fn try_execute_faulted<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    tracer: &Tracer,
-    faults: &FaultInjector,
-    retry: RetryPolicy,
-    task: F,
-) -> Result<ExecStats, ExecError>
-where
-    F: Fn(usize) + Sync,
-{
-    run(
-        graph,
-        workers,
-        &ExecContext::disabled()
-            .with_metrics(metrics)
-            .with_tracer(tracer)
-            .with_faults(faults)
-            .with_retry(retry)
-            .with_scheduler(Scheduler::CentralQueue),
-        task,
-    )
-}
-
-/// Deterministic single-threaded executor: runs tasks in a fixed topological
-/// order (Kahn with a LIFO ready stack). Reference semantics for tests.
-pub fn execute_sequential<F>(graph: &TaskGraph, mut task: F)
-where
-    F: FnMut(usize),
-{
-    let order = graph.topological_order().expect("task graph has a cycle");
-    for t in order {
-        task(t);
-    }
-}
-
-#[cfg(test)]
-// The deprecated wrappers double as equivalence proofs for the generic
-// driver, so these tests keep exercising them on purpose.
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use npdp_fault::FaultKind;
-    use npdp_trace::EventKind;
+    use npdp_exec::ExecContext;
+    use npdp_fault::{FaultInjector, FaultKind, RetryPolicy};
+    use npdp_metrics::Metrics;
+    use npdp_trace::{EventKind, Tracer};
     use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
+
+    use crate::driver::{execute_sequential, run, ExecError};
+    use crate::graph::TaskGraph;
+
+    /// The central-queue discipline, the context default.
+    fn central() -> ExecContext {
+        ExecContext::disabled()
+    }
 
     fn diamond() -> TaskGraph {
         let mut g = TaskGraph::new(4);
@@ -255,9 +37,10 @@ mod tests {
     fn executes_every_task_once() {
         let g = diamond();
         let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        execute(&g, 3, |t| {
+        run(&g, 3, &central(), |t| {
             hits[t].fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }
@@ -267,7 +50,7 @@ mod tests {
     fn respects_dependences() {
         let g = diamond();
         let done: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
-        execute(&g, 4, |t| {
+        run(&g, 4, &central(), |t| {
             match t {
                 1 | 2 => assert!(done[0].load(Ordering::SeqCst)),
                 3 => {
@@ -277,7 +60,8 @@ mod tests {
                 _ => {}
             }
             done[t].store(true, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
     }
 
     #[test]
@@ -297,7 +81,7 @@ mod tests {
             g.add_edge(i, i + 1);
         }
         let order = Mutex::new(Vec::new());
-        execute(&g, 1, |t| order.lock().unwrap().push(t));
+        run(&g, 1, &central(), |t| order.lock().unwrap().push(t)).unwrap();
         let order = order.into_inner().unwrap();
         assert_eq!(order, (0..1000).collect::<Vec<_>>());
     }
@@ -305,7 +89,7 @@ mod tests {
     #[test]
     fn stats_count_all_tasks() {
         let g = diamond();
-        let stats = execute_with_stats(&g, 2, |_| {});
+        let stats = run(&g, 2, &central(), |_| {}).unwrap();
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 4);
         assert!(stats.imbalance() >= 1.0);
     }
@@ -314,23 +98,24 @@ mod tests {
     fn edgeless_graph_all_parallel() {
         let g = TaskGraph::new(64);
         let hits = AtomicUsize::new(0);
-        execute(&g, 8, |_| {
+        run(&g, 8, &central(), |_| {
             hits.fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(hits.load(Ordering::Relaxed), 64);
     }
 
     #[test]
     fn empty_graph_returns_immediately() {
         let g = TaskGraph::new(0);
-        execute(&g, 4, |_| panic!("no tasks to run"));
+        run(&g, 4, &central(), |_| panic!("no tasks to run")).unwrap();
     }
 
     #[test]
     fn metered_execution_counts_tasks_and_pushes() {
         let g = diamond();
         let (metrics, recorder) = Metrics::recording();
-        let stats = execute_metered(&g, 2, &metrics, |_| {});
+        let stats = run(&g, 2, &central().with_metrics(&metrics), |_| {}).unwrap();
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 4);
         assert_eq!(recorder.get("queue.tasks_executed"), 4);
         // Every task enters the ready queue exactly once.
@@ -342,7 +127,7 @@ mod tests {
     #[test]
     fn disabled_metrics_record_nothing() {
         let g = diamond();
-        let stats = execute_metered(&g, 2, &Metrics::noop(), |_| {});
+        let stats = run(&g, 2, &central(), |_| {}).unwrap();
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 4);
     }
 
@@ -350,7 +135,7 @@ mod tests {
     fn instrumented_execution_journals_balanced_task_spans() {
         let g = diamond();
         let tracer = Tracer::new();
-        execute_instrumented(&g, 3, &Metrics::noop(), &tracer, |_| {});
+        run(&g, 3, &central().with_tracer(&tracer), |_| {}).unwrap();
         let data = tracer.snapshot();
         assert_eq!(data.tracks.len(), 3);
         let spans = npdp_trace::analysis::pair_spans(&data).expect("spans balance");
@@ -369,7 +154,7 @@ mod tests {
     fn disabled_tracer_registers_no_tracks() {
         let g = diamond();
         let tracer = Tracer::noop();
-        execute_instrumented(&g, 2, &Metrics::noop(), &tracer, |_| {});
+        run(&g, 2, &central().with_tracer(&tracer), |_| {}).unwrap();
         assert_eq!(tracer.snapshot().tracks.len(), 0);
     }
 
@@ -380,7 +165,7 @@ mod tests {
     #[test]
     fn panicking_task_errors_instead_of_hanging() {
         let g = diamond();
-        let err = try_execute(&g, 3, |t| {
+        let err = run(&g, 3, &central(), |t| {
             if t == 2 {
                 panic!("boom in task 2");
             }
@@ -398,15 +183,20 @@ mod tests {
 
     #[test]
     fn panicking_task_panics_cleanly_under_execute() {
+        // The task's panic never escapes `run`: it comes back as an error
+        // naming the task.
         let g = diamond();
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(&g, 2, |t| {
+            run(&g, 2, &central(), |t| {
                 if t == 1 {
                     panic!("task 1 fails");
                 }
-            });
+            })
         }));
-        let message = panic_message(caught.unwrap_err());
+        let message = caught
+            .expect("no panic escapes run")
+            .unwrap_err()
+            .to_string();
         assert!(message.contains("task 1 panicked"), "message={message}");
     }
 
@@ -415,19 +205,11 @@ mod tests {
         let g = diamond();
         let (metrics, recorder) = Metrics::recording();
         let first_try = AtomicBool::new(true);
-        let stats = try_execute_faulted(
-            &g,
-            2,
-            &metrics,
-            &Tracer::noop(),
-            &FaultInjector::noop(),
-            RetryPolicy::DEFAULT,
-            |t| {
-                if t == 3 && first_try.swap(false, Ordering::SeqCst) {
-                    panic!("transient");
-                }
-            },
-        )
+        let stats = run(&g, 2, &central().with_metrics(&metrics), |t| {
+            if t == 3 && first_try.swap(false, Ordering::SeqCst) {
+                panic!("transient");
+            }
+        })
         .unwrap();
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 4);
         assert_eq!(recorder.get("queue.task_panics"), 1);
@@ -442,15 +224,7 @@ mod tests {
         let always = FaultInjector::new(
             npdp_fault::FaultPlan::seeded(9).with_rate(FaultKind::TaskPanic, 1.0),
         );
-        let err = try_execute_faulted(
-            &g,
-            2,
-            &Metrics::noop(),
-            &Tracer::noop(),
-            &always,
-            RetryPolicy::DEFAULT,
-            |_| {},
-        );
+        let err = run(&g, 2, &central().with_faults(&always), |_| {});
         assert!(err.is_err());
 
         // …while a moderate rate completes via retries, bit-identically:
@@ -459,16 +233,13 @@ mod tests {
             npdp_fault::FaultPlan::seeded(9).with_rate(FaultKind::TaskPanic, 0.4),
         );
         let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        let stats = try_execute_faulted(
+        let stats = run(
             &g,
             3,
-            &Metrics::noop(),
-            &Tracer::noop(),
-            &some,
-            RetryPolicy {
+            &central().with_faults(&some).with_retry(RetryPolicy {
                 max_attempts: 16,
                 base_backoff: 1,
-            },
+            }),
             |t| {
                 hits[t].fetch_add(1, Ordering::Relaxed);
             },

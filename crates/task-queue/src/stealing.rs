@@ -1,154 +1,29 @@
-//! Work-stealing executor — the modern alternative to the paper's central
-//! PPE queue, kept as an ablation point: per-worker LIFO deques with FIFO
-//! stealing (the rayon/Cilk discipline) versus one shared FIFO.
-//!
-//! For NPDP's block graph the central queue is nearly optimal (tasks are
-//! coarse, the queue is short); stealing pays off when tasks are fine or
-//! the machine is large. The `ablation` bench quantifies it.
+//! The work-stealing discipline of [`crate::driver::run`]: per-worker LIFO
+//! deques plus a global injector, round-robin stealing. Behaviour tests.
 
-//! The implementation lives in [`crate::driver::run`]
-//! ([`Scheduler::WorkStealing`]); this module keeps the historical entry
-//! points as deprecated wrappers.
-
-use npdp_exec::{ExecContext, Scheduler};
-use npdp_fault::{FaultInjector, RetryPolicy};
-use npdp_metrics::Metrics;
-use npdp_trace::Tracer;
-
-use crate::driver::run;
-use crate::graph::TaskGraph;
-use crate::pool::{ExecError, ExecStats};
-
-/// Execute `graph` on `workers` threads with per-worker deques and work
-/// stealing. Semantics identical to [`crate::pool::execute`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with `ExecContext::disabled().with_scheduler(Scheduler::WorkStealing)`"
-)]
-pub fn execute_stealing<F>(graph: &TaskGraph, workers: usize, task: F) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &stealing_ctx(), task).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_stealing`], also emitting scheduler counters into
-/// `metrics`: `queue.tasks_executed`, `queue.steals` (successful steals from
-/// another worker's deque), `queue.injector_steals` (tasks taken from the
-/// global injector) and `queue.worker_idle_ns`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with a work-stealing context and `.with_metrics(metrics)`"
-)]
-pub fn execute_stealing_metered<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    task: F,
-) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &stealing_ctx().with_metrics(metrics), task)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_stealing_metered`], also journaling a timeline into
-/// `tracer`: `Task` spans, `Idle` spans around back-off and a `Steal`
-/// instant on every successful deque-to-deque steal.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with a work-stealing context and `.with_metrics(..).with_tracer(..)`"
-)]
-pub fn execute_stealing_instrumented<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    tracer: &Tracer,
-    task: F,
-) -> ExecStats
-where
-    F: Fn(usize) + Sync,
-{
-    run(
-        graph,
-        workers,
-        &stealing_ctx().with_metrics(metrics).with_tracer(tracer),
-        task,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_stealing`], but a task whose closure panics on every
-/// attempt of its retry budget produces an `Err` instead of propagating the
-/// panic — the pool always shuts down cleanly.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with `ExecContext::disabled().with_scheduler(Scheduler::WorkStealing)`"
-)]
-pub fn try_execute_stealing<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    task: F,
-) -> Result<ExecStats, ExecError>
-where
-    F: Fn(usize) + Sync,
-{
-    run(graph, workers, &stealing_ctx(), task)
-}
-
-/// Historical name of the work-stealing fault-tolerant core; see
-/// [`crate::driver::run`] for the semantics.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `run` with a work-stealing context carrying metrics/tracer/faults/retry"
-)]
-pub fn try_execute_stealing_faulted<F>(
-    graph: &TaskGraph,
-    workers: usize,
-    metrics: &Metrics,
-    tracer: &Tracer,
-    faults: &FaultInjector,
-    retry: RetryPolicy,
-    task: F,
-) -> Result<ExecStats, ExecError>
-where
-    F: Fn(usize) + Sync,
-{
-    run(
-        graph,
-        workers,
-        &stealing_ctx()
-            .with_metrics(metrics)
-            .with_tracer(tracer)
-            .with_faults(faults)
-            .with_retry(retry),
-        task,
-    )
-}
-
-fn stealing_ctx() -> ExecContext {
-    ExecContext::disabled().with_scheduler(Scheduler::WorkStealing)
-}
-
-#[cfg(test)]
-// The deprecated wrappers double as equivalence proofs for the generic
-// driver, so these tests keep exercising them on purpose.
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::triangle::triangle_graph;
-    use npdp_fault::FaultKind;
-    use npdp_trace::EventKind;
+    use npdp_exec::{ExecContext, Scheduler};
+    use npdp_fault::{FaultInjector, FaultKind, RetryPolicy};
+    use npdp_metrics::Metrics;
+    use npdp_trace::{EventKind, Tracer};
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+    use crate::driver::{run, ExecError};
+    use crate::graph::TaskGraph;
+    use crate::triangle::triangle_graph;
+
+    fn stealing() -> ExecContext {
+        ExecContext::disabled().with_scheduler(Scheduler::WorkStealing)
+    }
 
     #[test]
     fn executes_every_task_once() {
         let g = triangle_graph(10);
         let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        let stats = execute_stealing(&g, 4, |t| {
+        let stats = run(&g, 4, &stealing(), |t| {
             hits[t].fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
     }
@@ -161,7 +36,7 @@ mod tests {
         g.add_edge(1, 3);
         g.add_edge(2, 3);
         let done: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
-        execute_stealing(&g, 4, |t| {
+        run(&g, 4, &stealing(), |t| {
             match t {
                 1 | 2 => assert!(done[0].load(Ordering::SeqCst)),
                 3 => {
@@ -171,29 +46,31 @@ mod tests {
                 _ => {}
             }
             done[t].store(true, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
     }
 
     #[test]
     fn single_worker_serial() {
         let g = triangle_graph(6);
-        let stats = execute_stealing(&g, 1, |_| {});
+        let stats = run(&g, 1, &stealing(), |_| {}).unwrap();
         assert_eq!(stats.tasks_per_worker, vec![21]);
     }
 
     #[test]
     fn empty_graph() {
         let g = TaskGraph::new(0);
-        execute_stealing(&g, 3, |_| panic!("nothing to run"));
+        run(&g, 3, &stealing(), |_| panic!("nothing to run")).unwrap();
     }
 
     #[test]
     fn metered_stealing_counts_tasks_and_sources() {
         let g = triangle_graph(10);
         let (metrics, recorder) = Metrics::recording();
-        let stats = execute_stealing_metered(&g, 4, &metrics, |_| {
+        let stats = run(&g, 4, &stealing().with_metrics(&metrics), |_| {
             std::thread::yield_now();
-        });
+        })
+        .unwrap();
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
         assert_eq!(recorder.get("queue.tasks_executed"), g.len() as u64);
         // The roots enter through the injector, so at least one injector
@@ -208,9 +85,10 @@ mod tests {
     fn instrumented_stealing_journals_balanced_task_spans() {
         let g = triangle_graph(8);
         let tracer = Tracer::new();
-        execute_stealing_instrumented(&g, 4, &Metrics::noop(), &tracer, |_| {
+        run(&g, 4, &stealing().with_tracer(&tracer), |_| {
             std::thread::yield_now();
-        });
+        })
+        .unwrap();
         let data = tracer.snapshot();
         assert_eq!(data.tracks.len(), 4);
         let spans = npdp_trace::analysis::pair_spans(&data).expect("spans balance");
@@ -228,7 +106,7 @@ mod tests {
     #[test]
     fn panicking_task_errors_instead_of_hanging() {
         let g = triangle_graph(5);
-        let err = try_execute_stealing(&g, 4, |t| {
+        let err = run(&g, 4, &stealing(), |t| {
             if t == 7 {
                 panic!("boom in task 7");
             }
@@ -244,19 +122,11 @@ mod tests {
         let g = triangle_graph(4);
         let (metrics, recorder) = Metrics::recording();
         let first_try = AtomicBool::new(true);
-        let stats = try_execute_stealing_faulted(
-            &g,
-            3,
-            &metrics,
-            &Tracer::noop(),
-            &FaultInjector::noop(),
-            RetryPolicy::DEFAULT,
-            |t| {
-                if t == 5 && first_try.swap(false, Ordering::SeqCst) {
-                    panic!("transient");
-                }
-            },
-        )
+        let stats = run(&g, 3, &stealing().with_metrics(&metrics), |t| {
+            if t == 5 && first_try.swap(false, Ordering::SeqCst) {
+                panic!("transient");
+            }
+        })
         .unwrap();
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
         assert_eq!(recorder.get("queue.task_panics"), 1);
@@ -270,16 +140,13 @@ mod tests {
             npdp_fault::FaultPlan::seeded(17).with_rate(FaultKind::TaskPanic, 0.4),
         );
         let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-        try_execute_stealing_faulted(
+        run(
             &g,
             4,
-            &Metrics::noop(),
-            &Tracer::noop(),
-            &faults,
-            RetryPolicy {
+            &stealing().with_faults(&faults).with_retry(RetryPolicy {
                 max_attempts: 16,
                 base_backoff: 1,
-            },
+            }),
             |t| {
                 hits[t].fetch_add(1, Ordering::SeqCst);
             },
@@ -296,9 +163,10 @@ mod tests {
         let g = triangle_graph(14);
         for _ in 0..5 {
             let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-            execute_stealing(&g, 8, |t| {
+            run(&g, 8, &stealing(), |t| {
                 hits[t].fetch_add(1, Ordering::SeqCst);
-            });
+            })
+            .unwrap();
             assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
         }
     }

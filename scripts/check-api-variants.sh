@@ -6,42 +6,16 @@
 # entry point per layer (`Engine::solve_with`, `task_queue::run`,
 # `cell_sim::machine::simulate`) — it must NOT come back as new
 # `_metered` / `_traced` / `_faulted` / `_instrumented` function names.
-# Every name below is grandfathered: either a `#[deprecated]` one-line
-# wrapper kept for migration (proven equivalent by tests/exec_context.rs)
-# or a genuine fault-injection primitive. Adding a new suffixed function
-# fails CI; extend `ExecContext` instead.
+# The one name below is a genuine fault-injection primitive, not a variant;
+# adding a new suffixed function fails CI: extend `ExecContext` instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 allowlist() {
     cat <<'EOF'
-execute_instrumented
-execute_metered
-execute_stealing_instrumented
-execute_stealing_metered
-functional_cellnpdp_f32_faulted
-functional_cellnpdp_multi_spe_faulted
-functional_cellnpdp_multi_spe_traced
-simulate_cellnpdp_batched_traced
-simulate_cellnpdp_faulted
-simulate_cellnpdp_traced
-solve_blocked_in_place_instrumented
-solve_blocked_in_place_metered
-solve_metered
-solve_traced
-solve_via_blocked_metered
-solve_with_stats_instrumented
-solve_with_stats_metered
-try_execute_faulted
-try_execute_locality_faulted
-try_execute_stealing_faulted
-try_solve_blocked_in_place_faulted
-try_solve_with_stats_faulted
 write_faulted
 EOF
 }
-# solve_via_blocked_metered: private single-threaded orchestrator shared by
-#   the blocked engines' solve_with overrides (not an entry point).
 # write_faulted: the mailbox's fault-injection primitive — a modelled
 #   lossy write, not an instrumented variant of a clean one.
 
@@ -58,6 +32,18 @@ if [ -n "$new" ]; then
     exit 1
 fi
 echo "API variant guard: no new _metered/_traced/_faulted/_instrumented names."
+
+# The migration to `ExecContext` is finished: no deprecated item, and no
+# carve-out that would let a caller keep using one, anywhere in the tree.
+deprecated=$(grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples \
+                 --include='*.rs' || true)
+if [ -n "$deprecated" ]; then
+    echo "ERROR: deprecated items or allow(deprecated) carve-outs:" >&2
+    printf '  %s\n' "$deprecated" >&2
+    echo "Delete the old spelling and migrate its callers instead." >&2
+    exit 1
+fi
+echo "Deprecation guard: no #[deprecated] items or allow(deprecated) carve-outs."
 
 # Host-native kernels dispatch at run time behind one public function per
 # element type (`minplus_rank_update_f32`, `_f64`, and the lane-wise

@@ -4,15 +4,10 @@
 //! variant — central queue, work stealing, locality-batched — returns the
 //! same table bit-for-bit, with and without injected faults, as does the
 //! autotuned entry point.
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so this suite keeps exercising them on purpose until
-// the wrappers are removed (tests/exec_context.rs pins the equivalence).
-#![allow(deprecated)]
 
 use npdp::core::{problem, Engine, ParallelEngine, Scheduler, SerialEngine};
+use npdp::exec::ExecContext;
 use npdp::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
-use npdp::metrics::Metrics;
-use npdp::trace::Tracer;
 use npdp::tune::{Calibration, Kernel, Machine, PerfModel, Tuner, FIG13_SIDES};
 use proptest::prelude::*;
 
@@ -131,15 +126,14 @@ proptest! {
         );
         let engine = ParallelEngine::new(16, 1, workers)
             .with_scheduler(Scheduler::LocalityBatched);
-        match engine.try_solve_with_stats_faulted(
-            &seeds, &Metrics::noop(), &Tracer::noop(), &faults, RETRY,
-        ) {
+        let ctx = ExecContext::disabled().with_faults(&faults).with_retry(RETRY);
+        match engine.solve_with(&seeds, &ctx) {
             Ok((got, _)) => prop_assert_eq!(reference.first_difference(&got), None),
             Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
     }
 
-    /// Property: `solve_autotuned` picks a legal block size and returns
+    /// Property: `Tuning::Auto` picks a legal block size and returns
     /// the serial bits, whatever nb the engine was constructed with.
     #[test]
     fn prop_solve_autotuned_bit_identical(
@@ -149,7 +143,9 @@ proptest! {
     ) {
         let seeds = problem::random_seeds_f32(n, 100.0, seed);
         let reference = SerialEngine.solve(&seeds);
-        let got = ParallelEngine::new(16, 1, workers).solve_autotuned(&seeds);
+        let (got, _) = ParallelEngine::new(16, 1, workers)
+            .solve_with(&seeds, &ExecContext::disabled().autotuned())
+            .expect("valid seeds");
         prop_assert_eq!(reference.first_difference(&got), None);
         let nb = ParallelEngine::autotune_nb(workers, n, 4);
         prop_assert!(nb >= 4 && nb.is_multiple_of(4));

@@ -3,15 +3,11 @@
 //! fault-free reference or fails with a **typed** [`SolveError`] — never a
 //! hang, an escaped panic, or a silently wrong answer — and the same fault
 //! seed always replays the same fault sequence.
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so this suite keeps exercising them on purpose until
-// the wrappers are removed (tests/exec_context.rs pins the equivalence).
-#![allow(deprecated)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use npdp::cell::multi_spe::functional_cellnpdp_multi_spe_faulted;
-use npdp::cell::npdp::functional_cellnpdp_f32_faulted;
+use npdp::cell::multi_spe::functional_cellnpdp_multi_spe_with;
+use npdp::cell::npdp::functional_cellnpdp_f32_with;
 use npdp::core::{problem, Engine, ParallelEngine, Scheduler, SerialEngine, SolveError};
 use npdp::exec::ExecContext;
 use npdp::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy, ALL_FAULT_KINDS};
@@ -103,9 +99,8 @@ proptest! {
             FaultPlan::seeded(fault_seed).with_rate(FaultKind::TaskPanic, rate),
         );
         let engine = ParallelEngine::new(16, 1, workers).with_scheduler(sched);
-        match engine.try_solve_with_stats_faulted(
-            &seeds, &Metrics::noop(), &Tracer::noop(), &faults, CHAOS_RETRY,
-        ) {
+        let ctx = ExecContext::disabled().with_faults(&faults).with_retry(CHAOS_RETRY);
+        match engine.solve_with(&seeds, &ctx) {
             Ok((got, _)) => prop_assert_eq!(reference.first_difference(&got), None),
             Err(e) => assert_typed(&e),
         }
@@ -132,7 +127,8 @@ proptest! {
                 .with_rate(FaultKind::DmaCorrupt, rate)
                 .with_rate(FaultKind::DmaDelay, rate),
         );
-        match functional_cellnpdp_f32_faulted(&seeds, 8, &faults, CHAOS_RETRY) {
+        let ctx = ExecContext::disabled().with_faults(&faults).with_retry(CHAOS_RETRY);
+        match functional_cellnpdp_f32_with(&seeds, 8, &ctx) {
             Ok((got, _)) => prop_assert_eq!(reference.first_difference(&got), None),
             Err(e) => assert_typed(&e),
         }
@@ -152,9 +148,8 @@ proptest! {
         let seeds = problem::random_seeds_f32(n, 100.0, n as u64 + 2);
         let reference = SerialEngine.solve(&seeds);
         let faults = FaultInjector::new(plan_from(fault_seed, rate, mask));
-        match functional_cellnpdp_multi_spe_faulted(
-            &seeds, 8, 2, spes, &faults, CHAOS_RETRY, &Tracer::noop(),
-        ) {
+        let ctx = ExecContext::disabled().with_faults(&faults).with_retry(CHAOS_RETRY);
+        match functional_cellnpdp_multi_spe_with(&seeds, 8, 2, spes, &ctx) {
             Ok((got, report)) => {
                 prop_assert_eq!(reference.first_difference(&got), None);
                 prop_assert!(report.dead_spes < spes);
@@ -177,9 +172,8 @@ proptest! {
         let seeds = problem::random_seeds_f32(n, 100.0, n as u64 + 3);
         let run = || {
             let faults = FaultInjector::new(plan_from(fault_seed, rate, mask));
-            let r = functional_cellnpdp_multi_spe_faulted(
-                &seeds, 8, 2, 3, &faults, CHAOS_RETRY, &Tracer::noop(),
-            );
+            let ctx = ExecContext::disabled().with_faults(&faults).with_retry(CHAOS_RETRY);
+            let r = functional_cellnpdp_multi_spe_with(&seeds, 8, 2, 3, &ctx);
             (r, faults.snapshot())
         };
         let (r1, snap1) = run();
@@ -208,8 +202,16 @@ fn trace_replays_identically_under_faults() {
     let capture = || {
         let faults = FaultInjector::new(FaultPlan::default_rates(31, 0.15));
         let tracer = Tracer::new();
-        let r =
-            functional_cellnpdp_multi_spe_faulted(&seeds, 8, 2, 3, &faults, CHAOS_RETRY, &tracer);
+        let r = functional_cellnpdp_multi_spe_with(
+            &seeds,
+            8,
+            2,
+            3,
+            &ExecContext::disabled()
+                .with_faults(&faults)
+                .with_retry(CHAOS_RETRY)
+                .with_tracer(&tracer),
+        );
         assert!(r.is_ok() || r.is_err()); // either way the trace must replay
         let data = tracer.snapshot();
         let shape: Vec<(String, usize)> = data
@@ -246,12 +248,11 @@ fn host_fault_counters_replay_across_thread_interleavings() {
             FaultInjector::new(FaultPlan::seeded(123).with_rate(FaultKind::TaskPanic, 0.3));
         let engine = ParallelEngine::new(16, 1, 4);
         let (got, _) = engine
-            .try_solve_with_stats_faulted(
+            .solve_with(
                 &seeds,
-                &Metrics::noop(),
-                &Tracer::noop(),
-                &faults,
-                CHAOS_RETRY,
+                &ExecContext::disabled()
+                    .with_faults(&faults)
+                    .with_retry(CHAOS_RETRY),
             )
             .expect("0.3 rate recovers under a 16-attempt budget");
         assert_eq!(reference.first_difference(&got), None);
@@ -332,7 +333,10 @@ fn no_task_body_starts_after_abort_under_total_injection() {
 fn poisoned_inputs_fail_typed_end_to_end() {
     let mut bad = problem::random_seeds_f32(32, 100.0, 11);
     bad.set(1, 17, f32::NAN);
-    match ParallelEngine::new(16, 2, 2).try_solve(&bad) {
+    match ParallelEngine::new(16, 2, 2)
+        .solve_with(&bad, &ExecContext::disabled())
+        .map(|(table, _)| table)
+    {
         Err(SolveError::InvalidSeed { i: 1, j: 17, .. }) => {}
         other => panic!("expected InvalidSeed, got {other:?}"),
     }
@@ -340,7 +344,9 @@ fn poisoned_inputs_fail_typed_end_to_end() {
     let mut neg = problem::random_seeds_f32(16, 100.0, 12);
     neg.set(0, 3, -4.0);
     assert!(matches!(
-        SerialEngine.try_solve(&neg),
+        SerialEngine
+            .solve_with(&neg, &ExecContext::disabled())
+            .map(|(table, _)| table),
         Err(SolveError::InvalidSeed { i: 0, j: 3, .. })
     ));
 

@@ -1,10 +1,6 @@
 //! Cross-crate invariant #1 (DESIGN.md §5): every engine — serial, tiled,
 //! NDL, SIMD, parallel, wavefront, TanNPDP, and the functional Cell
 //! simulator — produces bit-identical DP tables.
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so this suite keeps exercising them on purpose until
-// the wrappers are removed (tests/exec_context.rs pins the equivalence).
-#![allow(deprecated)]
 
 use npdp::cell::npdp::functional_cellnpdp_f32;
 use npdp::core::{problem, SeedIssue};
@@ -95,7 +91,10 @@ fn signed_zero_seeds_are_rejected_and_plus_zero_agrees() {
 
         let reference = SerialEngine.solve(&plus);
         for (name, engine) in all_f32_engines(2) {
-            match engine.try_solve(&mixed) {
+            match engine
+                .solve_with(&mixed, &ExecContext::disabled())
+                .map(|(table, _)| table)
+            {
                 Err(SolveError::InvalidSeed { i, j, issue }) => {
                     assert_eq!(issue, SeedIssue::Negative, "engine {name}");
                     assert_eq!(
@@ -274,7 +273,9 @@ mod edge_shapes {
                 let seeds = problem::random_seeds_f32(n, 100.0, (n * nb) as u64);
                 let mut m = BlockedMatrix::from_triangular(&seeds, nb);
                 assert!(m.padding_is_inert(), "fresh padding n={n} nb={nb}");
-                ParallelEngine::new(nb, 2, 3).solve_blocked_in_place(&mut m);
+                ParallelEngine::new(nb, 2, 3)
+                    .solve_blocked_with(&mut m, &ExecContext::disabled())
+                    .expect("valid blocked solve");
                 assert!(
                     m.padding_is_inert(),
                     "padding corrupted by solve at n={n} nb={nb}"
@@ -299,7 +300,7 @@ mod metrics_invariants {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// A no-op metrics sink must not change DP results: `solve_metered`
+        /// A no-op metrics sink must not change DP results: `solve_with`
         /// with disabled metrics and with a live recorder both equal the
         /// plain `solve`, bit for bit.
         #[test]
@@ -311,9 +312,12 @@ mod metrics_invariants {
             let seeds = problem::random_seeds_f32(n, 100.0, seed);
             let engine = ParallelEngine::new(8, 2, workers);
             let plain = engine.solve(&seeds);
-            let noop = engine.solve_metered(&seeds, &Metrics::noop());
+            let (noop, _) = engine
+                .solve_with(&seeds, &ExecContext::disabled())
+                .expect("valid seeds");
             let (recording, _rec) = Metrics::recording();
-            let recorded = engine.solve_metered(&seeds, &recording);
+            let ctx = ExecContext::disabled().with_metrics(&recording);
+            let (recorded, _) = engine.solve_with(&seeds, &ctx).expect("valid seeds");
             prop_assert_eq!(plain.first_difference(&noop), None);
             prop_assert_eq!(plain.first_difference(&recorded), None);
         }
@@ -330,9 +334,13 @@ mod metrics_invariants {
             let nb = 8usize << nb_pow;
             let seeds = problem::random_seeds_f32(n, 100.0, seed);
             let (m_serial, rec_serial) = Metrics::recording();
-            let _ = SerialEngine.solve_metered(&seeds, &m_serial);
+            let ctx = ExecContext::disabled().with_metrics(&m_serial);
+            SerialEngine.solve_with(&seeds, &ctx).expect("valid seeds");
             let (m_par, rec_par) = Metrics::recording();
-            let _ = ParallelEngine::new(nb, 2, workers).solve_metered(&seeds, &m_par);
+            let ctx = ExecContext::disabled().with_metrics(&m_par);
+            ParallelEngine::new(nb, 2, workers)
+                .solve_with(&seeds, &ctx)
+                .expect("valid seeds");
             let expected = (n * (n - 1) / 2) as u64;
             prop_assert_eq!(rec_serial.get("engine.cells_computed"), expected);
             prop_assert_eq!(rec_par.get("engine.cells_computed"), expected);
@@ -475,7 +483,7 @@ mod generic_recurrence_path {
 mod more_invariants {
     use npdp::cell::functional_cellnpdp_multi_spe;
     use npdp::core::problem;
-    use npdp::core::MaxPlus;
+    use npdp::core::recurrence::ClosureRec;
     use npdp::prelude::*;
     use proptest::prelude::*;
 
@@ -499,23 +507,32 @@ mod more_invariants {
             prop_assert_eq!(report.assignments, report.completions);
         }
 
-        /// Max-plus closure through the full engine stack: SIMD + parallel
-        /// equal serial under the reversed-order wrapper.
+        /// Max-plus closure through the full engine stack: `MaxPlusRing`
+        /// over plain (two-sided) scalars, through `ClosureRec` on all four
+        /// `SolveRecurrence` tiers, bit for bit.
         #[test]
         fn prop_max_plus_engines_agree(
             n in 1usize..80,
             seed in any::<u64>(),
         ) {
             let base = problem::random_seeds_f32(n, 10.0, seed);
-            let seeds = TriangularMatrix::from_fn(n, |i, j| MaxPlus(base.get(i, j) - 5.0));
-            let a = SerialEngine.solve(&seeds);
-            let b = SimdEngine::new(8).solve(&seeds);
-            let c = ParallelEngine::new(8, 2, 3).solve(&seeds);
-            prop_assert_eq!(a.first_difference(&b), None);
-            prop_assert_eq!(a.first_difference(&c), None);
+            let seeds = TriangularMatrix::from_fn(n, |i, j| base.get(i, j) - 5.0);
+            let rec = ClosureRec::new(MaxPlusRing::<f32>::new(), &seeds);
+            let ctx = ExecContext::disabled();
+            let (a, _) = SerialEngine.solve_recurrence(&rec, &ctx).unwrap();
+            let tiers = [
+                BlockedEngine::new(8).solve_recurrence(&rec, &ctx).unwrap().0,
+                SimdEngine::new(8).solve_recurrence(&rec, &ctx).unwrap().0,
+                ParallelEngine::new(8, 2, 3).solve_recurrence(&rec, &ctx).unwrap().0,
+            ];
+            for t in &tiers {
+                for ((i, j, x), (_, _, y)) in a.iter().zip(t.iter()) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "cell ({}, {})", i, j);
+                }
+            }
             // Max closure dominates every seed.
             for (i, j, v) in a.iter() {
-                prop_assert!(v.0 >= seeds.get(i, j).0);
+                prop_assert!(v >= seeds.get(i, j));
             }
         }
 

@@ -1,30 +1,19 @@
-//! Wrapper-equivalence matrix (the `ExecContext` refactor's acceptance
-//! gate): every deprecated entry point must return **bit-identical**
-//! results and identical deterministic counters versus its `ExecContext`
-//! spelling — across all three layers (host engines, task-queue driver,
-//! Cell simulator) and including runs under an *enabled* `FaultInjector`.
+//! One `ExecContext` through every entry point of the engine stack.
 //!
-//! The deprecated wrappers double as equivalence proofs: these tests keep
-//! exercising them on purpose until the wrappers are removed.
-#![allow(deprecated)]
+//! The blocked, SIMD and parallel engines' `Engine` impls are adapters over
+//! their `SolveRecurrence` tier (they solve `ClosureRec` over a min-plus
+//! ring), and `ParallelEngine::solve_blocked_with` runs the same parallel
+//! sweep in place. Each pair of entry points must return **bit-identical**
+//! tables and identical deterministic counters, also under an *enabled*
+//! `FaultInjector`; and one context must be shareable by concurrent solves.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use npdp::cell::machine::{
-    simulate, simulate_cellnpdp, simulate_cellnpdp_batched, simulate_cellnpdp_batched_traced,
-    simulate_cellnpdp_faulted, simulate_cellnpdp_traced, simulate_cellnpdp_with_policy,
-    simulate_ndl_scalar, CellConfig, QueuePolicy, SimReport, SimSpec,
-};
-use npdp::cell::multi_spe::{
-    functional_cellnpdp_multi_spe_faulted, functional_cellnpdp_multi_spe_traced,
-    functional_cellnpdp_multi_spe_with,
-};
-use npdp::cell::npdp::{functional_cellnpdp_f32_faulted, functional_cellnpdp_f32_with};
-use npdp::cell::ppe::Precision;
 use npdp::core::problem;
+use npdp::core::recurrence::ClosureRec;
 use npdp::prelude::*;
-use npdp::tasks::{self, TaskGraph};
+use npdp::trace::analysis::pair_spans;
+use npdp::trace::EventKind;
 
 /// Counter keys whose value (or very presence) depends on thread timing:
 /// queue depths, steal/affinity races, lookahead stalls and idle
@@ -43,64 +32,35 @@ const TIMING_DEPENDENT: &[&str] = &[
 ];
 
 /// Strip timing-dependent keys, keeping the deterministic remainder for an
-/// exact comparison. `sim.wall_ns` is a *modelled* clock and stays in.
+/// exact comparison. The `engine.wall_ns` timer goes too: the in-place
+/// `solve_blocked_with` leaves the layout conversion, and so the timing of
+/// the whole solve, to its caller.
 fn deterministic(counters: &BTreeMap<String, u64>) -> BTreeMap<String, u64> {
     counters
         .iter()
         .filter(|(k, _)| {
-            (!k.ends_with("_ns") || k.as_str() == "sim.wall_ns")
+            !k.ends_with("_ns")
+                && !k.starts_with("engine.wall_ns")
                 && !TIMING_DEPENDENT.contains(&k.as_str())
         })
         .map(|(k, v)| (k.clone(), *v))
         .collect()
 }
 
-fn assert_same_counters(what: &str, wrapper: &Recorder, generic: &Recorder) {
+fn assert_same_counters(what: &str, a: &Recorder, b: &Recorder) {
     assert_eq!(
-        deterministic(&wrapper.snapshot()),
-        deterministic(&generic.snapshot()),
-        "{what}: deprecated wrapper and ExecContext spelling disagree on counters"
+        deterministic(&a.snapshot()),
+        deterministic(&b.snapshot()),
+        "{what}: the two entry points disagree on counters"
     );
 }
 
-fn assert_same_table(what: &str, wrapper: &TriangularMatrix<f32>, generic: &TriangularMatrix<f32>) {
+fn assert_same_table(what: &str, a: &TriangularMatrix<f32>, b: &TriangularMatrix<f32>) {
     assert_eq!(
-        wrapper.first_difference(generic),
+        a.first_difference(b),
         None,
-        "{what}: deprecated wrapper and ExecContext spelling disagree on the table"
+        "{what}: the two entry points disagree on the table"
     );
-}
-
-/// `SimReport` carries no `PartialEq`; the simulator is a deterministic
-/// discrete-event model, so every field must match bit-for-bit.
-fn assert_same_sim_report(what: &str, a: &SimReport, b: &SimReport) {
-    assert_eq!(a.seconds.to_bits(), b.seconds.to_bits(), "{what}: seconds");
-    assert_eq!(
-        a.utilization.to_bits(),
-        b.utilization.to_bits(),
-        "{what}: utilization"
-    );
-    assert_eq!(a.dma.bytes, b.dma.bytes, "{what}: dma bytes");
-    assert_eq!(a.dma.commands, b.dma.commands, "{what}: dma commands");
-    assert_eq!(
-        a.dma.cycles.to_bits(),
-        b.dma.cycles.to_bits(),
-        "{what}: dma cycles"
-    );
-    assert_eq!(a.kernel_calls, b.kernel_calls, "{what}: kernel calls");
-    assert_eq!(
-        a.spe_busy_cycles
-            .iter()
-            .map(|c| c.to_bits())
-            .collect::<Vec<_>>(),
-        b.spe_busy_cycles
-            .iter()
-            .map(|c| c.to_bits())
-            .collect::<Vec<_>>(),
-        "{what}: per-SPE busy cycles"
-    );
-    assert_eq!(a.spes_used, b.spes_used, "{what}: SPEs used");
-    assert_eq!(a.dma_retries, b.dma_retries, "{what}: DMA retries");
 }
 
 fn engines() -> Vec<(&'static str, Box<dyn Engine<f32>>)> {
@@ -131,8 +91,27 @@ fn engines() -> Vec<(&'static str, Box<dyn Engine<f32>>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1: the `Engine` trait's deprecated spellings, on every engine.
+// Layer 1: the `Engine` trait's spellings, and the NDL engines' adapters.
 // ---------------------------------------------------------------------------
+
+/// The three engines whose `Engine` impl solves `ClosureRec` through
+/// `SolveRecurrence`, with the min-plus ring each one hands in.
+fn closure_through_recurrence(
+    name: &str,
+    seeds: &TriangularMatrix<f32>,
+    ctx: &ExecContext,
+) -> Option<TriangularMatrix<f32>> {
+    let simd = ClosureRec::new(MinPlus::<f32>::new(), seeds);
+    let solved = match name {
+        // "NDL" runs min-plus through the ring defaults; the table is the
+        // same either way, so the public `MinPlus` stands in for it.
+        "blocked_ndl" => BlockedEngine::new(32).solve_recurrence(&simd, ctx),
+        "simd" => SimdEngine::new(32).solve_recurrence(&simd, ctx),
+        "parallel/central" => ParallelEngine::new(32, 2, 4).solve_recurrence(&simd, ctx),
+        _ => return None,
+    };
+    Some(solved.expect("valid seeds").0)
+}
 
 #[test]
 fn engine_trait_wrappers_match_solve_with() {
@@ -142,47 +121,38 @@ fn engine_trait_wrappers_match_solve_with() {
         let (generic, _) = engine
             .solve_with(&seeds, &ExecContext::disabled())
             .expect("valid seeds");
+        assert_same_table(&format!("{name}: solve"), &engine.solve(&seeds), &generic);
 
-        let plain = engine.try_solve(&seeds).expect("valid seeds");
-        assert_same_table(&format!("{name}: try_solve"), &plain, &generic);
-
-        let (m1, r1) = Metrics::recording();
-        let metered = engine.solve_metered(&seeds, &m1);
-        let (m2, r2) = Metrics::recording();
-        let (via_ctx, _) = engine
-            .solve_with(&seeds, &ExecContext::disabled().with_metrics(&m2))
-            .expect("valid seeds");
-        assert_same_table(&format!("{name}: solve_metered"), &metered, &via_ctx);
-        assert_same_counters(&format!("{name}: solve_metered"), &r1, &r2);
-
-        let tuned = engine.solve_autotuned(&seeds);
-        let (tuned_ctx, _) = engine
+        let (tuned, _) = engine
             .solve_with(&seeds, &ExecContext::disabled().autotuned())
             .expect("valid seeds");
-        assert_same_table(&format!("{name}: solve_autotuned"), &tuned, &tuned_ctx);
-        // The autotuner may pick its own block side, so only the two tuned
-        // runs compare against each other — and both must still agree with
-        // the untuned answer (the block side never changes the math).
+        // The autotuner may pick its own block side, which never changes
+        // the math.
         assert_same_table(&format!("{name}: autotuned vs plain"), &tuned, &generic);
 
         let (m1, r1) = Metrics::recording();
         let t1 = Tracer::new();
-        let traced = engine.solve_traced(&seeds, &m1, &t1);
+        let ctx1 = ExecContext::disabled().with_metrics(&m1).with_tracer(&t1);
+        let (traced, _) = engine.solve_with(&seeds, &ctx1).expect("valid seeds");
+        assert_same_table(&format!("{name}: traced solve_with"), &traced, &generic);
+        assert_eq!(
+            r1.get("engine.cells_computed"),
+            seeds.len() as u64,
+            "{name}: cells_computed"
+        );
+
         let (m2, r2) = Metrics::recording();
         let t2 = Tracer::new();
-        let (traced_ctx, _) = engine
-            .solve_with(
-                &seeds,
-                &ExecContext::disabled().with_metrics(&m2).with_tracer(&t2),
-            )
-            .expect("valid seeds");
-        assert_same_table(&format!("{name}: solve_traced"), &traced, &traced_ctx);
-        assert_same_counters(&format!("{name}: solve_traced"), &r1, &r2);
-        assert_eq!(
-            t1.snapshot().tracks.len(),
-            t2.snapshot().tracks.len(),
-            "{name}: solve_traced registered a different track set"
-        );
+        let ctx2 = ExecContext::disabled().with_metrics(&m2).with_tracer(&t2);
+        if let Some(via_rec) = closure_through_recurrence(name, &seeds, &ctx2) {
+            assert_same_table(&format!("{name}: solve_recurrence"), &via_rec, &generic);
+            assert_same_counters(&format!("{name}: solve_recurrence"), &r1, &r2);
+            assert_eq!(
+                t1.snapshot().tracks.len(),
+                t2.snapshot().tracks.len(),
+                "{name}: solve_recurrence registered a different track set"
+            );
+        }
     }
 }
 
@@ -191,62 +161,27 @@ fn invalid_seeds_fail_identically_through_wrapper_and_context() {
     let mut seeds = problem::random_seeds_f32(64, 100.0, 3);
     seeds.set(2, 9, f32::NAN);
     for (name, engine) in &engines() {
-        let via_wrapper = engine.try_solve(&seeds);
-        let via_ctx = engine.solve_with(&seeds, &ExecContext::disabled());
-        match (via_wrapper, via_ctx) {
+        let (metrics, recorder) = Metrics::recording();
+        let plain = engine.solve_with(&seeds, &ExecContext::disabled());
+        let metered = engine.solve_with(&seeds, &ExecContext::disabled().with_metrics(&metrics));
+        match (plain, metered) {
             (
-                Err(SolveError::InvalidSeed { i: wi, j: wj, .. }),
-                Err(SolveError::InvalidSeed { i: ci, j: cj, .. }),
-            ) => assert_eq!((wi, wj), (ci, cj), "{name}: different rejected seed"),
-            other => panic!("{name}: expected InvalidSeed from both spellings, got {other:?}"),
+                Err(SolveError::InvalidSeed { i: pi, j: pj, .. }),
+                Err(SolveError::InvalidSeed { i: mi, j: mj, .. }),
+            ) => {
+                assert_eq!((pi, pj), (2, 9), "{name}: wrong rejected seed");
+                assert_eq!((mi, mj), (2, 9), "{name}: wrong rejected seed");
+            }
+            other => panic!("{name}: expected InvalidSeed from both contexts, got {other:?}"),
         }
+        // Validation runs before any work is attributed.
+        assert_eq!(recorder.get("engine.cells_computed"), 0, "{name}");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1b: `ParallelEngine`'s historical inherent methods.
+// Layer 1b: `ParallelEngine`'s three entry points into the one task body.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn parallel_engine_stat_wrappers_match_solve_with() {
-    let n = 256;
-    let seeds = problem::random_seeds_f32(n, 100.0, 17);
-    let eng = ParallelEngine::new(32, 2, 4);
-    let (generic, gstats) = eng
-        .solve_with(&seeds, &ExecContext::disabled())
-        .expect("valid seeds");
-
-    let (t, stats) = eng.solve_with_stats(&seeds);
-    assert_same_table("solve_with_stats", &t, &generic);
-    assert_eq!(
-        stats.tasks_per_worker.iter().sum::<usize>(),
-        gstats.tasks_per_worker.iter().sum::<usize>(),
-        "solve_with_stats: different total task count"
-    );
-
-    let (m1, r1) = Metrics::recording();
-    let (t, _) = eng.solve_with_stats_metered(&seeds, &m1);
-    let (m2, r2) = Metrics::recording();
-    let (via_ctx, _) = eng
-        .solve_with(&seeds, &ExecContext::disabled().with_metrics(&m2))
-        .expect("valid seeds");
-    assert_same_table("solve_with_stats_metered", &t, &via_ctx);
-    assert_same_counters("solve_with_stats_metered", &r1, &r2);
-
-    let (m1, r1) = Metrics::recording();
-    let tr1 = Tracer::new();
-    let (t, _) = eng.solve_with_stats_instrumented(&seeds, &m1, &tr1);
-    let (m2, r2) = Metrics::recording();
-    let tr2 = Tracer::new();
-    let (via_ctx, _) = eng
-        .solve_with(
-            &seeds,
-            &ExecContext::disabled().with_metrics(&m2).with_tracer(&tr2),
-        )
-        .expect("valid seeds");
-    assert_same_table("solve_with_stats_instrumented", &t, &via_ctx);
-    assert_same_counters("solve_with_stats_instrumented", &r1, &r2);
-}
 
 #[test]
 fn parallel_engine_blocked_wrappers_match_solve_blocked_with() {
@@ -254,33 +189,14 @@ fn parallel_engine_blocked_wrappers_match_solve_blocked_with() {
     let seeds = problem::random_seeds_f32(n, 100.0, 19);
     let eng = ParallelEngine::new(32, 2, 4);
 
-    let mut generic = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.solve_blocked_with(&mut generic, &ExecContext::disabled())
-        .expect("valid blocked solve");
-    let generic = generic.to_triangular();
-
-    let mut m = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.solve_blocked_in_place(&mut m);
-    assert_same_table("solve_blocked_in_place", &m.to_triangular(), &generic);
-
-    let (m1, r1) = Metrics::recording();
-    let mut a = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.solve_blocked_in_place_metered(&mut a, &m1);
-    let (m2, r2) = Metrics::recording();
-    let mut b = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.solve_blocked_with(&mut b, &ExecContext::disabled().with_metrics(&m2))
-        .expect("valid blocked solve");
-    assert_same_table(
-        "solve_blocked_in_place_metered",
-        &a.to_triangular(),
-        &b.to_triangular(),
-    );
-    assert_same_counters("solve_blocked_in_place_metered", &r1, &r2);
-
     let (m1, r1) = Metrics::recording();
     let tr1 = Tracer::new();
-    let mut a = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.solve_blocked_in_place_instrumented(&mut a, &m1, &tr1);
+    let (via_solve, _) = eng
+        .solve_with(
+            &seeds,
+            &ExecContext::disabled().with_metrics(&m1).with_tracer(&tr1),
+        )
+        .expect("valid seeds");
     let (m2, r2) = Metrics::recording();
     let tr2 = Tracer::new();
     let mut b = BlockedMatrix::from_triangular(&seeds, 32);
@@ -289,12 +205,13 @@ fn parallel_engine_blocked_wrappers_match_solve_blocked_with() {
         &ExecContext::disabled().with_metrics(&m2).with_tracer(&tr2),
     )
     .expect("valid blocked solve");
-    assert_same_table(
-        "solve_blocked_in_place_instrumented",
-        &a.to_triangular(),
-        &b.to_triangular(),
+    assert_same_table("solve_blocked_with", &b.to_triangular(), &via_solve);
+    assert_same_counters("solve_blocked_with", &r1, &r2);
+    assert_eq!(
+        tr1.snapshot().tracks.len(),
+        tr2.snapshot().tracks.len(),
+        "solve_blocked_with registered a different track set"
     );
-    assert_same_counters("solve_blocked_in_place_instrumented", &r1, &r2);
 }
 
 #[test]
@@ -308,29 +225,27 @@ fn parallel_engine_faulted_wrappers_match_solve_with_under_injection() {
         base_backoff: 64,
     };
     let plan = || FaultPlan::seeded(42).with_rate(FaultKind::TaskPanic, 0.2);
+    let faulted = |faults: &FaultInjector, metrics: &Metrics| {
+        ExecContext::disabled()
+            .with_metrics(metrics)
+            .with_faults(faults)
+            .with_retry(retry)
+    };
 
     let f1 = FaultInjector::new(plan());
     let (m1, r1) = Metrics::recording();
-    let tr1 = Tracer::new();
     let (t, _) = eng
-        .try_solve_with_stats_faulted(&seeds, &m1, &tr1, &f1, retry)
+        .solve_with(&seeds, &faulted(&f1, &m1))
         .expect("retries absorb the injected panics");
     let f2 = FaultInjector::new(plan());
     let (m2, r2) = Metrics::recording();
-    let tr2 = Tracer::new();
-    let (via_ctx, _) = eng
-        .solve_with(
-            &seeds,
-            &ExecContext::disabled()
-                .with_metrics(&m2)
-                .with_tracer(&tr2)
-                .with_faults(&f2)
-                .with_retry(retry),
-        )
+    let rec = ClosureRec::new(MinPlus::<f32>::new(), &seeds);
+    let (via_rec, _) = eng
+        .solve_recurrence(&rec, &faulted(&f2, &m2))
         .expect("retries absorb the injected panics");
-    assert_same_table("try_solve_with_stats_faulted", &t, &via_ctx);
+    assert_same_table("solve_recurrence under faults", &via_rec, &t);
     assert_same_table("faulted vs clean", &t, &clean);
-    assert_same_counters("try_solve_with_stats_faulted", &r1, &r2);
+    assert_same_counters("solve_recurrence under faults", &r1, &r2);
     assert_eq!(
         f1.snapshot(),
         f2.snapshot(),
@@ -343,310 +258,68 @@ fn parallel_engine_faulted_wrappers_match_solve_with_under_injection() {
         "the fault plan never fired — the equivalence check proved nothing"
     );
 
-    let f1 = FaultInjector::new(plan());
-    let (m1, r1) = Metrics::recording();
-    let tr1 = Tracer::new();
-    let mut a = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.try_solve_blocked_in_place_faulted(&mut a, &m1, &tr1, &f1, retry)
-        .expect("retries absorb the injected panics");
-    let f2 = FaultInjector::new(plan());
-    let (m2, r2) = Metrics::recording();
-    let tr2 = Tracer::new();
+    let f3 = FaultInjector::new(plan());
+    let (m3, r3) = Metrics::recording();
     let mut b = BlockedMatrix::from_triangular(&seeds, 32);
-    eng.solve_blocked_with(
-        &mut b,
-        &ExecContext::disabled()
-            .with_metrics(&m2)
-            .with_tracer(&tr2)
-            .with_faults(&f2)
-            .with_retry(retry),
-    )
-    .expect("retries absorb the injected panics");
-    assert_same_table(
-        "try_solve_blocked_in_place_faulted",
-        &a.to_triangular(),
-        &b.to_triangular(),
-    );
-    assert_same_counters("try_solve_blocked_in_place_faulted", &r1, &r2);
-    assert_eq!(f1.snapshot(), f2.snapshot());
+    eng.solve_blocked_with(&mut b, &faulted(&f3, &m3))
+        .expect("retries absorb the injected panics");
+    assert_same_table("solve_blocked_with under faults", &b.to_triangular(), &t);
+    assert_same_counters("solve_blocked_with under faults", &r1, &r3);
+    assert_eq!(f1.snapshot(), f3.snapshot());
 }
 
-// ---------------------------------------------------------------------------
-// Layer 2: the task-queue driver's historical entry points.
-// ---------------------------------------------------------------------------
-
-fn diamond_times_3() -> TaskGraph {
-    let mut g = TaskGraph::new(12);
-    for base in [0usize, 4, 8] {
-        g.add_edge(base, base + 1);
-        g.add_edge(base, base + 2);
-        g.add_edge(base + 1, base + 3);
-        g.add_edge(base + 2, base + 3);
-    }
-    g
-}
-
-/// Run one queue entry point and report (per-task hit counts, stats total).
-fn counted<R>(g: &TaskGraph, run: impl FnOnce(&(dyn Fn(usize) + Sync)) -> R) -> (Vec<usize>, R) {
-    let hits: Vec<AtomicUsize> = (0..g.len()).map(|_| AtomicUsize::new(0)).collect();
-    let out = run(&|t| {
-        hits[t].fetch_add(1, Ordering::SeqCst);
-    });
-    (hits.iter().map(|h| h.load(Ordering::SeqCst)).collect(), out)
-}
-
+/// `Engine::solve_with` and `SolveRecurrence::solve_recurrence` on the
+/// parallel tier run the same task body: per scheduler, the same table, the
+/// same deterministic counters, and exactly one `Block` span per memory
+/// block on the worker tracks of both timelines.
 #[test]
-fn queue_wrappers_match_run() {
-    let g = diamond_times_3();
-    let all_once = vec![1usize; g.len()];
-
-    let (hits, ()) = counted(&g, |task| tasks::execute(&g, 4, task));
-    assert_eq!(hits, all_once, "execute");
-    let (hits, stats) = counted(&g, |task| tasks::execute_with_stats(&g, 4, task));
-    assert_eq!(hits, all_once, "execute_with_stats");
-    assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
-    let (hits, stats) = counted(&g, |task| {
-        tasks::try_execute(&g, 4, task).expect("no faults")
-    });
-    assert_eq!(hits, all_once, "try_execute");
-    assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
-    let (hits, stats) = counted(&g, |task| tasks::execute_stealing(&g, 4, task));
-    assert_eq!(hits, all_once, "execute_stealing");
-    assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
-    let (hits, stats) = counted(&g, |task| tasks::execute_locality(&g, 4, task));
-    assert_eq!(hits, all_once, "execute_locality");
-    assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
-
+fn parallel_solve_with_and_solve_recurrence_run_one_task_body() {
+    let (n, nb) = (200, 32);
+    let seeds = problem::random_seeds_f32(n, 100.0, 29);
+    let mb = n.div_ceil(nb) as u32;
+    let every_block: Vec<(u32, u32)> = (0..mb)
+        .flat_map(|bi| (bi..mb).map(move |bj| (bi, bj)))
+        .collect();
+    let block_spans = |tracer: &Tracer| {
+        let mut blocks: Vec<(u32, u32)> = pair_spans(&tracer.snapshot())
+            .expect("spans nest and balance")
+            .into_iter()
+            .filter_map(|s| match s.kind {
+                EventKind::Block { bi, bj } => Some((bi, bj)),
+                _ => None,
+            })
+            .collect();
+        blocks.sort_unstable();
+        blocks
+    };
     for scheduler in [
         Scheduler::CentralQueue,
         Scheduler::WorkStealing,
         Scheduler::LocalityBatched,
         Scheduler::pipelined(),
-        Scheduler::Pipelined { lookahead: 1 },
     ] {
-        let ctx = ExecContext::disabled().with_scheduler(scheduler);
-        let (hits, stats) = counted(&g, |task| tasks::run(&g, 4, &ctx, task).expect("no faults"));
-        assert_eq!(hits, all_once, "run/{scheduler:?}");
-        assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
-    }
-}
-
-#[test]
-fn metered_queue_wrappers_match_run_with_metrics() {
-    let g = diamond_times_3();
-
-    let (m1, r1) = Metrics::recording();
-    let (hits, _) = counted(&g, |task| tasks::execute_metered(&g, 4, &m1, task));
-    assert_eq!(hits, vec![1; g.len()]);
-    let (m2, r2) = Metrics::recording();
-    let ctx = ExecContext::disabled().with_metrics(&m2);
-    counted(&g, |task| tasks::run(&g, 4, &ctx, task).expect("no faults"));
-    assert_same_counters("execute_metered", &r1, &r2);
-
-    let (m1, r1) = Metrics::recording();
-    let tr1 = Tracer::new();
-    counted(&g, |task| {
-        tasks::execute_instrumented(&g, 4, &m1, &tr1, task)
-    });
-    let (m2, r2) = Metrics::recording();
-    let tr2 = Tracer::new();
-    let ctx = ExecContext::disabled().with_metrics(&m2).with_tracer(&tr2);
-    counted(&g, |task| tasks::run(&g, 4, &ctx, task).expect("no faults"));
-    assert_same_counters("execute_instrumented", &r1, &r2);
-    assert_eq!(
-        tr1.snapshot().tracks.len(),
-        tr2.snapshot().tracks.len(),
-        "execute_instrumented registered a different track set"
-    );
-}
-
-#[test]
-fn faulted_queue_wrappers_match_run_under_injection() {
-    let g = diamond_times_3();
-    let retry = RetryPolicy {
-        max_attempts: 16,
-        base_backoff: 64,
-    };
-    let plan = || FaultPlan::seeded(7).with_rate(FaultKind::TaskPanic, 0.3);
-
-    for (what, stealing) in [
-        ("try_execute_faulted", false),
-        ("try_execute_stealing_faulted", true),
-    ] {
-        let f1 = FaultInjector::new(plan());
+        let eng = ParallelEngine::new(nb, 2, 3).with_scheduler(scheduler);
         let (m1, r1) = Metrics::recording();
-        let tr1 = Tracer::new();
-        let (hits, _) = counted(&g, |task| {
-            if stealing {
-                tasks::try_execute_stealing_faulted(&g, 4, &m1, &tr1, &f1, retry, task)
-                    .expect("retries absorb the injected panics")
-            } else {
-                tasks::try_execute_faulted(&g, 4, &m1, &tr1, &f1, retry, task)
-                    .expect("retries absorb the injected panics")
-            }
-        });
-        assert_eq!(hits, vec![1; g.len()], "{what}: a task ran twice or never");
+        let t1 = Tracer::new();
+        let ctx1 = ExecContext::disabled().with_metrics(&m1).with_tracer(&t1);
+        let (via_engine, _) = eng.solve_with(&seeds, &ctx1).expect("valid seeds");
 
-        let f2 = FaultInjector::new(plan());
         let (m2, r2) = Metrics::recording();
-        let tr2 = Tracer::new();
-        let scheduler = if stealing {
-            Scheduler::WorkStealing
-        } else {
-            Scheduler::CentralQueue
-        };
-        let ctx = ExecContext::disabled()
-            .with_scheduler(scheduler)
-            .with_metrics(&m2)
-            .with_tracer(&tr2)
-            .with_faults(&f2)
-            .with_retry(retry);
-        let (hits, _) = counted(&g, |task| {
-            tasks::run(&g, 4, &ctx, task).expect("retries absorb the injected panics")
-        });
-        assert_eq!(hits, vec![1; g.len()], "{what}: ctx spelling diverged");
-        assert_same_counters(what, &r1, &r2);
+        let t2 = Tracer::new();
+        let ctx2 = ExecContext::disabled().with_metrics(&m2).with_tracer(&t2);
+        let rec = ClosureRec::new(MinPlus::<f32>::new(), &seeds);
+        let (via_rec, _) = eng.solve_recurrence(&rec, &ctx2).expect("valid seeds");
+
+        let what = format!("{scheduler:?}");
+        assert_same_table(&what, &via_engine, &via_rec);
+        assert_same_counters(&what, &r1, &r2);
+        assert_eq!(block_spans(&t1), every_block, "{what}: solve_with spans");
         assert_eq!(
-            f1.snapshot(),
-            f2.snapshot(),
-            "{what}: injection histories differ"
-        );
-        assert!(
-            f1.snapshot()
-                .iter()
-                .any(|(k, v)| k == "fault.injected" && *v > 0),
-            "{what}: the fault plan never fired"
+            block_spans(&t2),
+            every_block,
+            "{what}: solve_recurrence spans"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Layer 3: the Cell simulator's six `simulate_cellnpdp*` spellings.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn simulate_wrappers_match_sim_spec_spellings() {
-    let cfg = CellConfig::qs20();
-    let (n, nb, sb, spes) = (1024usize, 64usize, 2usize, 8usize);
-    let prec = Precision::Single;
-    let ctx = ExecContext::disabled();
-
-    assert_same_sim_report(
-        "simulate_cellnpdp",
-        &simulate_cellnpdp(&cfg, n, nb, sb, prec, spes),
-        &simulate(&cfg, &SimSpec::cellnpdp(n, nb, sb, prec, spes), &ctx),
-    );
-    assert_same_sim_report(
-        "simulate_ndl_scalar",
-        &simulate_ndl_scalar(&cfg, n, nb, sb, prec, spes),
-        &simulate(&cfg, &SimSpec::ndl_scalar(n, nb, sb, prec, spes), &ctx),
-    );
-
-    let policy = QueuePolicy::CriticalPathFirst;
-    let spec = SimSpec::cellnpdp(n, nb, sb, prec, spes).with_policy(policy);
-    assert_same_sim_report(
-        "simulate_cellnpdp_with_policy",
-        &simulate_cellnpdp_with_policy(&cfg, n, nb, sb, prec, spes, policy),
-        &simulate(&cfg, &spec, &ctx),
-    );
-    assert_same_sim_report(
-        "simulate_cellnpdp_batched",
-        &simulate_cellnpdp_batched(&cfg, n, nb, sb, prec, spes, policy, spes),
-        &simulate(&cfg, &spec.batched(spes), &ctx),
-    );
-
-    let tr1 = Tracer::new();
-    let tr2 = Tracer::new();
-    assert_same_sim_report(
-        "simulate_cellnpdp_traced",
-        &simulate_cellnpdp_traced(&cfg, n, nb, sb, prec, spes, policy, &tr1),
-        &simulate(&cfg, &spec, &ExecContext::disabled().with_tracer(&tr2)),
-    );
-    assert_eq!(
-        tr1.snapshot().tracks.len(),
-        tr2.snapshot().tracks.len(),
-        "simulate_cellnpdp_traced registered a different track set"
-    );
-
-    let tr1 = Tracer::new();
-    let tr2 = Tracer::new();
-    assert_same_sim_report(
-        "simulate_cellnpdp_batched_traced",
-        &simulate_cellnpdp_batched_traced(&cfg, n, nb, sb, prec, spes, policy, spes, &tr1),
-        &simulate(
-            &cfg,
-            &spec.batched(spes),
-            &ExecContext::disabled().with_tracer(&tr2),
-        ),
-    );
-    assert_eq!(tr1.snapshot().tracks.len(), tr2.snapshot().tracks.len());
-}
-
-#[test]
-fn simulate_faulted_wrapper_matches_context_under_injection() {
-    let cfg = CellConfig::qs20();
-    let (n, nb, sb, spes) = (1024usize, 64usize, 2usize, 8usize);
-    let retry = RetryPolicy {
-        max_attempts: 16,
-        base_backoff: 64,
-    };
-    let plan = || FaultPlan::default_rates(99, 0.05);
-
-    let f1 = FaultInjector::new(plan());
-    let a = simulate_cellnpdp_faulted(
-        &cfg,
-        n,
-        nb,
-        sb,
-        Precision::Single,
-        spes,
-        QueuePolicy::Fifo,
-        &f1,
-        retry,
-    );
-    let f2 = FaultInjector::new(plan());
-    let b = simulate(
-        &cfg,
-        &SimSpec::cellnpdp(n, nb, sb, Precision::Single, spes),
-        &ExecContext::disabled().with_faults(&f2).with_retry(retry),
-    );
-    assert_same_sim_report("simulate_cellnpdp_faulted", &a, &b);
-    assert_eq!(f1.snapshot(), f2.snapshot(), "injection histories differ");
-    assert!(
-        f1.snapshot()
-            .iter()
-            .any(|(k, v)| k == "fault.injected" && *v > 0),
-        "the fault plan never fired in the simulator"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Layer 3b: functional SPE execution (single- and multi-SPE protocols).
-// ---------------------------------------------------------------------------
-
-#[test]
-fn functional_cellnpdp_faulted_wrapper_matches_context() {
-    let seeds = problem::random_seeds_f32(48, 100.0, 29);
-    let retry = RetryPolicy {
-        max_attempts: 16,
-        base_backoff: 64,
-    };
-    let plan = || FaultPlan::seeded(5).with_rate(FaultKind::DmaCorrupt, 0.1);
-
-    let f1 = FaultInjector::new(plan());
-    let (a, calls_a) = functional_cellnpdp_f32_faulted(&seeds, 16, &f1, retry)
-        .expect("checksummed DMA absorbs the corruption");
-    let f2 = FaultInjector::new(plan());
-    let (b, calls_b) = functional_cellnpdp_f32_with(
-        &seeds,
-        16,
-        &ExecContext::disabled().with_faults(&f2).with_retry(retry),
-    )
-    .expect("checksummed DMA absorbs the corruption");
-    assert_same_table("functional_cellnpdp_f32_faulted", &a, &b);
-    assert_eq!(calls_a, calls_b, "different kernel-invocation counts");
-    assert_eq!(f1.snapshot(), f2.snapshot(), "injection histories differ");
-    assert_same_table("faulted vs clean", &a, &SerialEngine.solve(&seeds));
 }
 
 // ---------------------------------------------------------------------------
@@ -709,60 +382,4 @@ fn concurrent_solve_with_calls_share_one_context_exactly() {
         expected,
         "shared engine.cells_computed drifted under concurrency"
     );
-}
-
-#[test]
-fn multi_spe_wrappers_match_with() {
-    let seeds = problem::random_seeds_f32(48, 100.0, 31);
-    let host = SerialEngine.solve(&seeds);
-
-    let tr1 = Tracer::new();
-    let (a, rep_a) = functional_cellnpdp_multi_spe_traced(&seeds, 8, 2, 3, &tr1);
-    let tr2 = Tracer::new();
-    let (b, rep_b) = functional_cellnpdp_multi_spe_with(
-        &seeds,
-        8,
-        2,
-        3,
-        &ExecContext::disabled().with_tracer(&tr2),
-    )
-    .expect("fault-free protocol run");
-    assert_same_table("functional_cellnpdp_multi_spe_traced", &a, &b);
-    assert_same_table("multi-SPE vs host", &a, &host);
-    assert_eq!(rep_a.tasks_per_spe, rep_b.tasks_per_spe);
-    assert_eq!(rep_a.kernel_calls, rep_b.kernel_calls);
-    assert_eq!(rep_a.assignments, rep_b.assignments);
-    assert_eq!(rep_a.completions, rep_b.completions);
-    assert_eq!(rep_a.rounds, rep_b.rounds);
-    assert_eq!(tr1.snapshot().tracks.len(), tr2.snapshot().tracks.len());
-
-    let retry = RetryPolicy {
-        max_attempts: 16,
-        base_backoff: 64,
-    };
-    let plan = || FaultPlan::default_rates(13, 0.02);
-    let f1 = FaultInjector::new(plan());
-    let tr1 = Tracer::new();
-    let (a, rep_a) = functional_cellnpdp_multi_spe_faulted(&seeds, 8, 2, 3, &f1, retry, &tr1)
-        .expect("protocol recovers");
-    let f2 = FaultInjector::new(plan());
-    let tr2 = Tracer::new();
-    let (b, rep_b) = functional_cellnpdp_multi_spe_with(
-        &seeds,
-        8,
-        2,
-        3,
-        &ExecContext::disabled()
-            .with_faults(&f2)
-            .with_retry(retry)
-            .with_tracer(&tr2),
-    )
-    .expect("protocol recovers");
-    assert_same_table("functional_cellnpdp_multi_spe_faulted", &a, &b);
-    assert_same_table("faulted multi-SPE vs host", &a, &host);
-    assert_eq!(rep_a.rounds, rep_b.rounds);
-    assert_eq!(rep_a.resends, rep_b.resends);
-    assert_eq!(rep_a.rebalanced_blocks, rep_b.rebalanced_blocks);
-    assert_eq!(rep_a.dead_spes, rep_b.dead_spes);
-    assert_eq!(f1.snapshot(), f2.snapshot(), "injection histories differ");
 }

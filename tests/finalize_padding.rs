@@ -56,7 +56,8 @@ fn tiers_agree<R: Recurrence>(
             );
         }
     };
-    check(solve_blocked(rec, nb), "solve_blocked".into());
+    let blocked = solve_blocked(rec, nb, &ExecContext::disabled());
+    check(blocked, "solve_blocked".into());
     for scheduler in SCHEDULERS {
         let (table, _) = solve_parallel(rec, nb, 2, 2, scheduler, &ExecContext::disabled())
             .expect("a fault-free parallel solve succeeds");

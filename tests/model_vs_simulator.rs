@@ -3,15 +3,25 @@
 //! independent of problem size, compute-bound SP configuration, cubic time
 //! scaling — and the simulator's DMA counters match the model's traffic
 //! formula.
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so this suite keeps exercising them on purpose until
-// the wrappers are removed (tests/exec_context.rs pins the equivalence).
-#![allow(deprecated)]
 
-use npdp::cell::machine::{ndl_bytes_transferred, simulate_cellnpdp, CellConfig};
+use npdp::cell::machine::{ndl_bytes_transferred, simulate, CellConfig, SimReport, SimSpec};
 use npdp::cell::ppe::Precision;
+use npdp::exec::ExecContext;
 use npdp::model::{Kernel, Machine, PerfModel};
 use proptest::prelude::*;
+
+/// An untraced, fault-free CellNPDP simulation with the default queue.
+fn cellnpdp(
+    cfg: &CellConfig,
+    n: usize,
+    nb: usize,
+    sb: usize,
+    prec: Precision,
+    spes: usize,
+) -> SimReport {
+    let spec = SimSpec::cellnpdp(n, nb, sb, prec, spes);
+    simulate(cfg, &spec, &ExecContext::disabled())
+}
 
 fn qs20_model() -> PerfModel {
     PerfModel::new(Machine::qs20(), Kernel::spu_sp(), 4)
@@ -23,7 +33,7 @@ fn simulated_seconds_within_2x_of_model() {
     let model = qs20_model();
     let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
     for n in [4096usize, 8192] {
-        let sim = simulate_cellnpdp(&cfg, n, nb, 1, Precision::Single, 16).seconds;
+        let sim = cellnpdp(&cfg, n, nb, 1, Precision::Single, 16).seconds;
         let analytic = model.total_time(n as f64, Some(nb as f64));
         let ratio = sim / analytic;
         assert!(
@@ -41,7 +51,7 @@ fn both_predict_size_independent_utilization() {
     let u_model = model.utilization(Some(nb as f64));
     let sims: Vec<f64> = [8192usize, 16384]
         .iter()
-        .map(|&n| simulate_cellnpdp(&cfg, n, nb, 1, Precision::Single, 16).utilization)
+        .map(|&n| cellnpdp(&cfg, n, nb, 1, Precision::Single, 16).utilization)
         .collect();
     for u in &sims {
         assert!(
@@ -61,9 +71,9 @@ fn both_say_sp_is_compute_bound_on_qs20() {
     // bandwidth cuts leave time unchanged.
     let mut cfg = CellConfig::qs20();
     let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-    let t_full = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
+    let t_full = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
     cfg.mem_bandwidth /= 2.0;
-    let t_half = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
+    let t_half = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
     assert!(
         t_half < 1.25 * t_full,
         "halving bandwidth changed compute-bound time too much: {t_full} → {t_half}"
@@ -77,8 +87,8 @@ fn cubic_scaling_in_both() {
     let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
     // Sizes where block-level parallelism (~m/3) well exceeds 16 SPEs, so
     // the critical-path tail does not distort the exponent.
-    let s1 = simulate_cellnpdp(&cfg, 8192, nb, 1, Precision::Single, 16).seconds;
-    let s2 = simulate_cellnpdp(&cfg, 16384, nb, 1, Precision::Single, 16).seconds;
+    let s1 = cellnpdp(&cfg, 8192, nb, 1, Precision::Single, 16).seconds;
+    let s2 = cellnpdp(&cfg, 16384, nb, 1, Precision::Single, 16).seconds;
     let m1 = model.total_time(8192.0, None);
     let m2 = model.total_time(16384.0, None);
     assert!((s2 / s1 - 8.0).abs() < 1.0, "simulator ratio {}", s2 / s1);
@@ -92,7 +102,7 @@ fn dma_counter_matches_traffic_formula() {
     let cfg = CellConfig::qs20();
     let nb = 64usize;
     let n = 4096usize;
-    let sim = simulate_cellnpdp(&cfg, n, nb, 1, Precision::Single, 16);
+    let sim = cellnpdp(&cfg, n, nb, 1, Precision::Single, 16);
     let formula = ndl_bytes_transferred(n as u64, nb as u64, Precision::Single);
     let ratio = sim.dma.bytes as f64 / formula as f64;
     assert!(
@@ -121,7 +131,8 @@ proptest! {
         let nb = [32usize, 64, 88][nb_choice];
         let n = blocks * nb;
         let cfg = CellConfig::qs20();
-        let sim = simulate_cellnpdp(&cfg, n, nb, 1, Precision::Single, spes);
+        let spec = SimSpec::cellnpdp(n, nb, 1, Precision::Single, spes);
+        let sim = simulate(&cfg, &spec, &ExecContext::disabled());
         let formula = ndl_bytes_transferred(n as u64, nb as u64, Precision::Single);
         let ratio = sim.dma.bytes as f64 / formula as f64;
         prop_assert!(
@@ -149,10 +160,10 @@ fn bandwidth_constraint_transition_visible_in_simulator() {
     let min_b = model.min_bandwidth_for_compute_bound();
     let mut cfg = CellConfig::qs20();
     let nb = cfg.block_side_for_bytes(32 * 1024, Precision::Single);
-    let t_ok = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
+    let t_ok = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
     cfg.mem_bandwidth = min_b / 8.0;
     cfg.dma.bytes_per_cycle = (min_b / 8.0) / cfg.freq_hz;
-    let t_starved = simulate_cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
+    let t_starved = cellnpdp(&cfg, 4096, nb, 1, Precision::Single, 16).seconds;
     assert!(
         t_starved > 1.5 * t_ok,
         "starved {t_starved} vs ok {t_ok}: bandwidth constraint not visible"

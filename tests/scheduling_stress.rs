@@ -2,16 +2,12 @@
 //! deadlock-free, runs every task exactly once, and never violates a
 //! dependence — stressed with many workers, random triangles and random
 //! DAGs.
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so this suite keeps exercising them on purpose until
-// the wrappers are removed (tests/exec_context.rs pins the equivalence).
-#![allow(deprecated)]
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
+use npdp::exec::{ExecContext, Scheduler};
 use npdp::tasks::{
-    execute, execute_metered, execute_sequential, execute_stealing, execute_stealing_metered,
-    execute_with_stats, scheduling_grid, triangle_graph, TaskGraph, TriangleGrid,
+    execute_sequential, run, scheduling_grid, triangle_graph, TaskGraph, TriangleGrid,
 };
 use npdp_metrics::Metrics;
 use proptest::prelude::*;
@@ -27,14 +23,21 @@ fn tiny_triangles_never_deadlock() {
         let expected = m * (m + 1) / 2;
         for workers in [1usize, 4, 16] {
             let count = AtomicUsize::new(0);
-            execute(&graph, workers, |_| {
+            run(&graph, workers, &ExecContext::disabled(), |_| {
                 count.fetch_add(1, Ordering::Relaxed);
-            });
+            })
+            .unwrap();
             assert_eq!(count.load(Ordering::Relaxed), expected, "pool m={m}");
             let count = AtomicUsize::new(0);
-            execute_stealing(&graph, workers, |_| {
-                count.fetch_add(1, Ordering::Relaxed);
-            });
+            run(
+                &graph,
+                workers,
+                &ExecContext::disabled().with_scheduler(Scheduler::WorkStealing),
+                |_| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                },
+            )
+            .unwrap();
             assert_eq!(count.load(Ordering::Relaxed), expected, "steal m={m}");
         }
     }
@@ -48,11 +51,25 @@ fn metered_executors_count_exactly_once_on_edge_shapes() {
         let graph = triangle_graph(m);
         let expected = (m * (m + 1) / 2) as u64;
         let (metrics, rec) = Metrics::recording();
-        execute_metered(&graph, 8, &metrics, |_| {});
+        run(
+            &graph,
+            8,
+            &ExecContext::disabled().with_metrics(&metrics),
+            |_| {},
+        )
+        .unwrap();
         assert_eq!(rec.get("queue.tasks_executed"), expected, "pool m={m}");
         assert_eq!(rec.get("queue.ready_pushes"), expected, "pushes m={m}");
         let (metrics, rec) = Metrics::recording();
-        execute_stealing_metered(&graph, 8, &metrics, |_| {});
+        run(
+            &graph,
+            8,
+            &ExecContext::disabled()
+                .with_scheduler(Scheduler::WorkStealing)
+                .with_metrics(&metrics),
+            |_| {},
+        )
+        .unwrap();
         assert_eq!(rec.get("queue.tasks_executed"), expected, "steal m={m}");
     }
 }
@@ -65,7 +82,7 @@ fn triangle_execution_respects_full_dependence_set() {
         let grid = TriangleGrid::new(m);
         let graph = triangle_graph(m);
         let done: Vec<AtomicU32> = (0..grid.len()).map(|_| AtomicU32::new(0)).collect();
-        execute(&graph, 8, |t| {
+        run(&graph, 8, &ExecContext::disabled(), |t| {
             let (r, c) = grid.coords(t);
             for k in r..c {
                 assert_eq!(
@@ -81,7 +98,8 @@ fn triangle_execution_respects_full_dependence_set() {
                 );
             }
             done[t].fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         assert!(done.iter().all(|d| d.load(Ordering::SeqCst) == 1), "m={m}");
     }
 }
@@ -93,7 +111,7 @@ fn scheduling_blocks_respect_dependences_too() {
     for sb in [2usize, 3, 5] {
         let sched = scheduling_grid(m, sb);
         let done: Vec<AtomicU32> = (0..grid.len()).map(|_| AtomicU32::new(0)).collect();
-        execute(&sched.graph, 6, |task| {
+        run(&sched.graph, 6, &ExecContext::disabled(), |task| {
             for &(r, c) in &sched.members[task] {
                 for k in r..c {
                     assert_eq!(done[grid.id(r, k)].load(Ordering::SeqCst), 1);
@@ -101,7 +119,8 @@ fn scheduling_blocks_respect_dependences_too() {
                 }
                 done[grid.id(r, c)].fetch_add(1, Ordering::SeqCst);
             }
-        });
+        })
+        .unwrap();
         assert!(
             done.iter().all(|d| d.load(Ordering::SeqCst) == 1),
             "sb={sb}"
@@ -116,9 +135,10 @@ fn repeated_runs_under_contention() {
     let graph = triangle_graph(20);
     for _ in 0..10 {
         let count = AtomicUsize::new(0);
-        execute(&graph, 32, |_| {
+        run(&graph, 32, &ExecContext::disabled(), |_| {
             count.fetch_add(1, Ordering::Relaxed);
-        });
+        })
+        .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 210);
     }
 }
@@ -127,9 +147,10 @@ fn repeated_runs_under_contention() {
 fn load_balance_is_reasonable_on_wide_graphs() {
     // An edgeless graph of uniform tasks must spread across workers.
     let graph = TaskGraph::new(4000);
-    let stats = execute_with_stats(&graph, 8, |t| {
+    let stats = run(&graph, 8, &ExecContext::disabled(), |t| {
         std::hint::black_box(t * 17 % 31);
-    });
+    })
+    .unwrap();
     assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 4000);
 }
 
@@ -167,14 +188,14 @@ proptest! {
         }
         let g = random_dag(n, &edges);
         let done: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        execute(&g, workers, |t| {
+        run(&g, workers, &ExecContext::disabled(), |t| {
             for &(a, b) in &edges {
                 if b == t {
                     assert_eq!(done[a].load(Ordering::SeqCst), 1);
                 }
             }
             done[t].fetch_add(1, Ordering::SeqCst);
-        });
+        }).unwrap();
         prop_assert!(done.iter().all(|d| d.load(Ordering::SeqCst) == 1));
     }
 

@@ -3,10 +3,6 @@
 //! executors must always be well-formed — spans nest and balance per track,
 //! every recorded block id is a valid triangle block, and every memory block
 //! is computed exactly once.
-// The deprecated wrappers double as equivalence proofs for the generic
-// ExecContext path, so this suite keeps exercising them on purpose until
-// the wrappers are removed (tests/exec_context.rs pins the equivalence).
-#![allow(deprecated)]
 
 use npdp::core::problem;
 use npdp::prelude::*;
@@ -31,10 +27,14 @@ fn traced_solve_is_bit_identical() {
     let seeds = problem::random_seeds_f32(96, 100.0, 9);
     let engine = ParallelEngine::new(8, 2, 4);
     let plain = engine.solve(&seeds);
-    let noop = engine.solve_traced(&seeds, &Metrics::noop(), &Tracer::noop());
+    let (noop, _) = engine
+        .solve_with(&seeds, &ExecContext::disabled())
+        .expect("valid seeds");
     assert_eq!(plain.first_difference(&noop), None);
     let tracer = Tracer::new();
-    let live = engine.solve_traced(&seeds, &Metrics::noop(), &tracer);
+    let (live, _) = engine
+        .solve_with(&seeds, &ExecContext::disabled().with_tracer(&tracer))
+        .expect("valid seeds");
     assert_eq!(plain.first_difference(&live), None);
 }
 
@@ -45,11 +45,12 @@ fn traced_parallel_run_covers_every_block_once() {
     let mb = n.div_ceil(nb);
     let tracer = Tracer::new();
     let engine = ParallelEngine::new(nb, 2, 4);
-    engine.solve_traced(
-        &problem::random_seeds_f32(n, 100.0, 3),
-        &Metrics::noop(),
-        &tracer,
-    );
+    engine
+        .solve_with(
+            &problem::random_seeds_f32(n, 100.0, 3),
+            &ExecContext::disabled().with_tracer(&tracer),
+        )
+        .expect("valid seeds");
 
     let data = tracer.snapshot();
     assert_eq!(data.tracks.len(), 4);
@@ -65,11 +66,12 @@ fn traced_parallel_run_covers_every_block_once() {
 #[test]
 fn traced_run_analysis_reports_full_diagonal_coverage() {
     let tracer = Tracer::new();
-    ParallelEngine::new(8, 1, 3).solve_traced(
-        &problem::random_seeds_f32(64, 100.0, 5),
-        &Metrics::noop(),
-        &tracer,
-    );
+    ParallelEngine::new(8, 1, 3)
+        .solve_with(
+            &problem::random_seeds_f32(64, 100.0, 5),
+            &ExecContext::disabled().with_tracer(&tracer),
+        )
+        .expect("valid seeds");
     let a = analyze(&tracer.snapshot()).expect("well-formed trace");
     assert_eq!(a.domains.len(), 1);
     let d = &a.domains[0];
@@ -91,11 +93,12 @@ fn traced_run_analysis_reports_full_diagonal_coverage() {
 #[test]
 fn exported_real_trace_parses_as_chrome_json() {
     let tracer = Tracer::new();
-    ParallelEngine::new(8, 2, 2).solve_traced(
-        &problem::random_seeds_f32(48, 100.0, 7),
-        &Metrics::noop(),
-        &tracer,
-    );
+    ParallelEngine::new(8, 2, 2)
+        .solve_with(
+            &problem::random_seeds_f32(48, 100.0, 7),
+            &ExecContext::disabled().with_tracer(&tracer),
+        )
+        .expect("valid seeds");
     let doc = chrome::chrome_trace(&tracer.snapshot());
     let parsed = Value::parse(&doc.to_json_pretty()).expect("valid JSON");
     let Some(Value::Array(events)) = parsed.get("traceEvents") else {
@@ -134,11 +137,10 @@ proptest! {
             engine = engine.with_scheduler(Scheduler::WorkStealing);
         }
         let tracer = Tracer::new();
-        engine.solve_traced(
-            &problem::random_seeds_f32(n, 100.0, n as u64),
-            &Metrics::noop(),
-            &tracer,
-        );
+        let ctx = ExecContext::disabled().with_tracer(&tracer);
+        engine
+            .solve_with(&problem::random_seeds_f32(n, 100.0, n as u64), &ctx)
+            .expect("valid seeds");
         let data = tracer.snapshot();
         prop_assert_eq!(data.dropped(), 0);
         // pair_spans (inside block_spans) asserts nesting/balance.
