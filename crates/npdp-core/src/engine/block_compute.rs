@@ -14,13 +14,20 @@
 //!   block `(bi, bi)` and C itself) or block `bj`'s column range (C itself
 //!   and the diagonal block `(bj, bj)`). These are the block's *inner
 //!   dependences*: 4×4 computing blocks are swept bottom row first, left to
-//!   right; contributions from already-final rows below arrive as one
-//!   rank-update strip per tile row, those from final tiles to the left as
-//!   one rank update per tile, and the remaining same-tile dependences fall
-//!   back to the original scalar flowchart ([`stage2_offdiag`]).
+//!   right ([`stage2_offdiag`]). Per tile row:
+//!   (a) the already-final rows below arrive as one rank-update strip;
+//!   (b) the final tiles to the left arrive per 16-column panel — one
+//!   rank update for the tiles left of the panel, then one small update per
+//!   tile for the panel's own tiles left of it;
+//!   (c) the same-tile remainder runs the original scalar flowchart on a
+//!   local copy of the tile and of the two diagonal tiles it reads, and
+//!   writes the tile back once.
+//!   A cell sees rows below, then columns left in ascending `k`, then its
+//!   own tile — the order of a tile-by-tile sweep.
 //!
 //! A diagonal memory block `(b, b)` is the whole recurrence in miniature and
-//! is handled by [`compute_diag`].
+//! is handled by [`compute_diag`], whose edge pass is the same local-tile
+//! step (c), with the block's own diagonal tiles as operands.
 //!
 //! Padding (`+∞`) below the diagonal of diagonal blocks makes the cell-level
 //! constraints `k > i` / `k < j` automatic: out-of-range candidates are
@@ -66,48 +73,49 @@ pub fn stage1_ring<S: Semiring>(
 
 /// The scalar edge pass of a computing block `(r, cc)` of `C`: resolves the
 /// candidates whose operands share the tile being computed — `k` in the
-/// tile-row range (reading `dlo = Block(bi, bi)`) and `k` in the tile-column
-/// range (reading `dhi = Block(bj, bj)`) — then applies `finalize` to each
-/// cell, whose last candidate this is. Cells are swept bottom-up,
+/// tile-row range (reading `lo`, the diagonal tile `(r, r)` of
+/// `Block(bi, bi)`) and `k` in the tile-column range (reading `hi`, the
+/// diagonal tile `(cc, cc)` of `Block(bj, bj)`) — then applies `finalize`
+/// to each cell, whose last candidate this is. Cells are swept bottom-up,
 /// left-to-right so same-tile operands are final when read.
+///
+/// The pass runs on a local copy of the C tile and writes it back once, so
+/// no candidate reloads a cell through `c` that the pass has just stored.
+/// Returns the finished tile (stride 4).
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn scalar_edge<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
-    dlo: Option<&[S::Elem]>,
-    dhi: Option<&[S::Elem]>,
+    lo: &[S::Elem; 16],
+    hi: &[S::Elem; 16],
     nb: usize,
     r: usize,
     cc: usize,
     finalize: &impl Fn(usize, usize, S::Elem) -> S::Elem,
-) {
+) -> [S::Elem; 16] {
+    let mut t = copy_tile(c, nb, r, cc);
     for il in (0..4).rev() {
-        let ii = r * 4 + il;
         for jl in 0..4 {
-            let jj = cc * 4 + jl;
-            let mut best = c[ii * nb + jj];
-            // k inside this block's row range, k > ii: d(ii, k) comes from
-            // the low diagonal block, d(k, jj) from this tile's lower rows.
-            for k in ii + 1..(r + 1) * 4 {
-                let lo = match dlo {
-                    Some(d) => d[ii * nb + k],
-                    None => c[ii * nb + k],
-                };
-                best = ring.combine(best, ring.extend(lo, c[k * nb + jj]));
+            let mut best = t[il * 4 + jl];
+            // k inside this block's row range, k > i: d(i, k) comes from
+            // the low diagonal tile, d(k, j) from this tile's lower rows.
+            for kl in il + 1..4 {
+                best = ring.combine(best, ring.extend(lo[il * 4 + kl], t[kl * 4 + jl]));
             }
-            // k inside this block's column range, k < jj: d(ii, k) from this
-            // tile's left columns, d(k, jj) from the high diagonal block.
-            for k in cc * 4..jj {
-                let hi = match dhi {
-                    Some(d) => d[k * nb + jj],
-                    None => c[k * nb + jj],
-                };
-                best = ring.combine(best, ring.extend(c[ii * nb + k], hi));
+            // k inside this block's column range, k < j: d(i, k) from this
+            // tile's left columns, d(k, j) from the high diagonal tile.
+            for kl in 0..jl {
+                best = ring.combine(best, ring.extend(t[il * 4 + kl], hi[kl * 4 + jl]));
             }
-            c[ii * nb + jj] = finalize(ii, jj, best);
+            t[il * 4 + jl] = finalize(r * 4 + il, cc * 4 + jl, best);
         }
     }
+    let base = r * 4 * nb + cc * 4;
+    for il in 0..4 {
+        c[base + il * nb..base + il * nb + 4].copy_from_slice(&t[il * 4..il * 4 + 4]);
+    }
+    t
 }
 
 /// Fully resolve the inner dependences of one 4×4 diagonal tile `(t, t)` of a
@@ -142,6 +150,10 @@ fn no_finalize<T>(_: usize, _: usize, acc: T) -> T {
     acc
 }
 
+/// Computing blocks per stage-2 column panel: part (b) of a tile row takes
+/// the final tiles left of a panel in one 4 × 16 × depth `rank_update`.
+const PANEL_TILES: usize = 4;
+
 /// Stage 2 for an off-diagonal memory block `C = (bi, bj)`, `bi < bj`:
 /// resolve all contributions with `k` in block `bi`'s or block `bj`'s index
 /// range. `dlo = Block(bi, bi)` and `dhi = Block(bj, bj)` are final.
@@ -149,11 +161,12 @@ fn no_finalize<T>(_: usize, _: usize, acc: T) -> T {
 /// Computing blocks are processed bottom row first, left to right (paper:
 /// "the blocks on the left side and closer to the bottom are computed
 /// earlier"). Each tile row first takes every candidate from the final rows
-/// below it in one [`Semiring::rank_update`] strip; then, per tile, the
-/// final tiles to its left arrive in one 4-column `rank_update` and the
+/// below it in one [`Semiring::rank_update`] strip. Then, per 16-column
+/// panel, the final tiles left of the panel arrive in one `rank_update`;
+/// per tile, the panel's own tiles to its left in one more, and the
 /// same-tile remainder through `scalar_edge`. A cell sees its candidates in
-/// the same order as a tile-by-tile sweep: rows below, columns left, own
-/// tile.
+/// the same order as a tile-by-tile sweep: rows below, columns left
+/// (ascending `k`), own tile.
 pub fn stage2_offdiag<T: DpValue>(c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
     stage2_offdiag_ring(&MinPlus::<T>::new(), c, dlo, dhi, nb, no_finalize);
 }
@@ -192,19 +205,53 @@ pub fn stage2_offdiag_ring<S: Semiring>(
             nb,
             nb - below,
         );
-        for cc in 0..nt {
-            // (b) k-tiles strictly left of cc in this block's column range:
-            //     C(r,cc) ⊗= C(r, left) × DHI(left, cc), one 4 × 4 × 4cc
-            //     update. The A operand shares rows with the destination, so
-            //     it is read from `left`, where each final tile of row r is
-            //     staged as soon as its edge pass is done.
-            let c_tile = &mut c[r * 4 * nb + cc * 4..];
-            ring.rank_update(c_tile, nb, &left, nb, &dhi[cc * 4..], nb, 4, 4, cc * 4);
-            // (c) same-tile remainder: the original flowchart, then finalize.
-            scalar_edge(ring, c, Some(dlo), Some(dhi), nb, r, cc, &finalize);
-            for il in 0..4 {
-                let (dst, src) = (il * nb + cc * 4, (r * 4 + il) * nb + cc * 4);
-                left[dst..dst + 4].copy_from_slice(&c[src..src + 4]);
+        let lo = copy_tile(dlo, nb, r, r);
+        for p0 in (0..nt).step_by(PANEL_TILES) {
+            let p1 = (p0 + PANEL_TILES).min(nt);
+            // (b) k-tiles strictly left of the panel in this block's column
+            //     range, for the whole panel at once: C(r, p0..p1) ⊗=
+            //     C(r, ..p0) × DHI(..p0, p0..p1). The A operand shares rows
+            //     with the destination, so it is read from `left`, where
+            //     each final tile of row r is staged as soon as its edge
+            //     pass is done. (The first panel and tile have nothing to
+            //     their left.)
+            if p0 > 0 {
+                ring.rank_update(
+                    &mut c[r * 4 * nb + p0 * 4..],
+                    nb,
+                    &left,
+                    nb,
+                    &dhi[p0 * 4..],
+                    nb,
+                    4,
+                    (p1 - p0) * 4,
+                    p0 * 4,
+                );
+            }
+            for cc in p0..p1 {
+                // (b′) the panel's own k-tiles left of cc, one 4 × 4 ×
+                //      4(cc − p0) update from `left`.
+                if cc > p0 {
+                    ring.rank_update(
+                        &mut c[r * 4 * nb + cc * 4..],
+                        nb,
+                        &left[p0 * 4..],
+                        nb,
+                        &dhi[p0 * 4 * nb + cc * 4..],
+                        nb,
+                        4,
+                        4,
+                        (cc - p0) * 4,
+                    );
+                }
+                // (c) same-tile remainder: the original flowchart, then
+                //     finalize; the finished tile is staged in `left`.
+                let hi = copy_tile(dhi, nb, cc, cc);
+                let t = scalar_edge(ring, c, &lo, &hi, nb, r, cc, &finalize);
+                for il in 0..4 {
+                    left[il * nb + cc * 4..il * nb + cc * 4 + 4]
+                        .copy_from_slice(&t[il * 4..il * 4 + 4]);
+                }
             }
         }
     }
@@ -241,8 +288,10 @@ pub fn compute_diag_ring<S: Semiring>(
                 let c_tile = &mut c[r * 4 * nb + cc * 4..];
                 ring.tile4(c_tile, nb, &a_scratch, 4, &b_scratch, 4);
             }
-            // Edge k-tiles (tk == r and tk == cc) have same-tile operands.
-            scalar_edge(ring, c, None, None, nb, r, cc, &finalize);
+            // Edge k-tiles (tk == r and tk == cc) have same-tile operands;
+            // their other operands are this block's final diagonal tiles.
+            let (lo, hi) = (copy_tile(c, nb, r, r), copy_tile(c, nb, cc, cc));
+            scalar_edge(ring, c, &lo, &hi, nb, r, cc, &finalize);
         }
     }
 }
@@ -335,8 +384,13 @@ mod tests {
         // already final; C pre-loaded with stage-1 results (here: seeds).
         // The reference resolves k in block 0's range (k > i) and block 2's
         // range (k < j) with the scalar recurrence in global coordinates.
-        let nb = 8;
-        for seed in 0..6u64 {
+        // The block sides cover one partial panel (nb = 4, 8, 12), a full
+        // panel plus a one-tile panel (20), two plus one (36) and the
+        // workload's nb = 88 (five full panels plus two tiles).
+        for (nb, seed) in [4usize, 8, 12, 20, 36, 88]
+            .into_iter()
+            .flat_map(|nb| (0..6u64).map(move |seed| (nb, seed)))
+        {
             let mut dlo = seeded_block(nb, seed * 3 + 1, true);
             let mut dhi = seeded_block(nb, seed * 3 + 2, true);
             compute_diag(&mut dlo, nb);
@@ -364,7 +418,7 @@ mod tests {
                     refr[i * nb + j] = best;
                 }
             }
-            assert_eq!(fast, refr, "seed={seed}");
+            assert_eq!(fast, refr, "nb={nb} seed={seed}");
         }
     }
 

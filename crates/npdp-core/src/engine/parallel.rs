@@ -7,7 +7,7 @@ use task_queue::ExecStats;
 use crate::engine::{solve_closure, validate_seeds, Engine};
 use crate::error::SolveError;
 use crate::layout::{BlockedMatrix, TriangularMatrix};
-use crate::recurrence::{sweep_parallel, ClosureRec, SolveRecurrence};
+use crate::recurrence::{sweep_parallel, ClosureRec, InPlaceClosure, SolveRecurrence};
 use crate::semiring::MinPlus;
 use crate::value::DpValue;
 
@@ -124,9 +124,11 @@ impl ParallelEngine {
             self.nb,
             "matrix blocked with a different nb"
         );
-        // The matrix holds its own seeds; the closure's are its contents.
-        let seeds = m.to_triangular();
-        let rec = ClosureRec::new(MinPlus::new(), &seeds);
+        // The matrix holds its own seeds.
+        let rec = InPlaceClosure {
+            ring: MinPlus::new(),
+            n: m.n(),
+        };
         let stats = sweep_parallel(&rec, m, self.sb, self.workers, self.scheduler, ctx)?;
         debug_assert!(m.padding_is_inert());
         Ok(stats)

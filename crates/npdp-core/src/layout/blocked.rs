@@ -41,18 +41,18 @@ impl<T: DpValue> BlockedMatrix<T> {
         Self::new_filled(n, nb, T::INFINITY)
     }
 
-    /// Import a row-major triangular matrix into the NDL.
+    /// Import a row-major triangular matrix into the NDL: one slice copy per
+    /// row and block column.
     pub fn from_triangular(src: &TriangularMatrix<T>, nb: usize) -> Self {
         let mut out = Self::new_infinity(src.n(), nb);
-        for (i, j, v) in src.iter() {
-            out.set(i, j, v);
-        }
+        // The runs come in row-major order, which is the source's flat order.
+        let mut rest = src.as_slice();
+        out.for_each_run_mut(|_, _, run| {
+            let (head, tail) = rest.split_at(run.len());
+            run.copy_from_slice(head);
+            rest = tail;
+        });
         out
-    }
-
-    /// Export back to the row-major triangular layout.
-    pub fn to_triangular(&self) -> TriangularMatrix<T> {
-        TriangularMatrix::from_fn(self.n, |i, j| self.get(i, j))
     }
 
     /// Verify every padding cell still holds `INFINITY` — engines must keep
@@ -160,6 +160,30 @@ impl<T: Copy> BlockedMatrix<T> {
         self.block_mut(bi, bj)[(i % nb) * nb + (j % nb)] = v;
     }
 
+    /// Export back to the row-major triangular layout: each row's run per
+    /// block column, appended in order.
+    pub fn to_triangular(&self) -> TriangularMatrix<T> {
+        let mut flat = Vec::with_capacity(self.n * self.n.saturating_sub(1) / 2);
+        for i in 0..self.n {
+            for (_, run) in row_runs(self.n, self.nb, &self.grid, i) {
+                flat.extend_from_slice(&self.data[run]);
+            }
+        }
+        TriangularMatrix::from_flat(self.n, flat)
+    }
+
+    /// Calls `f(i, j0, run)` for every logical row `i` and every block
+    /// column it crosses, in row-major order: `run` is the contiguous
+    /// stretch of one block row that holds cells `(i, j0..j0 + run.len())`.
+    /// This is how the layout conversions move whole runs instead of cells.
+    pub(crate) fn for_each_run_mut(&mut self, mut f: impl FnMut(usize, usize, &mut [T])) {
+        for i in 0..self.n {
+            for (j0, run) in row_runs(self.n, self.nb, &self.grid, i) {
+                f(i, j0, &mut self.data[run]);
+            }
+        }
+    }
+
     /// The whole block-major backing store.
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -189,12 +213,99 @@ impl<T: Copy> BlockedMatrix<T> {
     }
 }
 
+/// The runs of logical row `i` (cells `(i, i+1..n)`) of a blocked triangle
+/// of side `n` and block side `nb`: one `(j0, flat range)` per block column
+/// the row crosses, columns ascending.
+fn row_runs(
+    n: usize,
+    nb: usize,
+    grid: &TriangleGrid,
+    i: usize,
+) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+    let (bi, li) = (i / nb, i % nb);
+    let first = i + 1;
+    let end = if first < n { n.div_ceil(nb) } else { 0 };
+    (first / nb..end).map(move |bj| {
+        let j0 = first.max(bj * nb);
+        let j1 = n.min((bj + 1) * nb);
+        let off = grid.id(bi, bj) * nb * nb + li * nb + (j0 - bj * nb);
+        (j0, off..off + (j1 - j0))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn sample_tri(n: usize) -> TriangularMatrix<f32> {
         TriangularMatrix::from_fn(n, |i, j| (i * 1000 + j) as f32)
+    }
+
+    /// The per-cell reference import: `new_filled`, then one `set` per
+    /// logical cell.
+    fn import_per_cell<T: Copy>(
+        n: usize,
+        nb: usize,
+        fill: T,
+        cell: impl Fn(usize, usize) -> T,
+    ) -> BlockedMatrix<T> {
+        let mut m = BlockedMatrix::new_filled(n, nb, fill);
+        for i in 0..n {
+            for j in i + 1..n {
+                m.set(i, j, cell(i, j));
+            }
+        }
+        m
+    }
+
+    proptest::proptest! {
+        /// The run-wise conversions equal the per-cell `get`/`set` walk, on
+        /// the sides around every block boundary: the import bit for bit
+        /// (padding included), the export cell for cell. `f32` goes through
+        /// `from_triangular`; a composite element (a cell's own label)
+        /// through `for_each_run_mut` and `to_triangular`.
+        #[test]
+        fn prop_run_wise_conversions_match_per_cell_access(
+            nb in proptest::prop_oneof![
+                proptest::prelude::Just(4usize),
+                proptest::prelude::Just(8),
+                proptest::prelude::Just(12),
+                proptest::prelude::Just(88)
+            ],
+            which in 0usize..7,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = [0, 1, 2, nb - 1, nb, nb + 1, 3 * nb + 1][which];
+            let mut s = seed | 1;
+            let t = TriangularMatrix::from_fn(n, |_, _| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Any finite non-negative float, subnormals and zeros included.
+                f32::from_bits((s >> 32) as u32 & 0x7f7f_ffff)
+            });
+            let runs = BlockedMatrix::from_triangular(&t, nb);
+            let cells = import_per_cell(n, nb, f32::INFINITY, |i, j| t.get(i, j));
+            let bits = |m: &BlockedMatrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&runs), bits(&cells), "import n={n} nb={nb}");
+            let back = runs.to_triangular();
+            assert_eq!(back.n(), n);
+            for (i, j, v) in back.iter() {
+                assert_eq!(v.to_bits(), runs.get(i, j).to_bits(), "export ({i},{j}) n={n} nb={nb}");
+            }
+
+            let none = (usize::MAX, usize::MAX);
+            let mut runs = BlockedMatrix::new_filled(n, nb, none);
+            runs.for_each_run_mut(|i, j0, run| {
+                for (j, cell) in (j0..).zip(run) {
+                    *cell = (i, j);
+                }
+            });
+            let cells = import_per_cell(n, nb, none, |i, j| (i, j));
+            assert_eq!(runs.as_slice(), cells.as_slice(), "labels n={n} nb={nb}");
+            let back = runs.to_triangular();
+            for (i, j, v) in back.iter() {
+                assert_eq!(v, (i, j), "label export n={n} nb={nb}");
+            }
+        }
     }
 
     #[test]

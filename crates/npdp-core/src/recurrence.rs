@@ -180,31 +180,15 @@ fn count_block(metrics: &Metrics, bi: usize, bj: usize, cells: usize) {
 }
 
 /// Seed a blocked matrix for `rec`: `zero` everywhere (padding included),
-/// `seed(i, j)` on logical cells.
+/// `seed(i, j)` on logical cells, filled one block-row run at a time.
 fn seeded_blocked<R: Recurrence>(rec: &R, nb: usize) -> BlockedMatrix<RingElem<R>> {
-    let n = rec.side();
-    let mut m = BlockedMatrix::new_filled(n, nb, rec.ring().zero());
-    for i in 0..n {
-        for j in i + 1..n {
-            m.set(i, j, rec.seed(i, j));
+    let mut m = BlockedMatrix::new_filled(rec.side(), nb, rec.ring().zero());
+    m.for_each_run_mut(|i, j0, run| {
+        for (j, cell) in (j0..).zip(run) {
+            *cell = rec.seed(i, j);
         }
-    }
+    });
     m
-}
-
-/// Export a solved blocked matrix to the triangular layout.
-fn extract_triangular<R: Recurrence>(
-    rec: &R,
-    m: &BlockedMatrix<RingElem<R>>,
-) -> TriangularMatrix<RingElem<R>> {
-    let n = rec.side();
-    let mut out = TriangularMatrix::filled(n, rec.ring().zero());
-    for i in 0..n {
-        for j in i + 1..n {
-            out.set(i, j, m.get(i, j));
-        }
-    }
-    out
 }
 
 /// The NDL sweep over an arbitrary recurrence — the one single-threaded
@@ -235,7 +219,7 @@ pub fn solve_blocked<R: Recurrence>(
     // Free the scratch before the export allocates the table: kept alive,
     // it shifts where the allocator places the caller's next large buffer.
     drop(scratch);
-    extract_triangular(rec, &m)
+    m.to_triangular()
 }
 
 /// CellNPDP over an arbitrary recurrence: the task-queue parallel tier over
@@ -256,7 +240,7 @@ pub fn solve_parallel<R: Recurrence>(
 ) -> Result<(TriangularMatrix<RingElem<R>>, ExecStats), SolveError> {
     let mut m = seeded_blocked(rec, nb);
     let stats = sweep_parallel(rec, &mut m, sb, workers, scheduler, ctx)?;
-    Ok((extract_triangular(rec, &m), stats))
+    Ok((m.to_triangular(), stats))
 }
 
 /// [`solve_parallel`]'s sweep over an already-seeded blocked matrix, in
@@ -471,6 +455,31 @@ impl<S: Semiring> Recurrence for ClosureRec<'_, S> {
     }
 }
 
+/// The closure of a blocked matrix that already holds its seeds: a ring and
+/// a side, nothing else. [`sweep_parallel`] reads only those (and the
+/// identity `finalize`), so `ParallelEngine::solve_blocked_with` sweeps in
+/// place without exporting the matrix to build a [`ClosureRec`].
+pub(crate) struct InPlaceClosure<S> {
+    pub(crate) ring: S,
+    pub(crate) n: usize,
+}
+
+impl<S: Semiring> Recurrence for InPlaceClosure<S> {
+    type Ring = S;
+
+    fn ring(&self) -> &S {
+        &self.ring
+    }
+
+    fn side(&self) -> usize {
+        self.n
+    }
+
+    fn seed(&self, _: usize, _: usize) -> S::Elem {
+        unreachable!("an in-place sweep reads its seeds from the blocked matrix")
+    }
+}
+
 /// Shared-split NPDP with a `k`-dependent cost term (matrix chain and kin):
 /// the [`Recurrence`] spelling of [`crate::apps::generic::solve_shared_split`],
 /// serial-only by construction.
@@ -609,6 +618,87 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((s >> 33) as f32) / (u32::MAX as f32) * 100.0
         })
+    }
+
+    /// A composite-element ring for layout tests: every cell carries its
+    /// own `(i, j)` label.
+    #[derive(Clone)]
+    struct Labels;
+
+    impl Semiring for Labels {
+        type Elem = (usize, usize);
+
+        fn zero(&self) -> (usize, usize) {
+            (usize::MAX, usize::MAX)
+        }
+
+        fn combine(&self, a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+            a.min(b)
+        }
+
+        fn extend(&self, a: (usize, usize), b: (usize, usize)) -> (usize, usize) {
+            (a.0, b.1)
+        }
+    }
+
+    struct LabelRec(usize);
+
+    impl Recurrence for LabelRec {
+        type Ring = Labels;
+
+        fn ring(&self) -> &Labels {
+            &Labels
+        }
+
+        fn side(&self) -> usize {
+            self.0
+        }
+
+        fn seed(&self, i: usize, j: usize) -> (usize, usize) {
+            (i, j)
+        }
+    }
+
+    /// `seeded_blocked` and the export equal per-cell `set`/`get` walks, for
+    /// `f32` closures and a composite element, on the sides around every
+    /// block boundary.
+    fn assert_seeding_matches_per_cell<R: Recurrence>(rec: &R, nb: usize) {
+        let n = rec.side();
+        let runs = seeded_blocked(rec, nb);
+        let mut cells = BlockedMatrix::new_filled(n, nb, rec.ring().zero());
+        for i in 0..n {
+            for j in i + 1..n {
+                cells.set(i, j, rec.seed(i, j));
+            }
+        }
+        assert!(runs.as_slice() == cells.as_slice(), "seeding n={n} nb={nb}");
+        let out = runs.to_triangular();
+        let mut per_cell = TriangularMatrix::filled(n, rec.ring().zero());
+        for i in 0..n {
+            for j in i + 1..n {
+                per_cell.set(i, j, cells.get(i, j));
+            }
+        }
+        assert!(out == per_cell, "export n={n} nb={nb}");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_seeded_blocked_matches_per_cell_set(
+            nb in proptest::prop_oneof![
+                proptest::prelude::Just(4usize),
+                proptest::prelude::Just(8),
+                proptest::prelude::Just(12),
+                proptest::prelude::Just(88)
+            ],
+            which in 0usize..7,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let n = [0, 1, 2, nb - 1, nb, nb + 1, 3 * nb + 1][which];
+            let seeds = random_seeds(n, seed);
+            assert_seeding_matches_per_cell(&ClosureRec::new(MinPlus::<f32>::new(), &seeds), nb);
+            assert_seeding_matches_per_cell(&LabelRec(n), nb);
+        }
     }
 
     #[test]

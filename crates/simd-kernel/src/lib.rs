@@ -13,12 +13,16 @@
 //! 128-bit SIMD unit. That 4×4 kernel stays the Table I reference.
 //!
 //! The host does not have to copy the SPU's shape: [`rank`] holds the
-//! host-native min-plus rank update (`C ⊕= A ⊗ B` on whole panels), an AVX2
-//! register-blocked micro-kernel chosen at run time, bit-identical to the
-//! 4×4 sweep it falls back to. [`lane`] holds its `i32` sibling for rings
-//! whose element is a vector of independent tropical lanes (rule-lane CYK):
-//! `C ⊕= A ⊗ B` lane by lane, one 256-bit register per element. These two
-//! modules are the only `unsafe` code in the crate.
+//! host-native min-plus rank update (`C ⊕= A ⊗ B` on whole panels). Its
+//! entry points dispatch at run time between three tiers: an AVX-512F
+//! micro-kernel (a 6 × 64 `f32` tile in 24 `zmm` accumulators), an AVX2
+//! one (6 × 16 in 12 `ymm`), and the 4×4 sweep. Every candidate is one add
+//! and one `min(cand, acc)`, k ascending, with the same `MINPS` tie and NaN
+//! rule at every width, so all three tiers give the same bits. [`lane`]
+//! holds its `i32` sibling for rings whose element is a vector of
+//! independent tropical lanes (rule-lane CYK): `C ⊕= A ⊗ B` lane by lane,
+//! one 256-bit register per element (AVX2 or portable). These two modules
+//! are the only `unsafe` and the only ISA-specific code in the crate.
 //!
 //! ```
 //! use simd_kernel::{block4x4_minplus_f32, F32x4, KERNEL_SIMD_INSTRUCTIONS};

@@ -2,38 +2,54 @@
 //!
 //! The 4×4 kernel in [`crate::kernel`] copies the SPU's shape: 128-bit rows,
 //! and every C tile loaded and stored again after only four k-steps. On an
-//! x86_64 host with AVX2 the same update runs as a register-blocked
-//! micro-kernel instead: a 6-row × 16-column tile of C (6 × 8 for `f64`)
-//! stays in twelve 256-bit accumulators for the whole `depth`, and each
-//! k-step costs one B row load per accumulator column plus one broadcast of
-//! A per row.
+//! x86_64 host the same update runs as a register-blocked micro-kernel
+//! instead: a tile of C stays in vector accumulators for the whole `depth`,
+//! and each k-step costs one B row load per accumulator column plus one
+//! broadcast of A per row. There are three tiers:
+//!
+//! | tier | `f32` tile | `f64` tile | accumulators |
+//! |---|---|---|---|
+//! | AVX-512F | 6 rows × 64 columns (4 `zmm`) | 6 × 32 (4 `zmm`) | 24 of 32 `zmm` |
+//! | AVX2 | 6 × 16 (2 `ymm`) | 6 × 8 (2 `ymm`) | 12 of 16 `ymm` |
+//! | portable | the 4×4 tile sweep | the 4×4 tile sweep | — |
+//!
+//! Each SIMD tier walks C in column panels, widest tile first. The AVX-512
+//! tier takes the remainders at 32 and 16 `f32` columns (16 and 8 `f64`)
+//! with narrower `zmm` tiles, then hands the last 8 / 4 `f32` columns (4
+//! `f64`) to the AVX2 kernels. Inside a panel, rows go in blocks of 6, then
+//! one block of 4, then one row at a time.
 //!
 //! # Bit-identity
 //!
 //! Each candidate is one IEEE add of an A element and a B element, in that
 //! operand order, and the accumulator takes it only when it is strictly
-//! smaller — `_mm256_min_ps(cand, acc)` returns `cand < acc ? cand : acc`,
-//! which is exactly `DpValue::min2(acc, cand)`, ties and NaN included. Every
-//! cell walks k in ascending order, as the 4×4 tile sweep does. There is no
-//! FMA and no reassociation, so the dispatched kernel and the portable
-//! sweep produce the same bits (pinned by the tests below).
+//! smaller: `_mm512_min_ps(cand, acc)`, `_mm256_min_ps(cand, acc)` and
+//! `_mm_min_ps(cand, acc)` all return `cand < acc ? cand : acc` (the
+//! `MINPS` rule is the same at every width), which is exactly
+//! `DpValue::min2(acc, cand)`, ties and NaN included. Every cell walks k in
+//! ascending order, as the 4×4 tile sweep does. There is no FMA and no
+//! reassociation, so every tier produces the same bits as the portable
+//! sweep. The tests below pin the dispatched entry points and, called
+//! directly, each tier the CPU has.
 //!
-//! [`minplus_rank_update_i64`] is the same kernel over saturating `i64`
+//! [`minplus_rank_update_i64`] is the AVX2 kernel over saturating `i64`
 //! (6 × 8 tile, `vpaddq` then `vpcmpgtq` + blend for `min`). AVX2 has no
 //! saturating 64-bit add, so it runs only on panels whose A and B elements
 //! all lie in `[i64::MIN / 2, i64::MAX / 2]`, where no sum can overflow and
 //! the plain add *is* the saturating one. Min-plus tables always qualify
 //! (every cell is at most `i64::MAX / 4`); other panels take the portable
-//! sweep.
+//! sweep. It has no AVX-512 tier.
 //!
 //! # Dispatch
 //!
 //! [`minplus_rank_update_f32`] / [`minplus_rank_update_f64`] /
 //! [`minplus_rank_update_i64`] are the only entry points. They check the
-//! operand extents, then run the AVX2 kernel when
-//! `is_x86_feature_detected!("avx2")` holds and otherwise the 4×4 tile
-//! sweep ([`block4x4_minplus_f32_arrays`] per tile), which is also what
-//! every non-x86_64 target compiles to.
+//! operand extents, then run the AVX-512 tier when
+//! `is_x86_feature_detected!("avx512f")` holds, AVX2 too (`f32` / `f64`
+//! only; its column remainders run the AVX2 kernels), else
+//! the AVX2 tier when `is_x86_feature_detected!("avx2")` holds, and
+//! otherwise the 4×4 tile sweep ([`block4x4_minplus_f32_arrays`] per tile),
+//! which is also what every non-x86_64 target compiles to.
 
 use crate::kernel::{block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays};
 
@@ -99,11 +115,20 @@ pub fn minplus_rank_update_f32(
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected just above, and `check_extents` proved
-        // every panel lies inside its slice.
-        unsafe { avx2::rank_update_f32(c, cs, a, as_, b, bs, rows, cols, depth) };
-        return;
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX-512F and AVX2 (its column remainders run the
+            // AVX2 kernels) were detected just above, and `check_extents`
+            // proved every panel lies inside its slice.
+            unsafe { avx512::rank_update_f32(c, cs, a, as_, b, bs, rows, cols, depth) };
+            return;
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected just above, and `check_extents`
+            // proved every panel lies inside its slice.
+            unsafe { avx2::rank_update_f32(c, cs, a, as_, b, bs, rows, cols, depth) };
+            return;
+        }
     }
     portable_f32(c, cs, a, as_, b, bs, rows, cols, depth);
 }
@@ -131,11 +156,20 @@ pub fn minplus_rank_update_f64(
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected just above, and `check_extents` proved
-        // every panel lies inside its slice.
-        unsafe { avx2::rank_update_f64(c, cs, a, as_, b, bs, rows, cols, depth) };
-        return;
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX-512F and AVX2 (its column remainders run the
+            // AVX2 kernels) were detected just above, and `check_extents`
+            // proved every panel lies inside its slice.
+            unsafe { avx512::rank_update_f64(c, cs, a, as_, b, bs, rows, cols, depth) };
+            return;
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected just above, and `check_extents`
+            // proved every panel lies inside its slice.
+            unsafe { avx2::rank_update_f64(c, cs, a, as_, b, bs, rows, cols, depth) };
+            return;
+        }
     }
     portable_f64(c, cs, a, as_, b, bs, rows, cols, depth);
 }
@@ -243,75 +277,141 @@ portable_sweep!(portable_f32, f32, block4x4_minplus_f32_arrays);
 portable_sweep!(portable_f64, f64, block4x4_minplus_f64_arrays);
 portable_sweep!(portable_i64, i64, block4x4_minplus_i64);
 
+/// Rows of C one micro-kernel call keeps in registers, at either width: 6
+/// rows × 2 `ymm` = 12 accumulators of the 16 AVX2 registers, 6 rows × 4
+/// `zmm` = 24 of the 32 AVX-512 ones, with room for the B row and the A
+/// broadcast.
+#[cfg(target_arch = "x86_64")]
+const MR: usize = 6;
+
+/// Generates one register-blocked micro-kernel for target feature `$feat`:
+/// `ROWS` rows of C × `NV` vectors of `$lanes` columns, held in
+/// accumulators across the whole `depth`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! micro_kernel {
+    ($feat:literal, $name:ident, $elem:ty, $lanes:expr,
+     $load:ident, $store:ident, $splat:ident, $add:ident, $min:ident) => {
+        /// # Safety
+        ///
+        /// The CPU supports the kernel's target feature; `c` holds `ROWS`
+        /// rows of stride `cs` and `NV × LANES` columns, `a` `ROWS` rows of
+        /// stride `as_` and `depth` columns, `b` `depth` rows of stride `bs`
+        /// and `NV × LANES` columns.
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        pub(super) unsafe fn $name<const ROWS: usize, const NV: usize>(
+            c: *mut $elem,
+            cs: usize,
+            a: *const $elem,
+            as_: usize,
+            b: *const $elem,
+            bs: usize,
+            depth: usize,
+        ) {
+            let mut acc = [[$splat(<$elem>::default()); NV]; ROWS];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, lane) in row.iter_mut().enumerate() {
+                    // SAFETY: row `r < ROWS`, columns `v·LANES..` below
+                    // `NV·LANES`, inside C by the caller's contract.
+                    *lane = unsafe { $load(c.add(r * cs + v * $lanes)) };
+                }
+            }
+            for k in 0..depth {
+                let mut bv = [$splat(<$elem>::default()); NV];
+                for (v, lane) in bv.iter_mut().enumerate() {
+                    // SAFETY: row `k < depth` of B, columns inside the
+                    // `NV·LANES` panel.
+                    *lane = unsafe { $load(b.add(k * bs + v * $lanes)) };
+                }
+                for (r, row) in acc.iter_mut().enumerate() {
+                    // SAFETY: element `(r, k)` of the `ROWS × depth` A panel.
+                    let av = $splat(unsafe { *a.add(r * as_ + k) });
+                    for (lane, &bk) in row.iter_mut().zip(&bv) {
+                        // `min(cand, acc)` returns `acc` unless `cand` is
+                        // strictly smaller: `DpValue::min2(acc, cand)`.
+                        *lane = $min($add(av, bk), *lane);
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, &lane) in row.iter().enumerate() {
+                    // SAFETY: the same in-bounds C elements loaded above.
+                    unsafe { $store(c.add(r * cs + v * $lanes), lane) };
+                }
+            }
+        }
+    };
+}
+
+/// Walks C in column panels (widest register tile first) and, inside each
+/// panel, in 6-row blocks, then one 4-row block, then single rows. Every
+/// `(width, kernel, nv)` covers `width` columns with `kernel::<_, nv>`.
+#[cfg(target_arch = "x86_64")]
+macro_rules! panel_sweep {
+    ($feat:literal, $name:ident, $elem:ty, $(($width:expr, $kernel:ident, $nv:expr)),+) => {
+        /// # Safety
+        ///
+        /// The CPU supports the sweep's target feature and the panels
+        /// satisfy `super::check_extents`.
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        pub(super) unsafe fn $name(
+            c: &mut [$elem],
+            cs: usize,
+            a: &[$elem],
+            as_: usize,
+            b: &[$elem],
+            bs: usize,
+            rows: usize,
+            cols: usize,
+            depth: usize,
+        ) {
+            use super::MR;
+            let (c, a, b) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+            let mut j = 0;
+            $(
+                while cols - j >= $width {
+                    let mut r = 0;
+                    while rows - r >= MR {
+                        // SAFETY: rows `r..r + MR` and columns `j..j + width`
+                        // lie inside the panels the caller checked, and the
+                        // kernel's feature is enabled here.
+                        unsafe {
+                            $kernel::<MR, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
+                                b.add(j), bs, depth)
+                        };
+                        r += MR;
+                    }
+                    if rows - r >= 4 {
+                        // SAFETY: as above, for four rows.
+                        unsafe {
+                            $kernel::<4, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
+                                b.add(j), bs, depth)
+                        };
+                        r += 4;
+                    }
+                    while r < rows {
+                        // SAFETY: as above, for one row.
+                        unsafe {
+                            $kernel::<1, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
+                                b.add(j), bs, depth)
+                        };
+                        r += 1;
+                    }
+                    j += $width;
+                }
+            )+
+            debug_assert_eq!(j, cols);
+        }
+    };
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    /// Rows of C one micro-kernel call keeps in registers: 6 rows × 2
-    /// vectors = 12 accumulators, plus 2 B vectors and 1 A broadcast, of
-    /// the 16 `ymm` registers.
-    const MR: usize = 6;
-
-    /// Generates one register-blocked micro-kernel: `ROWS` rows of C × `NV`
-    /// vectors of `$lanes` columns, held in accumulators across the whole
-    /// `depth`.
-    macro_rules! micro_kernel {
-        ($name:ident, $elem:ty, $lanes:expr,
-         $load:ident, $store:ident, $splat:ident, $add:ident, $min:ident) => {
-            /// # Safety
-            ///
-            /// The CPU supports AVX2; `c` holds `ROWS` rows of stride `cs`
-            /// and `NV × LANES` columns, `a` `ROWS` rows of stride `as_` and
-            /// `depth` columns, `b` `depth` rows of stride `bs` and
-            /// `NV × LANES` columns.
-            #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
-            unsafe fn $name<const ROWS: usize, const NV: usize>(
-                c: *mut $elem,
-                cs: usize,
-                a: *const $elem,
-                as_: usize,
-                b: *const $elem,
-                bs: usize,
-                depth: usize,
-            ) {
-                let mut acc = [[$splat(<$elem>::default()); NV]; ROWS];
-                for (r, row) in acc.iter_mut().enumerate() {
-                    for (v, lane) in row.iter_mut().enumerate() {
-                        // SAFETY: row `r < ROWS`, columns `v·LANES..` below
-                        // `NV·LANES`, inside C by the caller's contract.
-                        *lane = unsafe { $load(c.add(r * cs + v * $lanes)) };
-                    }
-                }
-                for k in 0..depth {
-                    let mut bv = [$splat(<$elem>::default()); NV];
-                    for (v, lane) in bv.iter_mut().enumerate() {
-                        // SAFETY: row `k < depth` of B, columns inside the
-                        // `NV·LANES` panel.
-                        *lane = unsafe { $load(b.add(k * bs + v * $lanes)) };
-                    }
-                    for (r, row) in acc.iter_mut().enumerate() {
-                        // SAFETY: element `(r, k)` of the `ROWS × depth` A
-                        // panel.
-                        let av = $splat(unsafe { *a.add(r * as_ + k) });
-                        for (lane, &bk) in row.iter_mut().zip(&bv) {
-                            // `min(cand, acc)` returns `acc` unless `cand`
-                            // is strictly smaller: `DpValue::min2(acc, cand)`.
-                            *lane = $min($add(av, bk), *lane);
-                        }
-                    }
-                }
-                for (r, row) in acc.iter().enumerate() {
-                    for (v, &lane) in row.iter().enumerate() {
-                        // SAFETY: the same in-bounds C elements loaded above.
-                        unsafe { $store(c.add(r * cs + v * $lanes), lane) };
-                    }
-                }
-            }
-        };
-    }
-
     micro_kernel!(
+        "avx2",
         tile_f32,
         f32,
         8,
@@ -322,6 +422,7 @@ mod avx2 {
         _mm256_min_ps
     );
     micro_kernel!(
+        "avx2",
         tile4_f32,
         f32,
         4,
@@ -332,6 +433,7 @@ mod avx2 {
         _mm_min_ps
     );
     micro_kernel!(
+        "avx2",
         tile_f64,
         f64,
         4,
@@ -373,6 +475,7 @@ mod avx2 {
     }
 
     micro_kernel!(
+        "avx2",
         tile_i64,
         i64,
         4,
@@ -383,75 +486,81 @@ mod avx2 {
         min_i64
     );
 
-    /// Walks C in column panels (widest register tile first) and, inside
-    /// each panel, in 6-row blocks, then one 4-row block, then single rows.
-    macro_rules! panel_sweep {
-        ($name:ident, $elem:ty, $(($width:expr, $kernel:ident, $nv:expr)),+) => {
-            /// # Safety
-            ///
-            /// The CPU supports AVX2 and the panels satisfy
-            /// `super::check_extents`.
-            #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
-            pub(super) unsafe fn $name(
-                c: &mut [$elem],
-                cs: usize,
-                a: &[$elem],
-                as_: usize,
-                b: &[$elem],
-                bs: usize,
-                rows: usize,
-                cols: usize,
-                depth: usize,
-            ) {
-                let (c, a, b) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
-                let mut j = 0;
-                $(
-                    while cols - j >= $width {
-                        let mut r = 0;
-                        while rows - r >= MR {
-                            // SAFETY: rows `r..r + MR` and columns
-                            // `j..j + width` lie inside the panels the caller
-                            // checked, and AVX2 is enabled here.
-                            unsafe {
-                                $kernel::<MR, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
-                                    b.add(j), bs, depth)
-                            };
-                            r += MR;
-                        }
-                        if rows - r >= 4 {
-                            // SAFETY: as above, for four rows.
-                            unsafe {
-                                $kernel::<4, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
-                                    b.add(j), bs, depth)
-                            };
-                            r += 4;
-                        }
-                        while r < rows {
-                            // SAFETY: as above, for one row.
-                            unsafe {
-                                $kernel::<1, $nv>(c.add(r * cs + j), cs, a.add(r * as_), as_,
-                                    b.add(j), bs, depth)
-                            };
-                            r += 1;
-                        }
-                        j += $width;
-                    }
-                )+
-                debug_assert_eq!(j, cols);
-            }
-        };
-    }
-
     panel_sweep!(
+        "avx2",
         rank_update_f32,
         f32,
         (16, tile_f32, 2),
         (8, tile_f32, 1),
         (4, tile4_f32, 1)
     );
-    panel_sweep!(rank_update_f64, f64, (8, tile_f64, 2), (4, tile_f64, 1));
-    panel_sweep!(rank_update_i64, i64, (8, tile_i64, 2), (4, tile_i64, 1));
+    panel_sweep!(
+        "avx2",
+        rank_update_f64,
+        f64,
+        (8, tile_f64, 2),
+        (4, tile_f64, 1)
+    );
+    panel_sweep!(
+        "avx2",
+        rank_update_i64,
+        i64,
+        (8, tile_i64, 2),
+        (4, tile_i64, 1)
+    );
+}
+
+/// The AVX-512F tier of the `f32` and `f64` kernels: a 6 × 4 `zmm` tile (64
+/// `f32` or 32 `f64` columns) for the wide panels, narrower `zmm` tiles for
+/// the column remainders, and the AVX2 kernels for the last 8 / 4 columns.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::avx2::{tile4_f32, tile_f32, tile_f64};
+
+    micro_kernel!(
+        "avx512f",
+        zmm_f32,
+        f32,
+        16,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_add_ps,
+        _mm512_min_ps
+    );
+    micro_kernel!(
+        "avx512f",
+        zmm_f64,
+        f64,
+        8,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        _mm512_set1_pd,
+        _mm512_add_pd,
+        _mm512_min_pd
+    );
+
+    panel_sweep!(
+        "avx512f",
+        rank_update_f32,
+        f32,
+        (64, zmm_f32, 4),
+        (32, zmm_f32, 2),
+        (16, zmm_f32, 1),
+        (8, tile_f32, 1),
+        (4, tile4_f32, 1)
+    );
+    panel_sweep!(
+        "avx512f",
+        rank_update_f64,
+        f64,
+        (32, zmm_f64, 4),
+        (16, zmm_f64, 2),
+        (8, zmm_f64, 1),
+        (4, tile_f64, 1)
+    );
 }
 
 #[cfg(test)]
@@ -545,24 +654,37 @@ mod tests {
         }
     }
 
-    /// Runs the dispatched entry point and the portable sweep on the same
-    /// hard inputs and compares the bits of all of C. Strides are wider than
-    /// the panels, so both must also leave the gap columns alone.
+    /// A rank update with the entry points' signature.
+    trait Kernel<T>: Fn(&mut [T], usize, &[T], usize, &[T], usize, usize, usize, usize) {}
+
+    impl<T, F: Fn(&mut [T], usize, &[T], usize, &[T], usize, usize, usize, usize)> Kernel<T> for F {}
+
+    /// Runs `fast` (an entry point or one tier of it) and the portable sweep
+    /// on the same hard inputs and compares the bits of all of C. Strides
+    /// are wider than the panels, so both must also leave the gap columns
+    /// alone.
     macro_rules! assert_matches {
-        ($name:ident, $elem:ty, $gen:ident, $fast:ident, $portable:ident) => {
-            fn $name(rows: usize, cols: usize, depth: usize, pad: usize, seed: u64) {
+        ($name:ident, $elem:ty, $gen:ident, $portable:ident) => {
+            fn $name(
+                fast: impl Kernel<$elem>,
+                rows: usize,
+                cols: usize,
+                depth: usize,
+                pad: usize,
+                seed: u64,
+            ) {
                 let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
                 let (cs, as_, bs) = (cols + pad, depth + pad, cols + 2 * pad);
                 let mut fill =
                     |len: usize| -> Vec<$elem> { (0..len).map(|_| $gen(&mut s)).collect() };
                 let (c, a, b) = (fill(rows * cs), fill(rows * as_), fill(depth * bs));
-                let mut fast = c.clone();
+                let mut c_fast = c.clone();
                 let mut portable = c;
-                $fast(&mut fast, cs, &a, as_, &b, bs, rows, cols, depth);
+                fast(&mut c_fast, cs, &a, as_, &b, bs, rows, cols, depth);
                 $portable(&mut portable, cs, &a, as_, &b, bs, rows, cols, depth);
                 let bits = |v: &[$elem]| v.iter().map(|x| x.bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    bits(&fast),
+                    bits(&c_fast),
                     bits(&portable),
                     "{} {rows}×{cols}×{depth} pad {pad} seed {seed}",
                     stringify!($elem)
@@ -571,44 +693,116 @@ mod tests {
         };
     }
 
-    assert_matches!(
-        assert_f32_matches,
-        f32,
-        hard_f32,
-        minplus_rank_update_f32,
-        portable_f32
-    );
-    assert_matches!(
-        assert_f64_matches,
-        f64,
-        hard_f64,
-        minplus_rank_update_f64,
-        portable_f64
-    );
-    assert_matches!(
-        assert_i64_matches,
-        i64,
-        hard_i64_in_range,
-        minplus_rank_update_i64,
-        portable_i64
-    );
+    assert_matches!(assert_f32_matches, f32, hard_f32, portable_f32);
+    assert_matches!(assert_f64_matches, f64, hard_f64, portable_f64);
+    assert_matches!(assert_i64_matches, i64, hard_i64_in_range, portable_i64);
     assert_matches!(
         assert_i64_outliers_match,
         i64,
         hard_i64_with_outliers,
-        minplus_rank_update_i64,
         portable_i64
     );
+
+    /// The tiers the `f32` / `f64` entry points dispatch between, widest
+    /// first.
+    #[derive(Clone, Copy, Debug)]
+    enum Tier {
+        Avx512,
+        Avx2,
+        Portable,
+    }
+
+    impl Tier {
+        const ALL: [Tier; 3] = [Tier::Avx512, Tier::Avx2, Tier::Portable];
+
+        /// Whether this CPU runs the tier; a tier it lacks prints a skip
+        /// line instead of passing silently.
+        fn available(self) -> bool {
+            let ok = match self {
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx512 => {
+                    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2")
+                }
+                #[cfg(target_arch = "x86_64")]
+                Tier::Avx2 => is_x86_feature_detected!("avx2"),
+                Tier::Portable => true,
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => false,
+            };
+            if !ok {
+                println!("skip: the {self:?} rank-update tier is not available on this CPU");
+            }
+            ok
+        }
+    }
+
+    /// One tier of an entry point, called directly after the entry point's
+    /// own extent check.
+    macro_rules! tier_kernel {
+        ($name:ident, $elem:ty, $kernel:ident, $portable:ident) => {
+            fn $name(tier: Tier) -> impl Kernel<$elem> {
+                move |c: &mut [$elem], cs, a: &[$elem], as_, b: &[$elem], bs, rows, cols, depth| {
+                    check_extents(c.len(), cs, a.len(), as_, b.len(), bs, rows, cols, depth);
+                    match tier {
+                        // SAFETY: the tests only run tiers whose feature
+                        // `Tier::available` detected, and `check_extents`
+                        // proved every panel lies inside its slice.
+                        #[cfg(target_arch = "x86_64")]
+                        Tier::Avx512 => unsafe {
+                            avx512::$kernel(c, cs, a, as_, b, bs, rows, cols, depth)
+                        },
+                        // SAFETY: as above.
+                        #[cfg(target_arch = "x86_64")]
+                        Tier::Avx2 => unsafe {
+                            avx2::$kernel(c, cs, a, as_, b, bs, rows, cols, depth)
+                        },
+                        _ => $portable(c, cs, a, as_, b, bs, rows, cols, depth),
+                    }
+                }
+            }
+        };
+    }
+
+    tier_kernel!(tier_f32, f32, rank_update_f32, portable_f32);
+    tier_kernel!(tier_f64, f64, rank_update_f64, portable_f64);
+
+    /// Every tier the CPU has, called directly, equals the portable sweep
+    /// bit for bit on the hard value classes, over shapes that take every
+    /// column remainder of the widest tile (64/32/16/8/4 `f32` columns,
+    /// 32/16/8/4 `f64` columns) and every row remainder (6/4/1), with and
+    /// without stride gaps. The dispatched tests above reach only the
+    /// widest tier; this one keeps the narrower ones covered on every host.
+    #[test]
+    fn every_tier_matches_portable_sweep() {
+        let rows = [4, 8, 12, 16, 20];
+        let cols = [4, 8, 12, 16, 24, 28, 32, 44, 60, 64, 88, 124];
+        for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
+            for (i, (&r, &c)) in rows
+                .iter()
+                .flat_map(|r| cols.iter().map(move |c| (r, c)))
+                .enumerate()
+            {
+                for depth in [4, 12, 40] {
+                    for pad in [0, 3] {
+                        let seed = (i * 100 + depth + pad) as u64;
+                        assert_f32_matches(tier_f32(tier), r, c, depth, pad, seed);
+                        assert_f64_matches(tier_f64(tier), r, c, depth, pad, seed);
+                    }
+                }
+            }
+            println!("{tier:?} tier: bit-identical to the portable sweep");
+        }
+    }
 
     /// Every square stage-1 shape from nb = 4 to 96: the dispatched kernel
     /// equals the portable sweep bit for bit.
     #[test]
     fn square_blocks_match_portable_sweep() {
         for nb in (4..=96).step_by(4) {
-            assert_f32_matches(nb, nb, nb, 0, nb as u64);
-            assert_f64_matches(nb, nb, nb, 0, nb as u64);
-            assert_i64_matches(nb, nb, nb, 0, nb as u64);
-            assert_i64_outliers_match(nb, nb, nb, 0, nb as u64);
+            assert_f32_matches(minplus_rank_update_f32, nb, nb, nb, 0, nb as u64);
+            assert_f64_matches(minplus_rank_update_f64, nb, nb, nb, 0, nb as u64);
+            assert_i64_matches(minplus_rank_update_i64, nb, nb, nb, 0, nb as u64);
+            assert_i64_outliers_match(minplus_rank_update_i64, nb, nb, nb, 0, nb as u64);
         }
     }
 
@@ -618,9 +812,30 @@ mod tests {
     fn stage2_strip_shapes_match_portable_sweep() {
         for nb in [8usize, 16, 40, 88, 96] {
             for depth in (4..nb).step_by(4) {
-                assert_f32_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
-                assert_f64_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
-                assert_i64_matches(4, nb, depth, 3, (nb * 1000 + depth) as u64);
+                assert_f32_matches(
+                    minplus_rank_update_f32,
+                    4,
+                    nb,
+                    depth,
+                    3,
+                    (nb * 1000 + depth) as u64,
+                );
+                assert_f64_matches(
+                    minplus_rank_update_f64,
+                    4,
+                    nb,
+                    depth,
+                    3,
+                    (nb * 1000 + depth) as u64,
+                );
+                assert_i64_matches(
+                    minplus_rank_update_i64,
+                    4,
+                    nb,
+                    depth,
+                    3,
+                    (nb * 1000 + depth) as u64,
+                );
             }
         }
     }
@@ -700,10 +915,10 @@ mod tests {
             rows in 1usize..25, cols in 1usize..25, depth in 1usize..25,
             pad in 0usize..6, seed in any::<u64>(),
         ) {
-            assert_f32_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
-            assert_f64_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
-            assert_i64_matches(4 * rows, 4 * cols, 4 * depth, pad, seed);
-            assert_i64_outliers_match(4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_f32_matches(minplus_rank_update_f32, 4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_f64_matches(minplus_rank_update_f64, 4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_i64_matches(minplus_rank_update_i64, 4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_i64_outliers_match(minplus_rank_update_i64, 4 * rows, 4 * cols, 4 * depth, pad, seed);
         }
     }
 }

@@ -69,6 +69,21 @@ for lint in 'unsafe_op_in_unsafe_fn' 'clippy::undocumented_unsafe_blocks'; do
 done
 echo "Kernel guard: one dispatching entry point per type; unsafe documented."
 
+# ISA-specific code lives in the two kernel modules of simd-kernel, behind
+# their safe dispatching entry points: intrinsics, `#[target_feature]`
+# functions and run-time feature detection appear nowhere else, so a new
+# tier cannot grow outside the tests that pin it to the portable sweep.
+arch=$(grep -rnE 'std::arch|#\[target_feature|is_x86_feature_detected!' \
+           crates tests examples compat --include='*.rs' \
+       | grep -vE '^crates/simd-kernel/src/(rank|lane)\.rs:' || true)
+if [ -n "$arch" ]; then
+    echo "ERROR: ISA-specific code outside crates/simd-kernel/src/{rank,lane}.rs:" >&2
+    printf '  %s\n' "$arch" >&2
+    echo "Add the kernel to simd-kernel's rank or lane module instead." >&2
+    exit 1
+fi
+echo "ISA guard: std::arch and feature dispatch only in simd-kernel's rank/lane modules."
+
 # `SharedBlocked` (engine/shared.rs) is the only unsafe code in npdp-core:
 # raw-pointer block views behind a per-block atomic state machine. Kernels
 # that need `std::arch` live in simd-kernel, behind a safe dispatching entry
