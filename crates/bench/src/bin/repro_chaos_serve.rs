@@ -14,8 +14,8 @@
 //!    with [`CallOpts`] socket timeouts, per-call deadlines and
 //!    retry-with-backoff. Ok bodies are verified bit-identical to a
 //!    direct solve of the same seeds.
-//! 2. **Deadline load** — requests stamped with budgets the batch linger
-//!    often outlives; each must come back `Ok` (solved in time) or a
+//! 2. **Deadline load** — requests stamped with budgets a busy epoch or
+//!    lane often outlives; each must come back `Ok` (solved in time) or a
 //!    typed `DeadlineExceeded`, and the server's phase accounting must
 //!    agree with the client-observed counts.
 //! 3. **Killed / silent server** — one call races a mid-request server
@@ -267,9 +267,9 @@ fn main() {
         small_side,
         large_side,
         tenants: 2,
-        // Tight enough that a lingering batch or busy lane often outlives
-        // it; some requests still solve in time, and either outcome is a
-        // valid (typed) ending.
+        // Tight enough that a busy epoch or lane often outlives it; some
+        // requests still solve in time, and either outcome is a valid
+        // (typed) ending.
         deadline_ms: 1,
     };
     let deadline_stream = synthetic_stream(&deadline_mix);

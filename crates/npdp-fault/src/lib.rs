@@ -59,10 +59,16 @@ pub enum FaultKind {
     /// A network read stalls for a bounded, deterministic interval before
     /// delivering bytes (a slow or wedged peer).
     NetStallRead = 11,
+    /// A server dispatcher (the small-request epoch worker or a large lane)
+    /// is held for a bounded interval before it hands work to a solver —
+    /// a descheduled or wedged dispatch thread. Scripted by tests that need
+    /// work to sit queued or in flight for a known time; not part of
+    /// [`FaultPlan::default_rates`].
+    DispatchStall = 12,
 }
 
 /// Number of [`FaultKind`] variants (rate/counter array size).
-pub const FAULT_KINDS: usize = 12;
+pub const FAULT_KINDS: usize = 13;
 
 /// All kinds, in discriminant order.
 pub const ALL_FAULT_KINDS: [FaultKind; FAULT_KINDS] = [
@@ -78,6 +84,7 @@ pub const ALL_FAULT_KINDS: [FaultKind; FAULT_KINDS] = [
     FaultKind::NetDelayWrite,
     FaultKind::NetDropConn,
     FaultKind::NetStallRead,
+    FaultKind::DispatchStall,
 ];
 
 /// The network-fault family ([`FaultKind::NetTornFrame`] …
@@ -106,6 +113,7 @@ impl FaultKind {
             FaultKind::NetDelayWrite => "net_delay_write",
             FaultKind::NetDropConn => "net_drop_conn",
             FaultKind::NetStallRead => "net_stall_read",
+            FaultKind::DispatchStall => "dispatch_stall",
         }
     }
 
@@ -146,10 +154,13 @@ impl FaultPlan {
 
     /// The default chaos mix: every transient kind at `rate`, the permanent
     /// kinds (SPE crash) at a tenth of it so small topologies usually keep a
-    /// survivor. This is the schedule `--faults <seed>` uses.
+    /// survivor, and no [`FaultKind::DispatchStall`] (a whole-dispatcher
+    /// hold is a scripted test condition, not background noise). This is
+    /// the schedule `--faults <seed>` uses.
     pub fn default_rates(seed: u64, rate: f64) -> Self {
         let mut p = Self::seeded(seed).with_uniform_rate(rate);
         p.rates[FaultKind::SpeCrash as usize] = (rate * 0.1).clamp(0.0, 1.0);
+        p.rates[FaultKind::DispatchStall as usize] = 0.0;
         p
     }
 
@@ -583,6 +594,7 @@ mod tests {
         let p = FaultPlan::default_rates(1, 0.2);
         assert_eq!(p.rate(FaultKind::DmaFail), 0.2);
         assert!((p.rate(FaultKind::SpeCrash) - 0.02).abs() < 1e-12);
+        assert_eq!(p.rate(FaultKind::DispatchStall), 0.0);
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //! latency percentiles live in [`load`].
 //!
 //! Every request is stamped through a lifecycle of [`stats::Phase`]s
-//! (admission → cache lookup → queue wait → batch linger → solve →
-//! respond), each landing in a streaming histogram under
+//! (admission → cache lookup → queue wait → batch collection, ≈ 0 because
+//! an idle batcher drains at once → solve → respond, each member of an
+//! epoch answered as its own task finishes), each landing in a streaming
+//! histogram under
 //! `serve.phase.<name>`. The same collector answers the protocol's `Stats`
 //! admin frame ([`protocol::StatsRequest`] → [`stats::StatsSnapshot`]) off
 //! the reader threads — never through admission control — which the

@@ -13,7 +13,7 @@
 //! * **NetTornFrame** — a write delivers only a prefix of its bytes, then
 //!   the write half is shut down: the peer sees a frame cut mid-payload.
 //! * **NetDelayWrite** — a write lands whole but late (bounded,
-//!   deterministic delay), stressing linger/deadline interactions.
+//!   deterministic delay), stressing deadline interactions.
 //! * **NetDropConn** — both halves are shut down; the op and every later
 //!   one fail with a typed connection-reset error.
 //! * **NetStallRead** — a read stalls (bounded, deterministic) before

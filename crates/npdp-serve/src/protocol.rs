@@ -468,16 +468,46 @@ pub struct Response {
     pub body: Vec<u8>,
 }
 
+/// Bytes of a response payload ahead of its body.
+const RESPONSE_HEADER: usize = 11;
+
 impl Response {
+    /// The payload's fixed header: version, id, status, cached flag.
+    fn header(id: u64, status: Status, cached: bool) -> [u8; RESPONSE_HEADER] {
+        let mut head = [0u8; RESPONSE_HEADER];
+        head[0] = VERSION;
+        head[1..9].copy_from_slice(&id.to_le_bytes());
+        head[9] = status as u8;
+        head[10] = cached as u8;
+        head
+    }
+
     /// Assemble the frame payload from the (possibly cached) body.
     pub fn encode_parts(id: u64, status: Status, cached: bool, body: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(body.len() + 11);
-        out.push(VERSION);
-        put_u64(&mut out, id);
-        out.push(status as u8);
-        out.push(cached as u8);
+        let mut out = Vec::with_capacity(body.len() + RESPONSE_HEADER);
+        out.extend_from_slice(&Self::header(id, status, cached));
         out.extend_from_slice(body);
         out
+    }
+
+    /// Write one response frame straight from the (possibly cached) body:
+    /// the same bytes as `write_frame(w, &Response::encode_parts(..))`,
+    /// without copying the body into a payload buffer first.
+    pub(crate) fn write_parts(
+        w: &mut impl Write,
+        id: u64,
+        status: Status,
+        cached: bool,
+        body: &[u8],
+    ) -> io::Result<()> {
+        let len = body.len() + RESPONSE_HEADER;
+        assert!(len <= MAX_FRAME, "frame over MAX_FRAME");
+        let mut prefix = [0u8; 4 + RESPONSE_HEADER];
+        prefix[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        prefix[4..].copy_from_slice(&Self::header(id, status, cached));
+        w.write_all(&prefix)?;
+        w.write_all(body)?;
+        w.flush()
     }
 
     /// Parse a frame payload.
@@ -753,6 +783,16 @@ mod tests {
         let resp = Response::decode(&payload).unwrap();
         assert_eq!(resp.status, Status::DeadlineExceeded);
         assert_eq!(resp.message(), "deadline exceeded");
+        // Writing straight from the body puts the same frame on the wire.
+        let mut direct = Vec::new();
+        Response::write_parts(&mut direct, 99, Status::Ok, true, &body).unwrap();
+        let mut framed = Vec::new();
+        write_frame(
+            &mut framed,
+            &Response::encode_parts(99, Status::Ok, true, &body),
+        )
+        .unwrap();
+        assert_eq!(direct, framed);
         // Unknown status bytes are typed wire errors, not panics.
         let mut bad = Response::encode_parts(5, Status::Ok, false, b"");
         bad[9] = 250;

@@ -18,14 +18,20 @@
 //!
 //! ## Shared scheduler epochs
 //!
-//! PR 4's `Scheduler::LocalityBatched` merged one problem's starved tail
-//! diagonals into a single scheduling batch; this layer lifts the same idea
-//! *across requests*: up to [`ServerConfig::batch_max`] small problems
-//! (lingering [`ServerConfig::batch_linger`] for stragglers) become one
+//! `Scheduler::LocalityBatched` merges one problem's starved tail diagonals
+//! into a single scheduling batch; this layer lifts the same idea *across
+//! requests*: up to [`ServerConfig::batch_max`] small problems become one
 //! [`task_queue::run`] epoch — one task per request, all independent — so a
-//! trickle of tiny solves rides one worker-pool wakeup instead of paying
-//! per-request pool spin-up, exactly the duty-cycle recovery measured at
-//! the overhead-dominated corner.
+//! burst of tiny solves rides one worker-pool wakeup instead of paying
+//! per-request pool spin-up.
+//!
+//! The batcher is work-conserving, like the paper's §IV-B ready queue: no
+//! timer holds work back. The moment the epoch worker is idle and small
+//! work is pending it drains what is there, and requests that arrive while
+//! an epoch runs form the next batch — so batches grow with load, and a
+//! lone request under light load waits for nothing. Each member is
+//! answered from its own task as soon as its solve finishes, not when the
+//! epoch's slowest member does.
 //!
 //! ## Fairness
 //!
@@ -39,17 +45,18 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use npdp_core::{ParallelEngine, SimdEngine, SolveError};
 use npdp_exec::{ExecContext, Scheduler, Tuning};
+use npdp_fault::{site2, FaultKind};
 use npdp_trace::{EventKind, TimeDomain, Track, TrackDesc};
 use task_queue::TaskGraph;
 
 use crate::cache::{workload_key, SolveCache};
-use crate::protocol::{read_frame, write_frame, Request, RequestFrame, Response, Status, Workload};
+use crate::protocol::{read_frame, Request, RequestFrame, Response, Status, Workload};
 use crate::solve::{materialize, solve_problem};
 use crate::stats::{Phase, StatsSnapshot, Telemetry};
 
@@ -92,9 +99,6 @@ pub struct ServerConfig {
     pub small_threshold: usize,
     /// Most requests merged into one scheduler epoch.
     pub batch_max: usize,
-    /// How long a forming batch waits for stragglers once it has at least
-    /// one request.
-    pub batch_linger: Duration,
     /// Admission bound: pending (queued, un-started) requests beyond this
     /// are refused with [`Status::Overloaded`].
     pub queue_limit: usize,
@@ -122,7 +126,6 @@ impl Default for ServerConfig {
                 .unwrap_or(1),
             small_threshold: 128,
             batch_max: 32,
-            batch_linger: Duration::from_micros(300),
             queue_limit: 1024,
             cache_entries: 1024,
             large_lanes: 1,
@@ -132,6 +135,13 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// How long an injected [`FaultKind::DispatchStall`] holds a dispatcher (the
+/// small-request epoch worker before it drains, a large lane before it
+/// solves). Far longer than any deadline or hand-off a test scripts around
+/// it, so work sits queued or in flight by construction; shutdown cuts the
+/// hold short.
+pub const DISPATCH_STALL: Duration = Duration::from_millis(500);
 
 /// One queued request plus where to send its answer, carrying the
 /// lifecycle timestamps the phase histograms are derived from.
@@ -248,9 +258,8 @@ struct ConnWriter {
 impl ConnWriter {
     /// Best-effort send; a vanished client is not a server error.
     fn send(&self, id: u64, status: Status, cached: bool, body: &[u8]) {
-        let payload = Response::encode_parts(id, status, cached, body);
         let mut stream = self.stream.lock().unwrap();
-        let _ = write_frame(&mut *stream, &payload);
+        let _ = Response::write_parts(&mut *stream, id, status, cached, body);
     }
 }
 
@@ -767,7 +776,12 @@ fn admit(req: Request, conn: Arc<ConnWriter>, shared: &Arc<Shared>, track: Track
 }
 
 /// The small tier: merge queued requests into shared scheduler epochs.
+///
+/// Work-conserving: whenever the epoch worker is idle and small work is
+/// pending it drains up to `batch_max` jobs at once, and whatever arrives
+/// while an epoch runs forms the next batch.
 fn batch_loop(shared: Arc<Shared>, track: Track) {
+    let mut dispatches = 0u64;
     let mut q = shared.q.lock().unwrap();
     loop {
         if q.small_pending == 0 {
@@ -781,30 +795,30 @@ fn batch_loop(shared: Arc<Shared>, track: Track) {
             q = guard;
             continue;
         }
-        // Linger briefly for stragglers so light concurrent load still
-        // coalesces, but never past the deadline — batching must not cost
-        // an idle service visible latency.
-        let linger_start = Instant::now();
+        // Collection, timed as the `batch_linger` phase: wake-up → drain,
+        // ≈ 0 unless an injected dispatch stall holds the worker (which
+        // ends early once a full batch is waiting).
+        let t_collect = Instant::now();
         shared
             .ctx
             .tracer
             .begin(track, phase_kind(Phase::BatchLinger));
-        let deadline = linger_start + shared.cfg.batch_linger;
-        while q.small_pending < shared.cfg.batch_max && !shared.shutdown.load(Ordering::Acquire) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = shared.work_ready.wait_timeout(q, deadline - now).unwrap();
-            q = guard;
+        let batch_max = shared.cfg.batch_max;
+        if shared
+            .ctx
+            .faults
+            .should_inject(FaultKind::DispatchStall, site2(0, dispatches))
+        {
+            q = stall_dispatch(&shared, q, track, |q| q.small_pending >= batch_max);
         }
-        let batch = q.drain_small(shared.cfg.batch_max);
+        dispatches += 1;
+        let batch = q.drain_small(batch_max);
         // Count the batch in-flight before releasing the lock so `drain`
         // never observes "no pending, no in-flight" while work exists.
         shared.inflight.fetch_add(batch.len(), Ordering::AcqRel);
         drop(q);
         shared.ctx.tracer.end(track, phase_kind(Phase::BatchLinger));
-        shared.phase_since(Phase::BatchLinger, linger_start);
+        shared.phase_since(Phase::BatchLinger, t_collect);
         if !batch.is_empty() {
             run_epoch(&batch, &shared, track);
         }
@@ -813,9 +827,31 @@ fn batch_loop(shared: Arc<Shared>, track: Track) {
     }
 }
 
-/// Per-request result slot of an epoch: the encoded response body, filled
-/// in by whichever worker ran the request's task.
-type EpochSlot = Mutex<Option<Result<Vec<u8>, SolveError>>>;
+/// Hold a dispatcher under an injected [`FaultKind::DispatchStall`]: wait up
+/// to [`DISPATCH_STALL`] with the dispatch lock released (admission keeps
+/// queueing meanwhile), ending early at shutdown or once `enough` holds.
+fn stall_dispatch<'a>(
+    shared: &'a Shared,
+    mut q: MutexGuard<'a, DispatchQueues>,
+    track: Track,
+    enough: impl Fn(&DispatchQueues) -> bool,
+) -> MutexGuard<'a, DispatchQueues> {
+    shared.ctx.tracer.instant(
+        track,
+        EventKind::Fault {
+            code: FaultKind::DispatchStall.code(),
+        },
+    );
+    let until = Instant::now() + DISPATCH_STALL;
+    while !enough(&q) && !shared.shutdown.load(Ordering::Acquire) {
+        let now = Instant::now();
+        if now >= until {
+            break;
+        }
+        q = shared.work_ready.wait_timeout(q, until - now).unwrap().0;
+    }
+    q
+}
 
 /// Execute one shared scheduler epoch: one independent task per request on
 /// the locality-batched discipline.
@@ -831,8 +867,8 @@ fn run_epoch(all: &[Job], shared: &Arc<Shared>, track: Track) {
         shared.phase_ns(Phase::QueueWait, ns);
     }
     // Deadline boundary 2, epoch dispatch: a job that expired waiting in
-    // queue (or during linger) is cancelled here — it never enters the
-    // epoch and never lands in the `epoch_solve` histogram.
+    // queue (or while its dispatcher was held) is cancelled here — it never
+    // enters the epoch and never lands in the `epoch_solve` histogram.
     let (expired, batch): (Vec<&Job>, Vec<&Job>) = all.iter().partition(|j| j.expired());
     for job in expired {
         respond_deadline(job, shared, track, "deadline exceeded in queue");
@@ -845,7 +881,8 @@ fn run_epoch(all: &[Job], shared: &Arc<Shared>, track: Track) {
         .clone()
         .with_scheduler(Scheduler::LocalityBatched);
     let engine = SimdEngine::new(shared.cfg.small_nb);
-    let results: Vec<EpochSlot> = batch.iter().map(|_| Mutex::new(None)).collect();
+    // Which members their own task already answered.
+    let answered: Vec<AtomicBool> = batch.iter().map(|_| AtomicBool::new(false)).collect();
     let workers = shared.cfg.workers.min(batch.len()).max(1);
     let graph = TaskGraph::new(batch.len());
     let t_epoch = Instant::now();
@@ -853,19 +890,24 @@ fn run_epoch(all: &[Job], shared: &Arc<Shared>, track: Track) {
     let ran = {
         let _t = shared.ctx.metrics.timed("serve.epoch_ns");
         task_queue::run(&graph, workers, &epoch_ctx, |i| {
-            let problem = materialize(&batch[i].workload);
+            let job = batch[i];
+            let problem = materialize(&job.workload);
             let out = solve_problem(&problem, &engine, &epoch_ctx).map(|o| o.encode_body());
-            *results[i].lock().unwrap() = Some(out);
+            // A member's epoch ends with its own solve, and it is answered
+            // right here rather than when the slowest member finishes. The
+            // respond spans go on this worker's own track, so every track's
+            // spans still nest.
+            shared.phase_since(Phase::EpochSolve, t_epoch);
+            answered[i].store(true, Ordering::Release);
+            respond(
+                job,
+                Some(out),
+                shared,
+                tracer.thread_track().unwrap_or(track),
+            );
         })
     };
     tracer.end(track, phase_kind(Phase::EpochSolve));
-    // Each member's solve cost *is* its epoch: the batch is the unit of
-    // execution, so the phase histogram gets one epoch-duration sample per
-    // request (keeping phase counts aligned with request counts).
-    let epoch_ns = elapsed_ns(t_epoch);
-    for _ in &batch {
-        shared.phase_ns(Phase::EpochSolve, epoch_ns);
-    }
     shared.metric("serve.batches", 1);
     shared.metric("serve.batched_requests", batch.len() as u64);
     shared
@@ -885,16 +927,22 @@ fn run_epoch(all: &[Job], shared: &Arc<Shared>, track: Track) {
         }
         Err(_) => shared.metric("serve.epochs_failed", 1),
     }
-    let mut charges: Vec<(String, u64)> = Vec::with_capacity(batch.len());
-    for (&job, slot) in batch.iter().zip(&results) {
-        let result = slot.lock().unwrap().take();
-        respond(job, result, shared, track);
-        charges.push((job.tenant.clone(), job.workload.cells()));
+    // The epoch aborted (retry budget exhausted) before these members' tasks
+    // finished: they still get their typed answer, and the whole epoch as
+    // their `epoch_solve` sample, keeping phase counts aligned with request
+    // counts.
+    let epoch_ns = elapsed_ns(t_epoch);
+    for (&job, done) in batch.iter().zip(&answered) {
+        if !done.load(Ordering::Acquire) {
+            shared.phase_ns(Phase::EpochSolve, epoch_ns);
+            respond(job, None, shared, track);
+        }
     }
     let mut q = shared.q.lock().unwrap();
-    for (tenant, cells) in charges {
-        q.charge(&tenant, cells);
-        charge_metric(shared, &tenant, cells);
+    for job in &batch {
+        let cells = job.workload.cells();
+        q.charge(&job.tenant, cells);
+        charge_metric(shared, &job.tenant, cells);
     }
 }
 
@@ -915,12 +963,19 @@ fn large_loop(shared: Arc<Shared>, track: Track) {
             continue;
         };
         shared.inflight.fetch_add(1, Ordering::AcqRel);
+        if shared
+            .ctx
+            .faults
+            .should_inject(FaultKind::DispatchStall, site2(1, job.id))
+        {
+            q = stall_dispatch(&shared, q, track, |_| false);
+        }
         drop(q);
         tracer.instant(track, EventKind::Request { id: job.id as u32 });
         shared.phase_since(Phase::QueueWait, job.t_enqueued);
-        // Deadline boundary 3, large dispatch: checked between pop and
-        // solve, so an expired request never burns a lane (and never lands
-        // in the `large_solve` histogram).
+        // Deadline boundary 3, large dispatch: checked between pop (and any
+        // dispatch stall) and solve, so an expired request never burns a
+        // lane (and never lands in the `large_solve` histogram).
         if job.expired() {
             respond_deadline(&job, &shared, track, "deadline exceeded in queue");
             shared.inflight.fetch_sub(1, Ordering::AcqRel);

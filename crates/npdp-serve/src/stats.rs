@@ -43,11 +43,16 @@ pub enum Phase {
     CacheLookup,
     /// Queued → picked up by the batcher or a large lane.
     QueueWait,
-    /// How long the batcher lingered for stragglers before draining the
-    /// batch (recorded once per batch).
+    /// Batch collection: from the epoch worker taking up pending small work
+    /// to draining it into a batch (recorded once per batch). The batcher
+    /// holds no timer, so this is ≈ 0 unless an injected
+    /// `FaultKind::DispatchStall` holds the worker. The name is kept for
+    /// the metric key and trace vocabulary.
     BatchLinger,
-    /// The shared scheduler epoch a small request solved in (recorded once
-    /// per member request: each member's solve cost *is* its epoch).
+    /// From the start of the shared scheduler epoch a small request rode
+    /// to the end of its own solve (recorded once per member request; a
+    /// member of an aborted epoch whose task never finished records the
+    /// whole epoch).
     EpochSolve,
     /// One autotuned large-tier solve.
     LargeSolve,

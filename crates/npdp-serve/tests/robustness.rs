@@ -14,7 +14,7 @@ use npdp_exec::{ExecContext, Metrics};
 use npdp_fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 use npdp_serve::client::{CallOpts, Client};
 use npdp_serve::protocol::{read_frame, Request, Response, Status, Workload, MAX_FRAME};
-use npdp_serve::server::{spawn, ServerConfig};
+use npdp_serve::server::{spawn, ServerConfig, DISPATCH_STALL};
 use npdp_serve::solve::solve_direct;
 use npdp_serve::stats::{Phase, StatsSnapshot};
 
@@ -25,6 +25,15 @@ fn req(id: u64, deadline_ms: u32, workload: Workload) -> Request {
         tenant: "t".into(),
         workload,
     }
+}
+
+/// A context whose injector stalls every dispatch — the small-epoch worker
+/// before it drains, a large lane before it solves — for [`DISPATCH_STALL`].
+/// Work then sits queued or in flight for a known time, however fast this
+/// host solves, and a budget shorter than the stall dies by construction.
+fn stalled_dispatch() -> (ExecContext, FaultInjector) {
+    let inj = FaultInjector::new(FaultPlan::seeded(1).with_rate(FaultKind::DispatchStall, 1.0));
+    (ExecContext::disabled().with_faults(&inj), inj)
 }
 
 /// Sum of every labeled `serve.phase.total{…status=<status>…}` count — the
@@ -39,10 +48,10 @@ fn total_with_status(snap: &StatsSnapshot, status: &str) -> u64 {
 }
 
 /// Deadline boundary 2 (epoch dispatch): a small request whose budget dies
-/// during the batch linger is answered `DeadlineExceeded` and never enters
-/// an epoch — and the phase accounting stays consistent: deadline-failed
-/// totals equal deadline-failed responses, and the solve histograms only
-/// count work that actually solved.
+/// while its dispatcher is held is answered `DeadlineExceeded` and never
+/// enters an epoch — and the phase accounting stays consistent:
+/// deadline-failed totals equal deadline-failed responses, and the solve
+/// histograms only count work that actually solved.
 #[test]
 fn expired_small_jobs_are_cancelled_before_the_epoch() {
     let (metrics, recorder) = Metrics::recording();
@@ -50,13 +59,15 @@ fn expired_small_jobs_are_cancelled_before_the_epoch() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        // Longer than the request's budget: the job expires lingering.
-        batch_linger: Duration::from_millis(150),
         cache_entries: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
-    let server = spawn(cfg, None, &ExecContext::disabled().with_metrics(&metrics)).unwrap();
+    // The stall outlasts the request's 10 ms budget: the job expires
+    // queued.
+    assert!(Duration::from_millis(10) < DISPATCH_STALL);
+    let (ctx, inj) = stalled_dispatch();
+    let server = spawn(cfg, None, &ctx.with_metrics(&metrics)).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
     let doomed = req(1, 10, Workload::ClosureSynthetic { n: 16, seed: 1 });
@@ -86,6 +97,7 @@ fn expired_small_jobs_are_cancelled_before_the_epoch() {
     assert!(snap.phase(Phase::LargeSolve.key()).is_none());
     // Both requests closed out a total.
     assert_eq!(snap.phase(Phase::Total.key()).unwrap().count, 2);
+    assert!(inj.injected(FaultKind::DispatchStall) >= 2);
 }
 
 /// Deadline boundary 3 (large dispatch): a large request that expires
@@ -96,15 +108,16 @@ fn expired_large_jobs_are_cancelled_before_the_lane_solve() {
     let cfg = ServerConfig {
         workers: 2,
         small_threshold: 32,
-        batch_linger: Duration::from_micros(100),
         cache_entries: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
-    let server = spawn(cfg, None, &ExecContext::disabled()).unwrap();
+    assert!(Duration::from_millis(1) < DISPATCH_STALL);
+    let (ctx, inj) = stalled_dispatch();
+    let server = spawn(cfg, None, &ctx).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    // The first large solve occupies the only lane well past the second
-    // request's 1 ms budget.
+    // The first large request occupies the only lane, held at dispatch
+    // well past the second request's 1 ms budget.
     let busy = req(1, 0, Workload::ClosureSynthetic { n: 256, seed: 3 });
     let doomed = req(2, 1, Workload::ClosureSynthetic { n: 200, seed: 4 });
     let resps = client.call_many(&[busy.clone(), doomed]).unwrap();
@@ -123,6 +136,7 @@ fn expired_large_jobs_are_cancelled_before_the_lane_solve() {
         1,
         "the expired job must not land in the large_solve histogram"
     );
+    assert_eq!(inj.injected(FaultKind::DispatchStall), 2);
 }
 
 /// `drain(grace)` with work still queued past the grace: leftovers get a
@@ -135,14 +149,14 @@ fn drain_deadline_fails_leftover_queued_work() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        // Long linger: queued jobs are still in the dispatch queue when
-        // the zero-grace drain arrives.
-        batch_linger: Duration::from_millis(700),
         cache_entries: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
-    let server = spawn(cfg, None, &ExecContext::disabled().with_metrics(&metrics)).unwrap();
+    // The held epoch worker leaves the queued jobs in the dispatch queue
+    // when the zero-grace drain arrives.
+    let (ctx, _inj) = stalled_dispatch();
+    let server = spawn(cfg, None, &ctx.with_metrics(&metrics)).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let reqs: Vec<Request> = (0..4)
         .map(|i| req(i, 0, Workload::ClosureSynthetic { n: 16, seed: i }))
@@ -178,12 +192,13 @@ fn drain_finishes_inflight_work_and_refuses_new_solves() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        batch_linger: Duration::from_millis(300),
         cache_entries: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
-    let server = spawn(cfg, None, &ExecContext::disabled()).unwrap();
+    // The held epoch worker keeps the request queued as the drain begins.
+    let (ctx, _inj) = stalled_dispatch();
+    let server = spawn(cfg, None, &ctx).unwrap();
     let addr = server.addr();
     let mut client = Client::connect(addr).unwrap();
     // The draining server stops *accepting*, so the late request must ride
@@ -203,7 +218,7 @@ fn drain_finishes_inflight_work_and_refuses_new_solves() {
         .unwrap();
     assert_eq!(refused.status, Status::Overloaded);
     assert_eq!(refused.message(), "server draining");
-    // The lingering request still finishes correctly under the grace.
+    // The held request still finishes correctly under the grace.
     let resp = client.recv().unwrap();
     assert_eq!(resp.status, Status::Ok, "{}", resp.message());
     assert_eq!(
@@ -418,19 +433,20 @@ fn call_opts_deadline_is_stamped_on_the_wire() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        batch_linger: Duration::from_millis(200),
         cache_entries: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
-    let server = spawn(cfg, None, &ExecContext::disabled()).unwrap();
+    let (ctx, _inj) = stalled_dispatch();
+    let server = spawn(cfg, None, &ctx).unwrap();
     let opts = CallOpts {
         deadline: Some(Duration::from_millis(20)),
         ..CallOpts::default()
     };
     let mut client = Client::connect_with(server.addr(), opts).unwrap();
-    // The 20 ms budget dies in the 200 ms linger: the server must learn
-    // the deadline from the stamped frame and cancel.
+    // The 20 ms budget dies while the epoch worker is held: the server
+    // must learn the deadline from the stamped frame and cancel.
+    assert!(Duration::from_millis(20) < DISPATCH_STALL);
     let resp = client
         .call_with_retry(&req(1, 0, Workload::ClosureSynthetic { n: 16, seed: 12 }))
         .unwrap();

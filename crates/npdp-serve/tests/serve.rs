@@ -4,14 +4,16 @@
 
 use std::net::TcpStream;
 use std::sync::OnceLock;
-use std::time::Duration;
 
-use npdp_exec::{ExecContext, Metrics};
+use npdp_exec::{ExecContext, Metrics, Tracer};
+use npdp_fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 use npdp_serve::client::Client;
 use npdp_serve::protocol::{read_frame, write_frame, Request, Response, Status, Workload};
 use npdp_serve::server::{spawn, ServerConfig, ServerHandle};
 use npdp_serve::solve::solve_direct;
 use npdp_serve::stats::{Phase, StatsSnapshot, Telemetry};
+use npdp_trace::analysis::{pair_spans, Span};
+use npdp_trace::{EventKind, TraceData};
 use proptest::prelude::*;
 
 fn req(id: u64, tenant: &str, workload: Workload) -> Request {
@@ -74,14 +76,18 @@ fn pipelined_small_requests_share_one_batch_epoch() {
         workers: 2,
         small_threshold: 64,
         batch_max: 8,
-        // Generous linger: the batcher must wait for all eight pipelined
-        // requests instead of running eight one-request epochs.
-        batch_linger: Duration::from_millis(500),
         cache_entries: 0, // every request must really solve
         large_lanes: 1,
         ..ServerConfig::default()
     };
-    let server = spawn(cfg, None, &ExecContext::disabled().with_metrics(&metrics)).unwrap();
+    // Hold the epoch worker at its first dispatch until all eight pipelined
+    // requests are queued (the stall ends once a full batch is waiting),
+    // instead of letting it run the first arrival alone.
+    let stall = FaultInjector::new(FaultPlan::seeded(1).with_rate(FaultKind::DispatchStall, 1.0));
+    let ctx = ExecContext::disabled()
+        .with_metrics(&metrics)
+        .with_faults(&stall);
+    let server = spawn(cfg, None, &ctx).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let reqs: Vec<Request> = (0..8)
         .map(|i| {
@@ -118,6 +124,212 @@ fn pipelined_small_requests_share_one_batch_epoch() {
     let per_tenant = 4 * 16 * 15 / 2;
     assert_eq!(recorder.get("serve.tenant.a.cells"), per_tenant);
     assert_eq!(recorder.get("serve.tenant.b.cells"), per_tenant);
+}
+
+/// A small workload of one of three kinds, distinct per `i`.
+fn small_workload(i: u64) -> Workload {
+    match i % 3 {
+        0 => Workload::ClosureSynthetic {
+            n: 16 + (i % 32) as u32,
+            seed: i,
+        },
+        1 => Workload::ParenthesizeSynthetic {
+            matrices: 12 + (i % 24) as u32,
+            seed: i,
+        },
+        _ => Workload::FoldSynthetic {
+            bases: 20 + (i % 28) as u32,
+            seed: i,
+        },
+    }
+}
+
+/// Natural batching under load: with no timer holding the door, 64
+/// pipelined small requests still coalesce — requests that arrive while an
+/// epoch runs form the next batch — and every served body is bit-identical
+/// to a direct solve.
+#[test]
+fn saturated_small_tier_coalesces_without_a_timer() {
+    let (metrics, recorder) = Metrics::recording();
+    let cfg = ServerConfig {
+        workers: 2,
+        small_threshold: 64,
+        batch_max: 32,
+        cache_entries: 0,
+        large_lanes: 1,
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg, None, &ExecContext::disabled().with_metrics(&metrics)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reqs: Vec<Request> = (0..64)
+        .map(|i| req(i, ["a", "b", "c"][i as usize % 3], small_workload(i)))
+        .collect();
+    let resps = client.call_many(&reqs).unwrap();
+    for (r, resp) in reqs.iter().zip(&resps) {
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+        assert_eq!(
+            resp.body,
+            solve_direct(&r.workload).unwrap().encode_body(),
+            "{:?}: served bytes differ from a direct solve",
+            r.workload
+        );
+    }
+    let snap = server.shutdown();
+    assert_eq!(recorder.get("serve.batched_requests"), 64);
+    assert!(
+        recorder.get("serve.batch_max_seen") > 1,
+        "64 requests in flight must share epochs ({} batches)",
+        recorder.get("serve.batches")
+    );
+    // Collection is recorded once per batch.
+    assert_eq!(
+        snap.phase(Phase::BatchLinger.key()).unwrap().count,
+        snap.counter("serve.batches")
+    );
+}
+
+/// Every paired `serve respond` span of a trace.
+fn respond_spans(data: &TraceData) -> Vec<Span> {
+    let respond = EventKind::ServePhase {
+        code: Phase::Respond.code(),
+    };
+    pair_spans(data)
+        .expect("spans nest and balance on every track")
+        .into_iter()
+        .filter(|s| s.kind == respond)
+        .collect()
+}
+
+/// Suppress the panic-hook noise of injected task panics (the epoch's
+/// executor catches them; the default hook still prints).
+fn quiet_injected_panics() {
+    use std::sync::Once;
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|m| m.contains("injected task panic"));
+            if !injected {
+                default_hook(info);
+            }
+        }));
+    });
+}
+
+/// Each small request is answered from its own epoch task as soon as its
+/// solve finishes, with its `serve respond` span on that worker's own
+/// track: one respond span per request, and spans nest on every track.
+#[test]
+fn every_request_is_answered_once_from_its_own_task() {
+    let tracer = Tracer::new();
+    let cfg = ServerConfig {
+        workers: 2,
+        small_threshold: 48,
+        batch_max: 8,
+        cache_entries: 1024,
+        large_lanes: 1,
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg, None, &ExecContext::disabled().with_tracer(&tracer)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut reqs: Vec<Request> = (0..12).map(|i| req(i, "t", small_workload(i))).collect();
+    // Over the 48 threshold: the large lane answers on its own track.
+    reqs.push(req(12, "t", Workload::ClosureSynthetic { n: 64, seed: 12 }));
+    let resps = client.call_many(&reqs).unwrap();
+    for (r, resp) in reqs.iter().zip(&resps) {
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+        assert_eq!(resp.body, solve_direct(&r.workload).unwrap().encode_body());
+    }
+    // A cache hit is answered on its connection's track.
+    let hit = client
+        .call(&req(13, "t", reqs[0].workload.clone()))
+        .unwrap();
+    assert!(hit.cached);
+    let snap = server.shutdown();
+    assert_eq!(snap.counter("serve.batched_requests"), 12);
+
+    let data = tracer.snapshot();
+    let spans = respond_spans(&data);
+    assert_eq!(spans.len(), reqs.len() + 1, "one respond span per request");
+    let on_track = |prefix: &str| {
+        spans
+            .iter()
+            .filter(|s| data.tracks[s.track].name.starts_with(prefix))
+            .count()
+    };
+    // The twelve small requests were answered by their epochs' workers,
+    // none by the batcher after the epoch.
+    assert_eq!(on_track("worker "), 12);
+    assert_eq!(on_track("serve batcher"), 0);
+    assert_eq!(on_track("serve large lane"), 1);
+    assert_eq!(on_track("serve conn"), 1);
+}
+
+/// An epoch aborted by an exhausted retry budget (every task panics, one
+/// attempt allowed) still answers every member with a typed `Failed`, from
+/// the batcher once the epoch returns — one respond span each, nested.
+#[test]
+fn aborted_epoch_still_answers_every_member_typed() {
+    quiet_injected_panics();
+    let tracer = Tracer::new();
+    let inj = FaultInjector::new(
+        FaultPlan::seeded(3)
+            .with_rate(FaultKind::TaskPanic, 1.0)
+            // Hold the epoch worker until all six are queued: one epoch.
+            .with_rate(FaultKind::DispatchStall, 1.0),
+    );
+    let ctx = ExecContext::disabled()
+        .with_tracer(&tracer)
+        .with_faults(&inj)
+        .with_retry(RetryPolicy {
+            max_attempts: 1,
+            base_backoff: 0,
+        });
+    let cfg = ServerConfig {
+        workers: 2,
+        small_threshold: 64,
+        batch_max: 6,
+        cache_entries: 0,
+        large_lanes: 1,
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg, None, &ctx).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let reqs: Vec<Request> = (0..6).map(|i| req(i, "t", small_workload(i))).collect();
+    let resps = client.call_many(&reqs).unwrap();
+    for resp in &resps {
+        assert_eq!(resp.status, Status::Failed, "{}", resp.message());
+    }
+    let snap = server.shutdown();
+    assert_eq!(snap.counter("serve.batches"), 1);
+    assert_eq!(snap.counter("serve.epochs_failed"), 1);
+    assert_eq!(snap.counter("serve.responses_failed"), 6);
+    assert_eq!(
+        total_with_status(&snap, "failed"),
+        6,
+        "every member closed out a failed total"
+    );
+    assert!(inj.injected(FaultKind::TaskPanic) >= 1);
+
+    let data = tracer.snapshot();
+    let spans = respond_spans(&data);
+    assert_eq!(spans.len(), 6, "one respond span per request");
+    assert!(spans
+        .iter()
+        .all(|s| data.tracks[s.track].name == "serve batcher"));
+}
+
+/// Sum of every labeled `serve.phase.total{…status=<status>…}` count.
+fn total_with_status(snap: &StatsSnapshot, status: &str) -> u64 {
+    let needle = format!("status={status}");
+    snap.phases
+        .iter()
+        .filter(|(key, _)| key.starts_with("serve.phase.total{") && key.contains(&needle))
+        .map(|(_, h)| h.count)
+        .sum()
 }
 
 #[test]

@@ -365,3 +365,103 @@ fn poisoned_inputs_fail_typed_end_to_end() {
         assert!(v >= 0, "min-plus closure wrapped negative: {v}");
     }
 }
+
+/// The fault vocabulary is complete: `ALL_FAULT_KINDS` lists every kind
+/// once, in discriminant order, under a distinct name, and an injector
+/// counts each kind under its own `fault.injected.<name>` key. The default
+/// chaos mix leaves the scripted dispatch stall out.
+#[test]
+fn every_fault_kind_is_listed_named_and_counted() {
+    let mut names = std::collections::BTreeSet::new();
+    for (i, kind) in ALL_FAULT_KINDS.into_iter().enumerate() {
+        assert_eq!(kind as usize, i, "{kind:?} out of discriminant order");
+        assert_eq!(kind.code() as usize, i);
+        assert!(names.insert(kind.name()), "duplicate name {}", kind.name());
+    }
+    assert!(ALL_FAULT_KINDS.contains(&FaultKind::DispatchStall));
+    let faults = FaultInjector::new(FaultPlan::seeded(5).with_uniform_rate(1.0));
+    for kind in ALL_FAULT_KINDS {
+        assert!(faults.should_inject(kind, 0));
+    }
+    let snap: std::collections::HashMap<String, u64> = faults.snapshot().into_iter().collect();
+    for kind in ALL_FAULT_KINDS {
+        assert_eq!(
+            snap[&format!("fault.injected.{}", kind.name())],
+            1,
+            "{kind:?}"
+        );
+    }
+    assert_eq!(snap["fault.injected"], ALL_FAULT_KINDS.len() as u64);
+    assert_eq!(
+        FaultPlan::default_rates(5, 0.2).rate(FaultKind::DispatchStall),
+        0.0
+    );
+}
+
+/// A dispatch stall only delays: with every small-epoch and large-lane
+/// dispatch held, and task panics retried inside the epochs, the served
+/// bytes equal direct solves, and each dispatch is one counted injection.
+#[test]
+fn dispatch_stalls_delay_served_work_but_never_change_it() {
+    use npdp::serve::client::Client;
+    use npdp::serve::protocol::{Request, Status, Workload};
+    use npdp::serve::server::{spawn, ServerConfig};
+    use npdp::serve::solve::solve_direct;
+    use npdp::serve::stats::Phase;
+
+    quiet_injected_panics();
+    let faults = FaultInjector::new(
+        FaultPlan::seeded(17)
+            .with_rate(FaultKind::DispatchStall, 1.0)
+            .with_rate(FaultKind::TaskPanic, 0.3),
+    );
+    let ctx = ExecContext::disabled()
+        .with_faults(&faults)
+        .with_retry(CHAOS_RETRY);
+    let small = 6u64;
+    let cfg = ServerConfig {
+        workers: 2,
+        small_threshold: 48,
+        // The held epoch worker lets go once all small requests queue.
+        batch_max: small as usize,
+        cache_entries: 0,
+        large_lanes: 1,
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg, None, &ctx).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut reqs: Vec<Request> = (0..small)
+        .map(|i| Request {
+            id: i,
+            deadline_ms: 0,
+            tenant: "chaos".into(),
+            workload: Workload::ClosureSynthetic {
+                n: 12 + i as u32,
+                seed: i,
+            },
+        })
+        .collect();
+    reqs.push(Request {
+        id: small,
+        deadline_ms: 0,
+        tenant: "chaos".into(),
+        workload: Workload::ClosureSynthetic { n: 64, seed: 9 },
+    });
+    let resps = client.call_many(&reqs).unwrap();
+    for (r, resp) in reqs.iter().zip(&resps) {
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+        assert_eq!(
+            resp.body,
+            solve_direct(&r.workload).unwrap().encode_body(),
+            "a stalled dispatch must not change served bytes"
+        );
+    }
+    let snap = server.shutdown();
+    let small_dispatches = snap.phase(Phase::BatchLinger.key()).unwrap().count;
+    assert_eq!(snap.counter("serve.large_solves"), 1);
+    assert_eq!(
+        faults.injected(FaultKind::DispatchStall),
+        small_dispatches + 1,
+        "every small-epoch and large-lane dispatch stalls once"
+    );
+}
