@@ -594,6 +594,25 @@ mod tests {
         }
     }
 
+    /// `combine` laws for the CYK ring: lane-wise `min` over solved
+    /// charts' vectors, `NONE` and once-padded vectors is exactly
+    /// commutative, associative and idempotent.
+    #[test]
+    fn combine_laws_for_cyk_ring() {
+        let g = Arc::new(random_grammar(0xC0B));
+        let ring = CykRing::new(Arc::clone(&g));
+        let mut domain = vec![NtVec::NONE, ring.extend(NtVec::NONE, NtVec([3; MAX_NT]))];
+        for seed in 0..3 {
+            let tokens = random_tokens(&g, 9, seed);
+            let ctx = ExecContext::disabled();
+            let chart = cyk_parse_on(&SerialEngine, Arc::clone(&g), &tokens, &ctx)
+                .unwrap()
+                .chart;
+            domain.extend(chart.as_slice().iter().step_by(7));
+        }
+        crate::semiring::tests::combine_laws(&ring, &domain);
+    }
+
     /// CYK through the `Semiring` defaults only: `rank_update` is the 4×4
     /// tile sweep over the scalar `tile4`, one `extend`/`combine` per
     /// candidate — the reference the rule-lane kernel must equal.

@@ -125,16 +125,29 @@ pub trait Engine<T: DpValue> {
         seeds: &TriangularMatrix<T>,
         ctx: &ExecContext,
     ) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
-        validate_seeds(seeds)?;
-        let track = ctx
-            .tracer
-            .register(TrackDesc::control(format!("engine: {}", self.name())));
-        let _span = ctx.tracer.span(track, EventKind::Solve);
-        let out = {
-            let _t = ctx.metrics.timed("engine.wall_ns");
-            self.solve(seeds)
-        };
-        ctx.metrics.add("engine.cells_computed", seeds.len() as u64);
-        Ok((out, ExecStats::serial()))
+        timed_solve(self.name(), seeds, ctx, || Ok(self.solve(seeds)))
     }
+}
+
+/// [`Engine::solve_with`]'s default body around a fallible `solve`:
+/// validate the seeds, then run it inside a control-track `Solve` span and
+/// the `engine.wall_ns` timer, attributing `engine.cells_computed` in one
+/// shot.
+pub(crate) fn timed_solve<T: DpValue>(
+    name: &str,
+    seeds: &TriangularMatrix<T>,
+    ctx: &ExecContext,
+    solve: impl FnOnce() -> Result<TriangularMatrix<T>, SolveError>,
+) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
+    validate_seeds(seeds)?;
+    let track = ctx
+        .tracer
+        .register(TrackDesc::control(format!("engine: {name}")));
+    let _span = ctx.tracer.span(track, EventKind::Solve);
+    let out = {
+        let _t = ctx.metrics.timed("engine.wall_ns");
+        solve()?
+    };
+    ctx.metrics.add("engine.cells_computed", seeds.len() as u64);
+    Ok((out, ExecStats::serial()))
 }

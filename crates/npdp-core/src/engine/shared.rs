@@ -15,6 +15,7 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use crate::error::SolveError;
 use crate::layout::BlockedMatrix;
 
 const PENDING: u8 = 0;
@@ -128,11 +129,21 @@ impl<'a, T: Copy> SharedBlocked<'a, T> {
             .expect("finalize of unowned block: scheduler bug");
     }
 
-    /// Whether every block reached `Final` (post-solve sanity check).
-    pub fn all_final(&self) -> bool {
-        self.states
+    /// The post-solve check of every sweep over this view: `Ok` once every
+    /// block reached `Final`, else [`SolveError::UnfinishedBlocks`].
+    pub fn finished(&self) -> Result<(), SolveError> {
+        let unfinished = self
+            .states
             .iter()
-            .all(|s| s.load(Ordering::Acquire) == FINAL)
+            .filter(|s| s.load(Ordering::Acquire) != FINAL)
+            .count();
+        match unfinished {
+            0 => Ok(()),
+            unfinished => Err(SolveError::UnfinishedBlocks {
+                unfinished,
+                blocks: self.states.len(),
+            }),
+        }
     }
 }
 
@@ -196,9 +207,35 @@ mod tests {
     fn all_final_tracks_state() {
         let mut m = BlockedMatrix::<f32>::new_infinity(8, 8);
         let sh = SharedBlocked::new(&mut m);
-        assert!(!sh.all_final());
+        assert!(sh.finished().is_err());
         let _ = sh.claim(0, 0);
         sh.finalize(0, 0);
-        assert!(sh.all_final());
+        assert_eq!(sh.finished(), Ok(()));
+    }
+
+    /// A half-finalized sweep is a typed error naming how many blocks are
+    /// left: pending and owned blocks both count.
+    #[test]
+    fn half_finalized_sweep_is_a_typed_error() {
+        // 32 / 8 = 4 blocks per side, 10 in the triangle.
+        let mut m = BlockedMatrix::<f32>::new_infinity(32, 8);
+        let sh = SharedBlocked::new(&mut m);
+        for (bi, bj) in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1)] {
+            let _ = sh.claim(bi, bj);
+            sh.finalize(bi, bj);
+        }
+        let _ = sh.claim(1, 2);
+        let err = sh.finished().unwrap_err();
+        assert_eq!(
+            err,
+            SolveError::UnfinishedBlocks {
+                unfinished: 5,
+                blocks: 10
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "sweep left 5 of 10 memory blocks unfinished (scheduler bug)"
+        );
     }
 }

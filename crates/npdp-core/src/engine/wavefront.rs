@@ -3,10 +3,13 @@
 //! cross-check engine and as the ablation point for "what does dynamic
 //! scheduling buy over barriers".
 
+use npdp_exec::ExecContext;
 use rayon::prelude::*;
+use task_queue::ExecStats;
 
 use crate::engine::shared::SharedBlocked;
-use crate::engine::Engine;
+use crate::engine::{timed_solve, Engine};
+use crate::error::SolveError;
 use crate::layout::{BlockedMatrix, TriangularMatrix};
 use crate::recurrence::{compute_block, ClosureRec};
 use crate::semiring::MinPlus;
@@ -47,7 +50,11 @@ impl WavefrontEngine {
         }
     }
 
-    fn solve_inner<T: DpValue>(&self, seeds: &TriangularMatrix<T>, m: &mut BlockedMatrix<T>) {
+    fn solve_inner<T: DpValue>(
+        &self,
+        seeds: &TriangularMatrix<T>,
+        m: &mut BlockedMatrix<T>,
+    ) -> Result<(), SolveError> {
         let nb = self.nb;
         let mb = m.blocks_per_side();
         let rec = ClosureRec::new(MinPlus::new(), seeds);
@@ -60,7 +67,27 @@ impl WavefrontEngine {
                 shared.finalize(bi, bj);
             });
         }
-        assert!(shared.all_final());
+        shared.finished()
+    }
+
+    /// The sweep on the global pool or a pinned one, its post-solve check
+    /// as a typed error.
+    fn sweep<T: DpValue>(
+        &self,
+        seeds: &TriangularMatrix<T>,
+    ) -> Result<TriangularMatrix<T>, SolveError> {
+        let mut m = BlockedMatrix::from_triangular(seeds, self.nb);
+        match self.threads {
+            None => self.solve_inner(seeds, &mut m)?,
+            Some(t) => {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(t)
+                    .build()
+                    .expect("failed to build rayon pool");
+                pool.install(|| self.solve_inner(seeds, &mut m))?;
+            }
+        }
+        Ok(m.to_triangular())
     }
 }
 
@@ -70,18 +97,15 @@ impl<T: DpValue> Engine<T> for WavefrontEngine {
     }
 
     fn solve(&self, seeds: &TriangularMatrix<T>) -> TriangularMatrix<T> {
-        let mut m = BlockedMatrix::from_triangular(seeds, self.nb);
-        match self.threads {
-            None => self.solve_inner(seeds, &mut m),
-            Some(t) => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(t)
-                    .build()
-                    .expect("failed to build rayon pool");
-                pool.install(|| self.solve_inner(seeds, &mut m));
-            }
-        }
-        m.to_triangular()
+        self.sweep(seeds).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn solve_with(
+        &self,
+        seeds: &TriangularMatrix<T>,
+        ctx: &ExecContext,
+    ) -> Result<(TriangularMatrix<T>, ExecStats), SolveError> {
+        timed_solve(Engine::<T>::name(self), seeds, ctx, || self.sweep(seeds))
     }
 }
 

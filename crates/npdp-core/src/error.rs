@@ -53,6 +53,15 @@ pub enum SolveError {
         /// Attempts made before giving up.
         attempts: u32,
     },
+    /// A blocked sweep returned with memory blocks that never reached the
+    /// final state — a scheduler or dependence-graph bug, reported instead
+    /// of handing back a partial table.
+    UnfinishedBlocks {
+        /// Blocks not final when the sweep returned.
+        unfinished: usize,
+        /// Blocks in the triangle.
+        blocks: usize,
+    },
     /// Every SPE died before the protocol could finish.
     NoSurvivingWorkers,
     /// The multi-SPE protocol stopped making progress (watchdog gave up).
@@ -84,6 +93,10 @@ impl std::fmt::Display for SolveError {
             SolveError::TransferFailed { bi, bj, attempts } => write!(
                 f,
                 "DMA transfer of block ({bi},{bj}) failed checksum after {attempts} attempts"
+            ),
+            SolveError::UnfinishedBlocks { unfinished, blocks } => write!(
+                f,
+                "sweep left {unfinished} of {blocks} memory blocks unfinished (scheduler bug)"
             ),
             SolveError::NoSurvivingWorkers => write!(f, "every SPE died before the solve finished"),
             SolveError::ProtocolStalled { rounds } => write!(

@@ -25,8 +25,8 @@
 //!   (`block_compute::{stage1_ring, stage2_offdiag_ring,
 //!   compute_diag_ring}`), so stage 1 and the stage-2 strips go through
 //!   [`Semiring::rank_update`] — the host-native kernels for min-plus
-//!   `f32`/`f64`/`i64` and for CYK's rule lanes, the 4×4 tile sweep
-//!   otherwise.
+//!   `f32`/`f64`/`i32`/`i64`, CYK's rule lanes and Zuker's track planes,
+//!   the 4×4 tile sweep otherwise.
 //! * [`solve_parallel`] — the CellNPDP task queue over scheduling blocks,
 //!   all four [`Scheduler`] disciplines, the `SharedBlocked` state machine,
 //!   the same per-block procedure.
@@ -308,7 +308,7 @@ pub(crate) fn sweep_parallel<R: Recurrence>(
     // whatever `ctx.scheduler` was set to.
     let exec_ctx = ctx.clone().with_scheduler(scheduler);
     let stats = run(&sched.graph, workers, &exec_ctx, body).map_err(SolveError::from)?;
-    assert!(shared.all_final(), "scheduler left unfinished blocks");
+    shared.finished()?;
     Ok(stats)
 }
 

@@ -8,10 +8,21 @@
 //! for [`MinPlus`], and the SIMD kernels ride along through
 //! [`Semiring::tile4`] (one 4×4 tile) and [`Semiring::rank_update`] (a
 //! whole panel: the host-native register-blocked kernel for
-//! `f32`/`f64`/`i64`).
+//! `f32`/`f64`/`i32`/`i64`).
 //! Other instances ([`MaxPlusRing`], the CYK tropical vector ring in
 //! `apps::cyk`, the Zuker track ring in the `zuker` crate) reuse every
 //! engine unchanged.
+//!
+//! # `combine` laws
+//!
+//! On every value a solve can hold, `combine` must be *exactly*
+//! commutative (`a ⊕ b == b ⊕ a`), associative and idempotent (`a ⊕ a ==
+//! a`), equal as elements and not merely as costs. Kernels rely on it: a
+//! rank update may reach a cell's candidates in any order (the host-native
+//! kernels) or reduce one candidate twice (the Zuker track-plane split). Every
+//! shipped ring is `min` or `max` over validated values (no NaN, no `-0.0`)
+//! or lane-wise `min`; the property tests next to each ring's padding law
+//! pin it.
 //!
 //! # Padding contract
 //!
@@ -54,7 +65,9 @@ pub trait Semiring: Clone + Send + Sync + 'static {
         None
     }
 
-    /// The reduce ⊕ (min-plus: `min`, first argument on ties).
+    /// The reduce ⊕ (min-plus: `min`, first argument on ties). Exactly
+    /// commutative, associative and idempotent on the values a solve can
+    /// hold (module docs).
     fn combine(&self, a: Self::Elem, b: Self::Elem) -> Self::Elem;
 
     /// The composition ⊗ applied to each split candidate (min-plus:
@@ -91,11 +104,14 @@ pub trait Semiring: Clone + Send + Sync + 'static {
     /// multiples of 4 and every panel row-strided.
     ///
     /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
-    /// ascending — through [`Semiring::tile4`]; [`MinPlus`] overrides it
+    /// ascending — through [`Semiring::tile4`]. [`MinPlus`] overrides it
     /// with [`DpValue::rank_update`], the host-native register-blocked
-    /// kernel for `f32`/`f64`/`i64`, and the CYK ring with its rule-lane
-    /// kernel. Either way every cell sees its candidates in ascending `k`
-    /// (or, for integers, in an order `min` cannot tell apart).
+    /// kernel for `f32`/`f64`/`i32`/`i64`; the CYK ring with its rule-lane
+    /// kernel; and the Zuker track ring with a split into `i32` track planes
+    /// run through `MinPlus<i32>`, plus a scalar pass over its unit-span
+    /// operands. Floats see their candidates in ascending `k`; the integer
+    /// and lane-wise rings in an order `min` cannot tell apart (the
+    /// `combine` laws in the module docs).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn rank_update(
@@ -263,8 +279,27 @@ max_plus_ring!(i32, i32::MIN / 4);
 max_plus_ring!(i64, i64::MIN / 4);
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The `combine` laws (module docs) over every pair and triple of
+    /// `domain`: exactly commutative, associative and idempotent.
+    pub(crate) fn combine_laws<S: Semiring>(ring: &S, domain: &[S::Elem]) {
+        for &x in domain {
+            assert_eq!(ring.combine(x, x), x, "not idempotent at {x:?}");
+            for &y in domain {
+                let xy = ring.combine(x, y);
+                assert_eq!(xy, ring.combine(y, x), "not commutative at {x:?}, {y:?}");
+                for &z in domain {
+                    assert_eq!(
+                        ring.combine(xy, z),
+                        ring.combine(x, ring.combine(y, z)),
+                        "not associative at {x:?}, {y:?}, {z:?}"
+                    );
+                }
+            }
+        }
+    }
 
     /// The padding law (satellite of `PAD_FLOOR`/`add_sat`): any value a
     /// block-padding cell can hold — one `extend` against `zero`, from
@@ -335,6 +370,42 @@ mod tests {
         );
         padding_law(&MaxPlusRing::<f32>::new(), &[-1e30, -1.0, 0.0, 1.0, 1e30]);
         padding_law(&MaxPlusRing::<f64>::new(), &[-1e300, -2.0, 0.0, 2.0, 1e300]);
+    }
+
+    /// `combine` laws for the scalar rings, on domain values, padding and
+    /// once-padded values. Floats carry ties, subnormals and `±∞` but no
+    /// NaN and no `-0.0` (seed validation rejects both, and sums of
+    /// non-negative values never make them). Compared with `==`, which on
+    /// that domain is bit equality.
+    #[test]
+    fn combine_laws_all_scalar_rings() {
+        let f32s = [0.0, 1.5, 1.5, 3.0, 1e30, f32::MAX, 1e-45, f32::INFINITY];
+        let f64s = [0.0, 2.5, 2.5, 5.0, 1e300, f64::MAX, 5e-324, f64::INFINITY];
+        let ints = |floor: i64| -> Vec<i64> {
+            let mut v = int_domain::<i64>(floor, true);
+            v.truncate(20);
+            v.extend([floor, 2 * floor, 4 * floor - 1]);
+            v
+        };
+        let i32s: Vec<i32> = ints((i32::MAX / 8) as i64)
+            .into_iter()
+            .map(|v| v as i32)
+            .collect();
+        let i64s = ints(i64::MAX / 8);
+        combine_laws(&MinPlus::<f32>::new(), &f32s);
+        combine_laws(&MinPlus::<f64>::new(), &f64s);
+        combine_laws(&MinPlus::<i32>::new(), &i32s);
+        combine_laws(&MinPlus::<i64>::new(), &i64s);
+        let neg = |v: &[f32]| v.iter().map(|x| -x).chain([0.0]).collect::<Vec<_>>();
+        combine_laws(&MaxPlusRing::<f32>::new(), &neg(&f32s[1..]));
+        let neg64 = f64s[1..]
+            .iter()
+            .map(|x| -x)
+            .chain([0.0])
+            .collect::<Vec<_>>();
+        combine_laws(&MaxPlusRing::<f64>::new(), &neg64);
+        combine_laws(&MaxPlusRing::<i32>::new(), &i32s);
+        combine_laws(&MaxPlusRing::<i64>::new(), &i64s);
     }
 
     #[test]

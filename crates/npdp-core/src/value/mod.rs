@@ -9,7 +9,7 @@
 use crate::error::SeedIssue;
 use simd_kernel::{
     block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays, minplus_rank_update_f32,
-    minplus_rank_update_f64, minplus_rank_update_i64,
+    minplus_rank_update_f64, minplus_rank_update_i32, minplus_rank_update_i64,
 };
 
 /// A value usable in the min-plus NPDP recurrence.
@@ -102,7 +102,7 @@ pub trait DpValue:
     /// 4, row-strided like [`DpValue::tile4_update`]).
     ///
     /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
-    /// ascending — through [`DpValue::tile4_update`]; `f32`/`f64`/`i64`
+    /// ascending — through [`DpValue::tile4_update`]; `f32`/`f64`/`i32`/`i64`
     /// override it with the host-native kernels of `simd_kernel::rank`.
     /// Either way a cell sees its candidates in ascending `k`.
     #[inline]
@@ -207,6 +207,21 @@ impl DpValue for i32 {
     #[inline(always)]
     fn add_sat(a: Self, b: Self) -> Self {
         a.saturating_add(b)
+    }
+
+    #[inline(always)]
+    fn rank_update(
+        c: &mut [Self],
+        cs: usize,
+        a: &[Self],
+        as_: usize,
+        b: &[Self],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        minplus_rank_update_i32(c, cs, a, as_, b, bs, rows, cols, depth);
     }
 }
 

@@ -13,12 +13,14 @@
 //! 128-bit SIMD unit. That 4×4 kernel stays the Table I reference.
 //!
 //! The host does not have to copy the SPU's shape: [`rank`] holds the
-//! host-native min-plus rank update (`C ⊕= A ⊗ B` on whole panels). Its
-//! entry points dispatch at run time between three tiers: an AVX-512F
-//! micro-kernel (a 6 × 64 `f32` tile in 24 `zmm` accumulators), an AVX2
-//! one (6 × 16 in 12 `ymm`), and the 4×4 sweep. Every candidate is one add
+//! host-native min-plus rank update (`C ⊕= A ⊗ B` on whole panels) for
+//! `f32`, `f64`, `i32` and `i64`. Its entry points dispatch at run time
+//! between three tiers: an AVX-512F micro-kernel (a 6 × 64 `f32` tile in 24
+//! `zmm` accumulators), an AVX2 one (6 × 16 in 12 `ymm`), and the 4×4
+//! sweep (`i32` and `i64` have no AVX-512 tier). Every candidate is one add
 //! and one `min(cand, acc)`, k ascending, with the same `MINPS` tie and NaN
-//! rule at every width, so all three tiers give the same bits. [`lane`]
+//! rule at every width; the integer tiers run only where no add can wrap.
+//! So all three tiers give the same bits. [`lane`]
 //! holds its `i32` sibling for rings whose element is a vector of
 //! independent tropical lanes (rule-lane CYK): `C ⊕= A ⊗ B` lane by lane,
 //! one 256-bit register per element (AVX2 or portable). These two modules
@@ -52,5 +54,8 @@ pub use kernel::{
     KERNEL_SIMD_INSTRUCTIONS,
 };
 pub use lane::{lanewise_rank_update_i32x8, I32Lanes};
-pub use rank::{minplus_rank_update_f32, minplus_rank_update_f64, minplus_rank_update_i64};
+pub use rank::{
+    minplus_rank_update_f32, minplus_rank_update_f64, minplus_rank_update_i32,
+    minplus_rank_update_i64,
+};
 pub use vec::{F32x4, F64x2, I32x4, I64x2};

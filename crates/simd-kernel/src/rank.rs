@@ -7,11 +7,11 @@
 //! and each k-step costs one B row load per accumulator column plus one
 //! broadcast of A per row. There are three tiers:
 //!
-//! | tier | `f32` tile | `f64` tile | accumulators |
-//! |---|---|---|---|
-//! | AVX-512F | 6 rows × 64 columns (4 `zmm`) | 6 × 32 (4 `zmm`) | 24 of 32 `zmm` |
-//! | AVX2 | 6 × 16 (2 `ymm`) | 6 × 8 (2 `ymm`) | 12 of 16 `ymm` |
-//! | portable | the 4×4 tile sweep | the 4×4 tile sweep | — |
+//! | tier | `f32` tile | `f64` tile | `i32` tile | `i64` tile | accumulators |
+//! |---|---|---|---|---|---|
+//! | AVX-512F | 6 rows × 64 columns (4 `zmm`) | 6 × 32 (4 `zmm`) | — | — | 24 of 32 `zmm` |
+//! | AVX2 | 6 × 16 (2 `ymm`) | 6 × 8 (2 `ymm`) | 6 × 16 (2 `ymm`) | 6 × 8 (2 `ymm`) | 12 of 16 `ymm` |
+//! | portable | the 4×4 tile sweep | the 4×4 tile sweep | the 4×4 tile sweep | the 4×4 tile sweep | — |
 //!
 //! Each SIMD tier walks C in column panels, widest tile first. The AVX-512
 //! tier takes the remainders at 32 and 16 `f32` columns (16 and 8 `f64`)
@@ -32,24 +32,31 @@
 //! sweep. The tests below pin the dispatched entry points and, called
 //! directly, each tier the CPU has.
 //!
-//! [`minplus_rank_update_i64`] is the AVX2 kernel over saturating `i64`
-//! (6 × 8 tile, `vpaddq` then `vpcmpgtq` + blend for `min`). AVX2 has no
-//! saturating 64-bit add, so it runs only on panels whose A and B elements
-//! all lie in `[i64::MIN / 2, i64::MAX / 2]`, where no sum can overflow and
-//! the plain add *is* the saturating one. Min-plus tables always qualify
-//! (every cell is at most `i64::MAX / 4`); other panels take the portable
-//! sweep. It has no AVX-512 tier.
+//! The integer kernels compute the saturating min-plus update
+//! `min(C, A.saturating_add(B))`. Both are AVX2 only:
+//! [`minplus_rank_update_i32`] adds with `vpaddd` and takes the minimum with
+//! `vpminsd` (6 × 16 tile); [`minplus_rank_update_i64`] uses `vpaddq` then
+//! `vpcmpgtq` + blend, as AVX2 has no `vpminsq` (6 × 8 tile). Neither has
+//! an AVX-512 tier: every `i32` caller runs 32-wide blocks, where the 6 × 64
+//! tile never fires, and a 6 × 32 `zmm` tile measured no faster there than
+//! the AVX2 one (DESIGN.md §4d). AVX2 has no saturating add at these
+//! widths, so the SIMD tiles run only on panels whose A and B elements all
+//! lie in `[MIN / 2, MAX / 2]` of their type, where no sum can overflow and
+//! the wrapping add *is* the saturating one. Min-plus tables
+//! always qualify (every cell is at most `MAX / 4`); other panels take the
+//! portable saturating sweep. Integer `min` has no ties to break, so the
+//! order of candidates cannot show in the result.
 //!
 //! # Dispatch
 //!
 //! [`minplus_rank_update_f32`] / [`minplus_rank_update_f64`] /
-//! [`minplus_rank_update_i64`] are the only entry points. They check the
-//! operand extents, then run the AVX-512 tier when
-//! `is_x86_feature_detected!("avx512f")` holds, AVX2 too (`f32` / `f64`
-//! only; its column remainders run the AVX2 kernels), else
-//! the AVX2 tier when `is_x86_feature_detected!("avx2")` holds, and
-//! otherwise the 4×4 tile sweep ([`block4x4_minplus_f32_arrays`] per tile),
-//! which is also what every non-x86_64 target compiles to.
+//! [`minplus_rank_update_i32`] / [`minplus_rank_update_i64`] are the only
+//! entry points. They check the operand extents, then run the AVX-512 tier
+//! when `is_x86_feature_detected!("avx512f")` holds, AVX2 too (`f32` /
+//! `f64` only; its column remainders run the AVX2 kernels), else the AVX2
+//! tier when `is_x86_feature_detected!("avx2")` holds, and otherwise the
+//! 4×4 tile sweep ([`block4x4_minplus_f32_arrays`] per tile), which is
+//! also what every non-x86_64 target compiles to.
 
 use crate::kernel::{block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays};
 
@@ -174,6 +181,42 @@ pub fn minplus_rank_update_f64(
     portable_f64(c, cs, a, as_, b, bs, rows, cols, depth);
 }
 
+/// Saturating-`i32` [`minplus_rank_update_f32`]: `C[r][j] = min(C[r][j],
+/// min_k A[r][k].saturating_add(B[k][j]))`. The AVX2 tile is 6 rows × 16
+/// columns and takes panels whose A and B elements all lie in
+/// `[i32::MIN / 2, i32::MAX / 2]` (module docs); the fallback is the 4×4
+/// saturating sweep.
+///
+/// # Panics
+///
+/// As [`minplus_rank_update_f32`].
+#[allow(clippy::too_many_arguments)]
+pub fn minplus_rank_update_i32(
+    c: &mut [i32],
+    cs: usize,
+    a: &[i32],
+    as_: usize,
+    b: &[i32],
+    bs: usize,
+    rows: usize,
+    cols: usize,
+    depth: usize,
+) {
+    check_extents(c.len(), cs, a.len(), as_, b.len(), bs, rows, cols, depth);
+    if rows == 0 || cols == 0 || depth == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && halves(a, as_, rows, depth) && halves(b, bs, depth, cols)
+    {
+        // SAFETY: AVX2 was detected just above, `check_extents` proved every
+        // panel lies inside its slice, and no A + B sum can overflow.
+        unsafe { avx2::rank_update_i32(c, cs, a, as_, b, bs, rows, cols, depth) };
+        return;
+    }
+    portable_i32(c, cs, a, as_, b, bs, rows, cols, depth);
+}
+
 /// Saturating-`i64` [`minplus_rank_update_f32`]: `C[r][j] = min(C[r][j],
 /// min_k A[r][k].saturating_add(B[k][j]))`. The AVX2 tile is 6 rows × 8
 /// columns and takes panels whose A and B elements all lie in
@@ -210,33 +253,60 @@ pub fn minplus_rank_update_i64(
     portable_i64(c, cs, a, as_, b, bs, rows, cols, depth);
 }
 
-/// Whether every element of the `h × w` panel (row stride `stride`) lies in
-/// `[i64::MIN / 2, i64::MAX / 2]`, so that any sum of two of them is exact.
+/// An integer element with a no-overflow range: any two values in
+/// `[HALF_MIN, HALF_MAX]` add without wrapping.
 #[cfg(target_arch = "x86_64")]
-fn halves(x: &[i64], stride: usize, h: usize, w: usize) -> bool {
+trait Halves: Copy + PartialOrd {
+    const HALF_MIN: Self;
+    const HALF_MAX: Self;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Halves for i32 {
+    const HALF_MIN: Self = i32::MIN / 2;
+    const HALF_MAX: Self = i32::MAX / 2;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Halves for i64 {
+    const HALF_MIN: Self = i64::MIN / 2;
+    const HALF_MAX: Self = i64::MAX / 2;
+}
+
+/// Whether every element of the `h × w` panel (row stride `stride`) lies in
+/// `[MIN / 2, MAX / 2]`, so that any sum of two of them is exact.
+#[cfg(target_arch = "x86_64")]
+fn halves<T: Halves>(x: &[T], stride: usize, h: usize, w: usize) -> bool {
     (0..h).all(|r| {
         x[r * stride..r * stride + w]
             .iter()
-            .fold(true, |ok, v| ok & (i64::MIN / 2..=i64::MAX / 2).contains(v))
+            .fold(true, |ok, v| ok & (T::HALF_MIN..=T::HALF_MAX).contains(v))
     })
 }
 
-/// One saturating-`i64` 4×4 tile: the scalar loop of `DpValue`'s default
-/// `tile4_update` for `i64`.
-fn block4x4_minplus_i64(c: &mut [i64], cs: usize, a: &[i64], as_: usize, b: &[i64], bs: usize) {
-    for r in 0..4 {
-        for j in 0..4 {
-            let mut best = c[r * cs + j];
-            for k in 0..4 {
-                let cand = a[r * as_ + k].saturating_add(b[k * bs + j]);
-                if cand < best {
-                    best = cand;
+/// One saturating-integer 4×4 tile: the scalar loop of `DpValue`'s default
+/// `tile4_update` for the integer types.
+macro_rules! block4x4_saturating {
+    ($name:ident, $elem:ty) => {
+        fn $name(c: &mut [$elem], cs: usize, a: &[$elem], as_: usize, b: &[$elem], bs: usize) {
+            for r in 0..4 {
+                for j in 0..4 {
+                    let mut best = c[r * cs + j];
+                    for k in 0..4 {
+                        let cand = a[r * as_ + k].saturating_add(b[k * bs + j]);
+                        if cand < best {
+                            best = cand;
+                        }
+                    }
+                    c[r * cs + j] = best;
                 }
             }
-            c[r * cs + j] = best;
         }
-    }
+    };
 }
+
+block4x4_saturating!(block4x4_minplus_i32, i32);
+block4x4_saturating!(block4x4_minplus_i64, i64);
 
 /// The 4×4 tile sweep every entry point falls back to: tile rows, then tile
 /// columns, then k-tiles in ascending order — the loop `stage1` ran before
@@ -275,6 +345,7 @@ macro_rules! portable_sweep {
 
 portable_sweep!(portable_f32, f32, block4x4_minplus_f32_arrays);
 portable_sweep!(portable_f64, f64, block4x4_minplus_f64_arrays);
+portable_sweep!(portable_i32, i32, block4x4_minplus_i32);
 portable_sweep!(portable_i64, i64, block4x4_minplus_i64);
 
 /// Rows of C one micro-kernel call keeps in registers, at either width: 6
@@ -444,28 +515,59 @@ mod avx2 {
         _mm256_min_pd
     );
 
-    /// Unaligned load of four `i64`.
-    ///
-    /// # Safety
-    ///
-    /// `p` points at four readable `i64`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_i64(p: *const i64) -> __m256i {
-        // SAFETY: the caller vouches for four readable elements; `loadu`
-        // has no alignment requirement.
-        unsafe { _mm256_loadu_si256(p.cast()) }
+    /// Typed unaligned load / store of one integer vector, so the integer
+    /// kernels take element pointers like the float ones.
+    macro_rules! int_load_store {
+        ($load:ident, $store:ident, $elem:ty, $vec:ty, $loadu:ident, $storeu:ident) => {
+            /// Unaligned load of one integer vector.
+            ///
+            /// # Safety
+            ///
+            /// `p` points at one vector's worth of readable elements.
+            #[target_feature(enable = "avx2")]
+            unsafe fn $load(p: *const $elem) -> $vec {
+                // SAFETY: the caller vouches for the readable elements;
+                // `loadu` has no alignment requirement.
+                unsafe { $loadu(p.cast()) }
+            }
+
+            /// Unaligned store of one integer vector.
+            ///
+            /// # Safety
+            ///
+            /// `p` points at one vector's worth of writable elements.
+            #[target_feature(enable = "avx2")]
+            unsafe fn $store(p: *mut $elem, v: $vec) {
+                // SAFETY: as the load, for writing.
+                unsafe { $storeu(p.cast(), v) }
+            }
+        };
     }
 
-    /// Unaligned store of four `i64`.
-    ///
-    /// # Safety
-    ///
-    /// `p` points at four writable `i64`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_i64(p: *mut i64, v: __m256i) {
-        // SAFETY: as `load_i64`, for writing.
-        unsafe { _mm256_storeu_si256(p.cast(), v) }
-    }
+    int_load_store!(
+        load_i64,
+        store_i64,
+        i64,
+        __m256i,
+        _mm256_loadu_si256,
+        _mm256_storeu_si256
+    );
+    int_load_store!(
+        load_i32,
+        store_i32,
+        i32,
+        __m256i,
+        _mm256_loadu_si256,
+        _mm256_storeu_si256
+    );
+    int_load_store!(
+        load4_i32,
+        store4_i32,
+        i32,
+        __m128i,
+        _mm_loadu_si128,
+        _mm_storeu_si128
+    );
 
     /// `acc` unless `cand` is strictly smaller, lane by lane: `min2(acc,
     /// cand)` (AVX2 has no `vpminsq`).
@@ -486,6 +588,29 @@ mod avx2 {
         min_i64
     );
 
+    micro_kernel!(
+        "avx2",
+        tile_i32,
+        i32,
+        8,
+        load_i32,
+        store_i32,
+        _mm256_set1_epi32,
+        _mm256_add_epi32,
+        _mm256_min_epi32
+    );
+    micro_kernel!(
+        "avx2",
+        tile4_i32,
+        i32,
+        4,
+        load4_i32,
+        store4_i32,
+        _mm_set1_epi32,
+        _mm_add_epi32,
+        _mm_min_epi32
+    );
+
     panel_sweep!(
         "avx2",
         rank_update_f32,
@@ -500,6 +625,14 @@ mod avx2 {
         f64,
         (8, tile_f64, 2),
         (4, tile_f64, 1)
+    );
+    panel_sweep!(
+        "avx2",
+        rank_update_i32,
+        i32,
+        (16, tile_i32, 2),
+        (8, tile_i32, 1),
+        (4, tile4_i32, 1)
     );
     panel_sweep!(
         "avx2",
@@ -631,6 +764,41 @@ mod tests {
         hard_i64(s, true)
     }
 
+    /// `i32` values at the SIMD tiers' guard edges: both ends of the
+    /// no-overflow range, `INF = i32::MAX / 4` and the sum of two of them
+    /// (an once-padded cell), negatives, `0` and ties. One value in
+    /// `outlier` (about one in 64) lies just outside the range, or at
+    /// `i32::MAX` / `i32::MIN`, sending the whole call to the portable
+    /// sweep.
+    fn hard_i32(s: &mut u64, outlier: bool) -> i32 {
+        *s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let pick = *s >> 58;
+        if outlier && pick == 0 {
+            return [i32::MAX, i32::MIN, i32::MAX / 2 + 1, i32::MIN / 2 - 1]
+                [(*s >> 20) as usize % 4];
+        }
+        match pick % 8 {
+            0 => i32::MAX / 4,
+            1 => i32::MAX / 2,
+            2 => i32::MIN / 2,
+            3 => 0,
+            4 => ((*s >> 40) % 4) as i32,
+            5 => -(((*s >> 30) % 1000) as i32),
+            6 => i32::MAX / 4 * 2,
+            _ => ((*s >> 3) % (i32::MAX / 4) as u64) as i32,
+        }
+    }
+
+    fn hard_i32_in_range(s: &mut u64) -> i32 {
+        hard_i32(s, false)
+    }
+
+    fn hard_i32_with_outliers(s: &mut u64) -> i32 {
+        hard_i32(s, true)
+    }
+
     /// Exact bit patterns, for comparing whole panels.
     trait Bits {
         fn bits(self) -> u64;
@@ -645,6 +813,12 @@ mod tests {
     impl Bits for f64 {
         fn bits(self) -> u64 {
             self.to_bits()
+        }
+    }
+
+    impl Bits for i32 {
+        fn bits(self) -> u64 {
+            (self as u32).into()
         }
     }
 
@@ -695,6 +869,13 @@ mod tests {
 
     assert_matches!(assert_f32_matches, f32, hard_f32, portable_f32);
     assert_matches!(assert_f64_matches, f64, hard_f64, portable_f64);
+    assert_matches!(assert_i32_matches, i32, hard_i32_in_range, portable_i32);
+    assert_matches!(
+        assert_i32_outliers_match,
+        i32,
+        hard_i32_with_outliers,
+        portable_i32
+    );
     assert_matches!(assert_i64_matches, i64, hard_i64_in_range, portable_i64);
     assert_matches!(
         assert_i64_outliers_match,
@@ -703,8 +884,8 @@ mod tests {
         portable_i64
     );
 
-    /// The tiers the `f32` / `f64` entry points dispatch between, widest
-    /// first.
+    /// The tiers the entry points dispatch between, widest first (`i32` has
+    /// no `Avx512`).
     #[derive(Clone, Copy, Debug)]
     enum Tier {
         Avx512,
@@ -737,41 +918,47 @@ mod tests {
     }
 
     /// One tier of an entry point, called directly after the entry point's
-    /// own extent check.
+    /// own extent check. `[Tier => module, ..]` lists the SIMD tiers the
+    /// entry point has.
     macro_rules! tier_kernel {
-        ($name:ident, $elem:ty, $kernel:ident, $portable:ident) => {
+        ($name:ident, $elem:ty, $kernel:ident, $portable:ident,
+         [$($tier:ident => $module:ident),+]) => {
             fn $name(tier: Tier) -> impl Kernel<$elem> {
                 move |c: &mut [$elem], cs, a: &[$elem], as_, b: &[$elem], bs, rows, cols, depth| {
                     check_extents(c.len(), cs, a.len(), as_, b.len(), bs, rows, cols, depth);
                     match tier {
-                        // SAFETY: the tests only run tiers whose feature
-                        // `Tier::available` detected, and `check_extents`
-                        // proved every panel lies inside its slice.
-                        #[cfg(target_arch = "x86_64")]
-                        Tier::Avx512 => unsafe {
-                            avx512::$kernel(c, cs, a, as_, b, bs, rows, cols, depth)
-                        },
-                        // SAFETY: as above.
-                        #[cfg(target_arch = "x86_64")]
-                        Tier::Avx2 => unsafe {
-                            avx2::$kernel(c, cs, a, as_, b, bs, rows, cols, depth)
-                        },
-                        _ => $portable(c, cs, a, as_, b, bs, rows, cols, depth),
+                        $(
+                            // SAFETY: the tests only run tiers whose feature
+                            // `Tier::available` detected, and `check_extents`
+                            // proved every panel lies inside its slice.
+                            #[cfg(target_arch = "x86_64")]
+                            Tier::$tier => unsafe {
+                                $module::$kernel(c, cs, a, as_, b, bs, rows, cols, depth)
+                            },
+                        )+
+                        Tier::Portable => $portable(c, cs, a, as_, b, bs, rows, cols, depth),
+                        #[allow(unreachable_patterns)]
+                        _ => unreachable!("{tier:?} is not a tier of this kernel"),
                     }
                 }
             }
         };
     }
 
-    tier_kernel!(tier_f32, f32, rank_update_f32, portable_f32);
-    tier_kernel!(tier_f64, f64, rank_update_f64, portable_f64);
+    tier_kernel!(tier_f32, f32, rank_update_f32, portable_f32, [Avx512 => avx512, Avx2 => avx2]);
+    tier_kernel!(tier_f64, f64, rank_update_f64, portable_f64, [Avx512 => avx512, Avx2 => avx2]);
+    tier_kernel!(tier_i32, i32, rank_update_i32, portable_i32, [Avx2 => avx2]);
 
     /// Every tier the CPU has, called directly, equals the portable sweep
     /// bit for bit on the hard value classes, over shapes that take every
     /// column remainder of the widest tile (64/32/16/8/4 `f32` columns,
-    /// 32/16/8/4 `f64` columns) and every row remainder (6/4/1), with and
-    /// without stride gaps. The dispatched tests above reach only the
-    /// widest tier; this one keeps the narrower ones covered on every host.
+    /// 32/16/8/4 `f64`, 16/8/4 `i32`) and every row remainder (6/4/1),
+    /// with and without stride gaps. The `i32` operands stay inside the
+    /// tiers' no-overflow range, both ends included (the entry point routes
+    /// anything else to the portable sweep; `i32_guard_edges_saturate` and
+    /// the outlier runs below pin that). The dispatched tests above reach
+    /// only the widest tier; this one keeps the narrower ones covered on
+    /// every host.
     #[test]
     fn every_tier_matches_portable_sweep() {
         let rows = [4, 8, 12, 16, 20];
@@ -787,6 +974,9 @@ mod tests {
                         let seed = (i * 100 + depth + pad) as u64;
                         assert_f32_matches(tier_f32(tier), r, c, depth, pad, seed);
                         assert_f64_matches(tier_f64(tier), r, c, depth, pad, seed);
+                        if !matches!(tier, Tier::Avx512) {
+                            assert_i32_matches(tier_i32(tier), r, c, depth, pad, seed);
+                        }
                     }
                 }
             }
@@ -801,6 +991,8 @@ mod tests {
         for nb in (4..=96).step_by(4) {
             assert_f32_matches(minplus_rank_update_f32, nb, nb, nb, 0, nb as u64);
             assert_f64_matches(minplus_rank_update_f64, nb, nb, nb, 0, nb as u64);
+            assert_i32_matches(minplus_rank_update_i32, nb, nb, nb, 0, nb as u64);
+            assert_i32_outliers_match(minplus_rank_update_i32, nb, nb, nb, 0, nb as u64);
             assert_i64_matches(minplus_rank_update_i64, nb, nb, nb, 0, nb as u64);
             assert_i64_outliers_match(minplus_rank_update_i64, nb, nb, nb, 0, nb as u64);
         }
@@ -822,6 +1014,14 @@ mod tests {
                 );
                 assert_f64_matches(
                     minplus_rank_update_f64,
+                    4,
+                    nb,
+                    depth,
+                    3,
+                    (nb * 1000 + depth) as u64,
+                );
+                assert_i32_matches(
+                    minplus_rank_update_i32,
                     4,
                     nb,
                     depth,
@@ -876,6 +1076,32 @@ mod tests {
         assert!(c.iter().all(|&v| v == i64::MIN));
     }
 
+    /// One past either end of the `i32` guard, a wrapping add would turn a
+    /// losing sum into a winner (`MAX / 2 + 1` twice wraps to `MIN`) or a
+    /// winner into a loser (`MIN / 2 - 1` twice wraps to `MAX`); the entry
+    /// point sends such panels to the saturating sweep. At the ends
+    /// themselves the SIMD tiers run, and their sums are exact.
+    #[test]
+    fn i32_guard_edges_saturate() {
+        let run = |a: i32, b: i32| {
+            let mut c = vec![5i32; 16];
+            minplus_rank_update_i32(&mut c, 4, &[a; 16], 4, &[b; 16], 4, 4, 4, 4);
+            c[0]
+        };
+        assert_eq!(
+            run(i32::MAX / 2 + 1, i32::MAX / 2 + 1),
+            5,
+            "saturates, never wraps"
+        );
+        assert_eq!(run(i32::MIN / 2 - 1, i32::MIN / 2 - 1), i32::MIN);
+        assert_eq!(run(i32::MAX, i32::MAX), 5);
+        assert_eq!(run(i32::MAX / 2, i32::MAX / 2), 5);
+        assert_eq!(run(i32::MIN / 2, i32::MIN / 2), i32::MIN);
+        assert_eq!(run(i32::MIN / 2, i32::MAX / 2), -1);
+        assert_eq!(run(i32::MAX / 4, i32::MAX / 4), 5, "INF + INF loses");
+        assert_eq!(run(i32::MAX / 4, -(i32::MAX / 4)), 0);
+    }
+
     #[test]
     #[should_panic(expected = "not made of 4×4 computing blocks")]
     fn ragged_shape_is_rejected() {
@@ -917,6 +1143,8 @@ mod tests {
         ) {
             assert_f32_matches(minplus_rank_update_f32, 4 * rows, 4 * cols, 4 * depth, pad, seed);
             assert_f64_matches(minplus_rank_update_f64, 4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_i32_matches(minplus_rank_update_i32, 4 * rows, 4 * cols, 4 * depth, pad, seed);
+            assert_i32_outliers_match(minplus_rank_update_i32, 4 * rows, 4 * cols, 4 * depth, pad, seed);
             assert_i64_matches(minplus_rank_update_i64, 4 * rows, 4 * cols, 4 * depth, pad, seed);
             assert_i64_outliers_match(minplus_rank_update_i64, 4 * rows, 4 * cols, 4 * depth, pad, seed);
         }

@@ -37,7 +37,9 @@
 //! and padded blocks inert (the padding law: clamp threshold `INF / 2`
 //! exceeds any real energy by orders of magnitude).
 
-use npdp_core::{ExecContext, Recurrence, Semiring, SolveRecurrence, TriangularMatrix};
+use std::cell::RefCell;
+
+use npdp_core::{ExecContext, MinPlus, Recurrence, Semiring, SolveRecurrence, TriangularMatrix};
 
 use crate::energy::{EnergyModel, INF};
 use crate::fold::{FoldResult, VTable};
@@ -139,9 +141,145 @@ impl ZkElem {
 /// `min`, `extend` merges two adjacent intervals. Carries the multiloop
 /// per-unpaired-base cost `c` (the only model parameter split composition
 /// needs — everything else lives in [`Recurrence::finalize`]).
+///
+/// # Track planes
+///
+/// [`Semiring::rank_update`] and [`Semiring::tile4`] do not sweep whole
+/// elements. A candidate `extend(a, b)` in which neither side has
+/// `span == 1` is `INF` on every track except `span`, `w`, `wm` and `wm2`,
+/// and those four are plain saturating sums: `a.span + b.span`, `a.w +
+/// b.w`, and `a.wm + b.wm` for both `wm` and `wm2`. So the update gathers
+/// those planes into dense `i32` panels, runs one `MinPlus<i32>` rank
+/// update per C plane (the host-native kernel), scatters the C planes back,
+/// and then applies the full scalar `combine(c, extend(a, b))` for every A
+/// element `(r, k)` and every B element `(k, j)` whose `span` is 1, across
+/// its row or column of C.
+///
+/// This equals the full-element sweep bit for bit as long as every track
+/// of every C element is at most `INF`: skipping a non-unit candidate's
+/// `INF` tracks then changes nothing, because `min(c, INF) = c`. Every
+/// element a solve stores qualifies — seeds are `ABSENT` or `BASE`,
+/// `combine` is `min`, and `finalize` clamps. A unit-span candidate's four
+/// plane tracks are applied twice, which `min` cannot tell apart from once,
+/// and the order in which candidates arrive cannot show either (integer
+/// `min` is exactly commutative, associative and idempotent).
 #[derive(Clone)]
 pub struct ZkRing {
     multi_unpaired: i32,
+}
+
+thread_local! {
+    /// The `i32` track planes of [`ZkRing::rank_update`], grown to the
+    /// largest panel this thread has seen.
+    static PLANES: RefCell<Vec<i32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Planes gathered from A (`span`, `w`, `wm`), from B (the same three) and
+/// from C (`span`, `w`, `wm`, `wm2`).
+const A_PLANES: usize = 3;
+const B_PLANES: usize = 3;
+const C_PLANES: usize = 4;
+
+/// `i32` scratch [`ZkRing::plane_update`] needs for a `rows × cols × depth`
+/// update.
+const fn planes_len(rows: usize, cols: usize, depth: usize) -> usize {
+    A_PLANES * rows * depth + B_PLANES * depth * cols + C_PLANES * rows * cols
+}
+
+/// Whether every track of `e` is at most `INF` — the precondition of the
+/// track-plane update.
+fn within_inf(e: &ZkElem) -> bool {
+    [e.span, e.w, e.v, e.wm, e.wm2, e.wm2_tr, e.mb]
+        .iter()
+        .chain(&e.win)
+        .all(|&x| x <= INF)
+}
+
+impl ZkRing {
+    /// `C ⊕= A ⊗ B` by track planes (see the type's docs), with `planes` as
+    /// scratch of at least [`planes_len`] elements.
+    #[allow(clippy::too_many_arguments)]
+    fn plane_update(
+        &self,
+        c: &mut [ZkElem],
+        cs: usize,
+        a: &[ZkElem],
+        as_: usize,
+        b: &[ZkElem],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+        planes: &mut [i32],
+    ) {
+        debug_assert!(
+            (0..rows).all(|r| c[r * cs..r * cs + cols].iter().all(within_inf)),
+            "track-plane update needs every C track at most INF"
+        );
+        let (na, nb, nc) = (rows * depth, depth * cols, rows * cols);
+        let (pa, rest) = planes.split_at_mut(A_PLANES * na);
+        let (pb, pc) = rest.split_at_mut(B_PLANES * nb);
+        for r in 0..rows {
+            for (k, e) in a[r * as_..r * as_ + depth].iter().enumerate() {
+                let i = r * depth + k;
+                (pa[i], pa[na + i], pa[2 * na + i]) = (e.span, e.w, e.wm);
+            }
+        }
+        for k in 0..depth {
+            for (j, e) in b[k * bs..k * bs + cols].iter().enumerate() {
+                let i = k * cols + j;
+                (pb[i], pb[nb + i], pb[2 * nb + i]) = (e.span, e.w, e.wm);
+            }
+        }
+        for r in 0..rows {
+            for (j, e) in c[r * cs..r * cs + cols].iter().enumerate() {
+                let i = r * cols + j;
+                (pc[i], pc[nc + i], pc[2 * nc + i], pc[3 * nc + i]) = (e.span, e.w, e.wm, e.wm2);
+            }
+        }
+        // C plane ⊕= A plane ⊗ B plane: span, w, wm, and wm2 from the wm sums.
+        let ring = MinPlus::<i32>::new();
+        for (p, q) in [(0, 0), (1, 1), (2, 2), (3, 2)] {
+            ring.rank_update(
+                &mut pc[p * nc..(p + 1) * nc],
+                cols,
+                &pa[q * na..(q + 1) * na],
+                depth,
+                &pb[q * nb..(q + 1) * nb],
+                cols,
+                rows,
+                cols,
+                depth,
+            );
+        }
+        for r in 0..rows {
+            for (j, e) in c[r * cs..r * cs + cols].iter_mut().enumerate() {
+                let i = r * cols + j;
+                (e.span, e.w, e.wm, e.wm2) = (pc[i], pc[nc + i], pc[2 * nc + i], pc[3 * nc + i]);
+            }
+        }
+        // Unit-span operands: the full element candidate, row of C by row
+        // (A) or column by column (B).
+        let (a_span, b_span) = (&pa[..na], &pb[..nb]);
+        for r in 0..rows {
+            for k in (0..depth).filter(|&k| a_span[r * depth + k] == 1) {
+                let x = a[r * as_ + k];
+                for j in 0..cols {
+                    let cell = &mut c[r * cs + j];
+                    *cell = self.combine(*cell, self.extend(x, b[k * bs + j]));
+                }
+            }
+        }
+        for k in 0..depth {
+            for j in (0..cols).filter(|&j| b_span[k * cols + j] == 1) {
+                let y = b[k * bs + j];
+                for r in 0..rows {
+                    let cell = &mut c[r * cs + j];
+                    *cell = self.combine(*cell, self.extend(a[r * as_ + k], y));
+                }
+            }
+        }
+    }
 }
 
 impl Semiring for ZkRing {
@@ -211,6 +349,45 @@ impl Semiring for ZkRing {
             }
         }
         o
+    }
+
+    /// One 4×4×4 track-plane update on stack planes (no heap allocation).
+    fn tile4(
+        &self,
+        c: &mut [ZkElem],
+        cs: usize,
+        a: &[ZkElem],
+        as_: usize,
+        b: &[ZkElem],
+        bs: usize,
+    ) {
+        let mut planes = [0; planes_len(4, 4, 4)];
+        self.plane_update(c, cs, a, as_, b, bs, 4, 4, 4, &mut planes);
+    }
+
+    /// The track-plane update (type docs) on thread-local planes.
+    ///
+    /// Every track of every C element in the panel must be at most `INF`
+    /// (debug builds assert it); every element a solve stores is.
+    fn rank_update(
+        &self,
+        c: &mut [ZkElem],
+        cs: usize,
+        a: &[ZkElem],
+        as_: usize,
+        b: &[ZkElem],
+        bs: usize,
+        rows: usize,
+        cols: usize,
+        depth: usize,
+    ) {
+        PLANES.with_borrow_mut(|planes| {
+            let need = planes_len(rows, cols, depth);
+            if planes.len() < need {
+                planes.resize(need, 0);
+            }
+            self.plane_update(c, cs, a, as_, b, bs, rows, cols, depth, planes);
+        });
     }
 }
 
@@ -460,6 +637,26 @@ mod tests {
         assert_tables_match(&seq, &m, &r, "hairpin");
     }
 
+    /// The same cross-check at sizes around the block sides, so stage 1
+    /// sees unit-span (`BASE`) operands at block boundaries: the cell
+    /// `(i, i + 1)` is the last row of one block and the first column of the
+    /// next.
+    #[test]
+    fn on_engine_fold_matches_fold_exact_at_block_boundaries() {
+        let m = bounded_model();
+        let ctx = ExecContext::disabled();
+        for (idx, n) in [63usize, 64, 65, 97].into_iter().enumerate() {
+            let seq = random_sequence(n, idx as u64 * 11 + 3);
+            for nb in [8, 32] {
+                let simd = fold_on_engine(&seq, &m, &SimdEngine::new(nb), &ctx).unwrap();
+                assert_tables_match(&seq, &m, &simd, &format!("simd nb {nb}"));
+                let par = ParallelEngine::new(nb, 2, 2);
+                let par = fold_on_engine(&seq, &m, &par, &ctx).unwrap();
+                assert_tables_match(&seq, &m, &par, &format!("parallel nb {nb}"));
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "on-engine fold supports internal loops")]
     fn rejects_oversized_internal_loop_bound() {
@@ -501,6 +698,135 @@ mod tests {
             let both = ring.combine(real, padded);
             assert_eq!(both.w, real.w);
             assert_eq!(both.v, real.v);
+        }
+    }
+
+    /// `ZkRing` with the `Semiring` defaults only: its `rank_update` and
+    /// `tile4` are the full-element 4×4 tile sweep of `combine(c,
+    /// extend(a, b))`, the reference for the track-plane overrides.
+    #[derive(Clone)]
+    struct FullSweep(ZkRing);
+
+    impl Semiring for FullSweep {
+        type Elem = ZkElem;
+
+        fn zero(&self) -> ZkElem {
+            self.0.zero()
+        }
+
+        fn combine(&self, a: ZkElem, b: ZkElem) -> ZkElem {
+            self.0.combine(a, b)
+        }
+
+        fn extend(&self, a: ZkElem, b: ZkElem) -> ZkElem {
+            self.0.extend(a, b)
+        }
+    }
+
+    /// Every cell of small on-engine folds (real multiloop and window
+    /// tracks, `BASE` cells included), plus `ABSENT` and `BASE`.
+    fn solved_cells() -> Vec<ZkElem> {
+        let m = bounded_model();
+        let mut cells = vec![ZkElem::ABSENT, ZkElem::BASE];
+        for seed in 0..3 {
+            let seq = random_sequence(18 + 5 * seed as usize, seed + 40);
+            let rec = ZukerRec::new(&seq, &m);
+            let (d, _) = SerialEngine
+                .solve_recurrence(&rec, &ExecContext::disabled())
+                .unwrap();
+            cells.extend(d.as_slice());
+        }
+        cells
+    }
+
+    proptest::proptest! {
+        /// The track-plane `rank_update` equals the full-element sweep bit
+        /// for bit, on random shapes (multiples of 4 up to 40) with strides
+        /// wider than the panels. A and B mix solved cells, `ABSENT`,
+        /// once-padded `extend(zero, x)` / `extend(x, zero)`, and `BASE`
+        /// (span 1) at a forced spot in A, in B, in both or in neither; C
+        /// holds solved cells and `ABSENT` (every track at most `INF`).
+        #[test]
+        fn plane_rank_update_matches_full_sweep(
+            rows in 1usize..11, cols in 1usize..11, depth in 1usize..11,
+            pad in 0usize..5, units in 0usize..4, seed in proptest::prelude::any::<u64>(),
+        ) {
+            let ring = ZkRing { multi_unpaired: 3 };
+            let cells = solved_cells();
+            let (rows, cols, depth) = (4 * rows, 4 * cols, 4 * depth);
+            let (cs, as_, bs) = (cols + pad, depth + pad + 1, cols + 2 * pad);
+            let mut s = seed | 1;
+            let mut pick = |padded: bool| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let x = cells[(s >> 33) as usize % cells.len()];
+                match (padded, (s >> 20) % 8) {
+                    (true, 0) => ring.extend(ZkElem::ABSENT, x),
+                    (true, 1) => ring.extend(x, ZkElem::ABSENT),
+                    _ => x,
+                }
+            };
+            let mut a: Vec<_> = (0..rows * as_).map(|_| pick(true)).collect();
+            let mut b: Vec<_> = (0..depth * bs).map(|_| pick(true)).collect();
+            let c: Vec<_> = (0..rows * cs).map(|_| pick(false)).collect();
+            let spot = seed as usize;
+            if units & 1 == 1 {
+                a[(spot % rows) * as_ + spot % depth] = ZkElem::BASE;
+            }
+            if units & 2 == 2 {
+                b[(spot % depth) * bs + spot % cols] = ZkElem::BASE;
+            }
+            let (mut planes, mut full) = (c.clone(), c);
+            ring.rank_update(&mut planes, cs, &a, as_, &b, bs, rows, cols, depth);
+            FullSweep(ring.clone()).rank_update(&mut full, cs, &a, as_, &b, bs, rows, cols, depth);
+            proptest::prop_assert!(planes == full, "{rows}×{cols}×{depth} pad {pad} units {units}");
+
+            // `tile4` is the 4×4×4 case, on the panels' corner tiles.
+            let (mut planes, mut full) = (full.clone(), full);
+            ring.tile4(&mut planes, cs, &a, as_, &b, bs);
+            FullSweep(ring).tile4(&mut full, cs, &a, as_, &b, bs);
+            proptest::prop_assert!(planes == full, "tile4 pad {pad} units {units}");
+        }
+    }
+
+    /// The precondition is checked in debug builds: a C track above `INF`
+    /// (here a once-padded element) is refused rather than silently
+    /// mis-reduced.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every C track at most INF")]
+    fn plane_update_rejects_c_tracks_above_inf() {
+        let ring = ZkRing { multi_unpaired: 3 };
+        let mut c = [ring.extend(ZkElem::ABSENT, ZkElem::ABSENT); 16];
+        ring.tile4(
+            &mut c,
+            4,
+            &[ZkElem::ABSENT; 16],
+            4,
+            &[ZkElem::ABSENT; 16],
+            4,
+        );
+    }
+
+    /// `combine` is exactly commutative, associative and idempotent on
+    /// every value a solve can hold (the `Semiring` laws the track-plane
+    /// split relies on).
+    #[test]
+    fn combine_laws_for_zk_ring() {
+        let ring = ZkRing { multi_unpaired: 3 };
+        let cells = solved_cells();
+        let domain: Vec<_> = cells.iter().step_by(cells.len() / 24).copied().collect();
+        for &x in &domain {
+            assert_eq!(ring.combine(x, x), x, "idempotent");
+            for &y in &domain {
+                assert_eq!(ring.combine(x, y), ring.combine(y, x), "commutative");
+                for &z in &domain {
+                    assert_eq!(
+                        ring.combine(ring.combine(x, y), z),
+                        ring.combine(x, ring.combine(y, z)),
+                        "associative"
+                    );
+                }
+            }
         }
     }
 }

@@ -46,8 +46,8 @@ fi
 echo "Deprecation guard: no #[deprecated] items or allow(deprecated) carve-outs."
 
 # Host-native kernels dispatch at run time behind one public function per
-# element type (`minplus_rank_update_f32`, `_f64`, and the lane-wise
-# `lanewise_rank_update_i32x8`); an ISA- or speed-suffixed
+# element type (`minplus_rank_update_f32`, `_f64`, `_i32`, `_i64`, and the
+# lane-wise `lanewise_rank_update_i32x8`); an ISA- or speed-suffixed
 # public twin would let callers bypass the dispatch and its fallback.
 isa=$(grep -rnoE 'pub(\([a-z]+\))? (unsafe )?fn [a-zA-Z0-9_]+_(avx2|avx512[a-z]*|sse[0-9]*|neon|fast|portable)\s*[(<]' \
           crates/*/src --include='*.rs' || true)

@@ -179,6 +179,64 @@ fn integer_engines_exact() {
     }
 }
 
+/// The `i32` engines under test: the NDL tiers run `MinPlus<i32>`'s
+/// rank-update kernel, at block sides that put remainders on either side
+/// of its 16- and 64-column register tiles.
+fn i32_engines() -> Vec<(&'static str, Box<dyn Engine<i32>>)> {
+    vec![
+        ("simd-8", Box::new(SimdEngine::new(8))),
+        ("simd-32", Box::new(SimdEngine::new(32))),
+        ("simd-88", Box::new(SimdEngine::new(88))),
+        ("parallel-8-1", Box::new(ParallelEngine::new(8, 1, 2))),
+        ("parallel-16-2", Box::new(ParallelEngine::new(16, 2, 4))),
+    ]
+}
+
+/// `MinPlus<i32>` on the SIMD and parallel tiers equals the serial
+/// flowchart bit for bit, on seeded closures: dense seeds, seeds with `INF`
+/// holes (sums of two `INF`s reach the kernel's guard range), and ragged
+/// sizes around the block sides.
+#[test]
+fn i32_closures_bit_identical() {
+    for (n, seed) in [(1usize, 1u64), (13, 2), (63, 3), (64, 4), (65, 5), (130, 6)] {
+        let raw = problem::random_seeds_i64(n, 2000, seed);
+        let seeds = TriangularMatrix::from_fn(n, |i, j| match raw.get(i, j) {
+            v if v >= 1800 => i32::INFINITY,
+            v => v as i32,
+        });
+        let reference = SerialEngine.solve(&seeds);
+        for (name, engine) in i32_engines() {
+            let got = engine.solve(&seeds);
+            assert_eq!(
+                reference.first_difference(&got),
+                None,
+                "i32 engine {name} diverged at n={n}"
+            );
+        }
+    }
+}
+
+/// The Zuker `W` closure of `fold_with_engine` (a `MinPlus<i32>` closure
+/// over the stems table) on the SIMD and parallel tiers equals the serial
+/// engine's, table and energy, bit for bit.
+#[test]
+fn zuker_w_closure_i32_bit_identical() {
+    let model = npdp::rna::EnergyModel::default();
+    for (n, seed) in [(17usize, 1u64), (63, 2), (64, 3), (97, 4), (150, 5)] {
+        let seq = npdp::rna::random_sequence(n, seed);
+        let serial = npdp::rna::fold_with_engine(&seq, &model, &SerialEngine);
+        for (name, engine) in i32_engines() {
+            let got = npdp::rna::fold_with_engine(&seq, &model, engine.as_ref());
+            assert_eq!(
+                serial.w.first_difference(&got.w),
+                None,
+                "W closure on {name} diverged at n={n}"
+            );
+            assert_eq!(serial.energy, got.energy, "energy on {name} at n={n}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
