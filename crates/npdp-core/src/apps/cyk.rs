@@ -16,11 +16,19 @@
 //! # Rule lanes
 //!
 //! [`CykRing`]'s `rank_update` (and `tile4`) turns a panel update into one
-//! lane per binary rule: lane `r` of the A′ panel holds `x[b_r]`, lane `r`
-//! of the B′ panel `y[c_r] + w_r`, and
-//! [`simd_kernel::lanewise_rank_update_i32x8`] reduces `min(A′ + B′)` over
-//! the split dimension eight rules per register. Each cell then folds its
-//! rule lanes into their heads once. This is exact for a validated grammar:
+//! lane per binary rule, eight rules per group, in three `simd_kernel::lane`
+//! steps per group:
+//!
+//! 1. [`simd_kernel::gather_lanes`] builds the A′ panel (lane `r` holds
+//!    `x[b_r]`) and the B′ panel (lane `r` holds `y[c_r] + w_r`) by one
+//!    register permute (plus one add) per element;
+//! 2. [`simd_kernel::lanewise_rank_update_i32x8`] reduces `min(A′ + B′)`
+//!    over the split dimension, eight rules per register;
+//! 3. [`simd_kernel::fold_lanes`] folds each cell's rule lanes into their
+//!    heads once, by a segmented `min` over register permutes.
+//!
+//! The panels are `NtVec`s, which the kernels reach through
+//! `AsRef`/`AsMut<[i32; 8]>`. This is exact for a validated grammar:
 //! every stored lane lies in `[0, INF]` and every weight in `[0, 10⁶]`, so
 //! `x[b] + y[c] + w ≤ 2·INF + 10⁶ < i32::MAX` never saturates and
 //! `min_k min_rules (x[b] + y[c] + w) = min_rules (w + min_k (x[b] + y[c]))`
@@ -30,7 +38,9 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use npdp_exec::ExecContext;
-use simd_kernel::{lanewise_rank_update_i32x8, I32Lanes};
+use simd_kernel::{
+    fold_lanes, gather_lanes, lanewise_rank_update_i32x8, I32Lanes, LaneFold, LaneGather,
+};
 
 use crate::error::SolveError;
 use crate::layout::TriangularMatrix;
@@ -52,6 +62,19 @@ const INF: i32 = <i32 as DpValue>::INFINITY;
 /// the covered token span (`INF` = not derivable).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NtVec(pub [i32; MAX_NT]);
+
+/// The rule-lane kernels' view of a vector: one `i32` lane per nonterminal.
+impl AsRef<I32Lanes> for NtVec {
+    fn as_ref(&self) -> &I32Lanes {
+        &self.0
+    }
+}
+
+impl AsMut<I32Lanes> for NtVec {
+    fn as_mut(&mut self) -> &mut I32Lanes {
+        &mut self.0
+    }
+}
 
 impl NtVec {
     /// The "no derivation" vector — `combine`'s identity.
@@ -139,14 +162,12 @@ pub struct CykRing {
 /// last rule read nonterminal 0 with weight 0 and are never folded back.
 #[derive(Debug)]
 struct RuleGroup {
-    /// Left child `b` of each lane (the A′ gather index).
-    left: [usize; 8],
-    /// Right child `c` of each lane (the B′ gather index).
-    right: [usize; 8],
-    /// Rule weight of each lane, added into B′.
-    weight: I32Lanes,
-    /// Head `a` of each rule in the group, in lane order.
-    heads: Vec<usize>,
+    /// A′ gather: lane `r` takes the left child `b_r`.
+    left: LaneGather,
+    /// B′ gather: lane `r` takes the right child `c_r` plus the weight `w_r`.
+    right: LaneGather,
+    /// Folds lane `r` into the head `a_r`.
+    heads: LaneFold,
 }
 
 thread_local! {
@@ -166,17 +187,19 @@ impl CykRing {
         if let Err(reason) = grammar.validate() {
             panic!("CYK ring over an invalid grammar: {reason}");
         }
-        let lane = |g: &[(u8, u8, u8, i32)], f: fn(&(u8, u8, u8, i32)) -> usize| {
-            std::array::from_fn(|l| g.get(l).map_or(0, f))
-        };
         let groups = grammar
             .binary
             .chunks(8)
-            .map(|g| RuleGroup {
-                left: lane(g, |r| r.1.into()),
-                right: lane(g, |r| r.2.into()),
-                weight: std::array::from_fn(|l| g.get(l).map_or(0, |r| r.3)),
-                heads: g.iter().map(|r| r.0.into()).collect(),
+            .map(|g| {
+                let lane = |f: fn(&(u8, u8, u8, i32)) -> usize| {
+                    std::array::from_fn(|l| g.get(l).map_or(0, f))
+                };
+                let weight = std::array::from_fn(|l| g.get(l).map_or(0, |r| r.3));
+                RuleGroup {
+                    left: LaneGather::new(lane(|r| r.1.into()), [0; 8]),
+                    right: LaneGather::new(lane(|r| r.2.into()), weight),
+                    heads: LaneFold::new(&g.iter().map(|r| r.0.into()).collect::<Vec<_>>()),
+                }
             })
             .collect();
         Self { grammar, groups }
@@ -202,34 +225,11 @@ impl CykRing {
         let (bp, acc) = rest.split_at_mut(depth * cols);
         let acc = &mut acc[..rows * cols];
         for group in self.groups.iter() {
-            let RuleGroup {
-                left,
-                right,
-                weight,
-                heads,
-            } = group;
-            for r in 0..rows {
-                for k in 0..depth {
-                    let x = &a[r * as_ + k].0;
-                    ap[r * depth + k] = std::array::from_fn(|l| x[left[l]]);
-                }
-            }
-            for k in 0..depth {
-                for j in 0..cols {
-                    let y = &b[k * bs + j].0;
-                    bp[k * cols + j] = std::array::from_fn(|l| y[right[l]] + weight[l]);
-                }
-            }
+            gather_lanes(ap, a, as_, rows, depth, &group.left);
+            gather_lanes(bp, b, bs, depth, cols, &group.right);
             acc.fill([INF; 8]);
             lanewise_rank_update_i32x8(acc, ap, bp, rows, cols, depth);
-            for r in 0..rows {
-                for j in 0..cols {
-                    let (cell, best) = (&mut c[r * cs + j].0, &acc[r * cols + j]);
-                    for (&h, &v) in heads.iter().zip(best) {
-                        cell[h] = cell[h].min(v);
-                    }
-                }
-            }
+            fold_lanes(c, cs, acc, rows, cols, &group.heads);
         }
     }
 }
@@ -743,6 +743,62 @@ mod tests {
                 assert_rank_update_matches(&ring, (nb, nb, nb), seed(nb), true);
             }
             assert_rank_update_matches(&ring, (4, 4, 4), seed(1), false);
+        }
+    }
+
+    /// A grammar of `rules` binary rules for the rule-lane property test:
+    /// head mode 0 sends every rule to head 5, mode 1 draws heads at random,
+    /// mode 2 cycles through heads 6, 2, 6, 1 (unsorted, with 0, 3, 4, 5 and
+    /// 7 unused). Weights are 0, 10⁶ or small, children anything.
+    fn lane_grammar(rules: usize, head_mode: usize, seed: u64) -> Grammar {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as usize
+        };
+        let binary = (0..rules)
+            .map(|r| {
+                let head = match head_mode {
+                    0 => 5,
+                    1 => next() % MAX_NT,
+                    _ => [6, 2, 6, 1][r % 4],
+                };
+                let weight = match next() % 3 {
+                    0 => 0,
+                    1 => MAX_WEIGHT,
+                    _ => (next() % 1000) as i32,
+                };
+                let (b, c) = (next() % MAX_NT, next() % MAX_NT);
+                (head as u8, b as u8, c as u8, weight)
+            })
+            .collect();
+        let g = Grammar {
+            nt_count: MAX_NT,
+            start: 0,
+            binary,
+            terminal: vec![vec![(0, 0)]],
+        };
+        g.validate().unwrap();
+        g
+    }
+
+    proptest::proptest! {
+        /// `rank_update` and `tile4` equal the defaults-only scalar ring on
+        /// 1, 8, 9, 16 and 17 rules (one full group, a one-lane tail, two
+        /// full groups, three), every head mode of `lane_grammar`, strided
+        /// panels of any 4-multiple shape, and all-`INF` operands.
+        #[test]
+        fn prop_rule_lanes_equal_scalar_ring(
+            rule_count in 0usize..5, head_mode in 0usize..3,
+            rows in 1usize..4, cols in 1usize..5, depth in 1usize..5,
+            all_inf in proptest::prelude::any::<bool>(), seed in proptest::prelude::any::<u64>(),
+        ) {
+            let rules = [1, 8, 9, 16, 17][rule_count];
+            let ring = CykRing::new(Arc::new(lane_grammar(rules, head_mode, seed)));
+            assert_rank_update_matches(&ring, (4 * rows, 4 * cols, 4 * depth), seed, all_inf);
+            assert_rank_update_matches(&ring, (4, 4, 4), seed ^ 1, all_inf);
         }
     }
 

@@ -39,6 +39,8 @@
 //! are fully final. So each logical cell is finalized exactly once, after
 //! all its candidates; padding cells past `n` are never finalized.
 
+use std::any::Any;
+
 use npdp_exec::{ExecContext, Scheduler, Tuning};
 use npdp_metrics::Metrics;
 use npdp_trace::{EventKind, TrackDesc};
@@ -49,7 +51,8 @@ use crate::engine::shared::SharedBlocked;
 use crate::engine::{BlockedEngine, ParallelEngine, SerialEngine, SimdEngine};
 use crate::error::SolveError;
 use crate::layout::{BlockedMatrix, TriangularMatrix};
-use crate::semiring::Semiring;
+use crate::semiring::{MinPlus, Semiring};
+use crate::value::DpValue;
 
 /// Element type of a recurrence's ring.
 pub type RingElem<R> = <<R as Recurrence>::Ring as Semiring>::Elem;
@@ -219,7 +222,34 @@ pub fn solve_blocked<R: Recurrence>(
     // Free the scratch before the export allocates the table: kept alive,
     // it shifts where the allocator places the caller's next large buffer.
     drop(scratch);
+    debug_assert_padding_inert(rec.ring(), &m);
     m.to_triangular()
+}
+
+/// Debug builds: a solve over a [`MinPlus`] ring must leave every padding
+/// cell at or above `DpValue::PAD_FLOOR` (the padding law, checked on the
+/// solved matrix rather than sampled). Other rings carry the law as a
+/// property test next to their definitions.
+fn debug_assert_padding_inert<S: Semiring>(ring: &S, m: &BlockedMatrix<S::Elem>) {
+    debug_assert!(
+        min_plus_padding_inert::<f32, S>(ring, m)
+            .or_else(|| min_plus_padding_inert::<f64, S>(ring, m))
+            .or_else(|| min_plus_padding_inert::<i32, S>(ring, m))
+            .or_else(|| min_plus_padding_inert::<i64, S>(ring, m))
+            != Some(false),
+        "a min-plus solve left a padding cell below PAD_FLOOR"
+    );
+}
+
+/// Whether `m`'s padding is inert, if `ring` is `MinPlus<T>`; `None` for
+/// any other ring.
+fn min_plus_padding_inert<T: DpValue, S: Semiring>(
+    ring: &S,
+    m: &BlockedMatrix<S::Elem>,
+) -> Option<bool> {
+    (ring as &dyn Any).downcast_ref::<MinPlus<T>>()?;
+    let m = (m as &dyn Any).downcast_ref::<BlockedMatrix<T>>()?;
+    Some(m.padding_is_inert())
 }
 
 /// CellNPDP over an arbitrary recurrence: the task-queue parallel tier over
@@ -309,6 +339,7 @@ pub(crate) fn sweep_parallel<R: Recurrence>(
     let exec_ctx = ctx.clone().with_scheduler(scheduler);
     let stats = run(&sched.graph, workers, &exec_ctx, body).map_err(SolveError::from)?;
     shared.finished()?;
+    debug_assert_padding_inert(rec.ring(), m);
     Ok(stats)
 }
 
@@ -618,6 +649,38 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((s >> 33) as f32) / (u32::MAX as f32) * 100.0
         })
+    }
+
+    /// Debug builds check the padding law after every min-plus solve on
+    /// the blocked and parallel tiers: seeds far below zero (outside the
+    /// domain the law assumes) drag a padding cell past the last column
+    /// below `PAD_FLOOR`, and both tiers report it. Domain seeds pass.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn min_plus_solves_check_padding_in_debug_builds() {
+        let ctx = ExecContext::disabled();
+        let domain = TriangularMatrix::from_fn(10, |i, j| (i * 7 + j) as i64);
+        let rec = ClosureRec::new(MinPlus::<i64>::new(), &domain);
+        solve_blocked(&rec, 8, &ctx);
+        solve_parallel(&rec, 8, 1, 2, Scheduler::default(), &ctx).unwrap();
+        let negative = TriangularMatrix::from_fn(10, |_, _| -(i64::MAX / 4));
+        let rec = ClosureRec::new(MinPlus::<i64>::new(), &negative);
+        for parallel in [false, true] {
+            let solve = std::panic::AssertUnwindSafe(|| match parallel {
+                false => drop(solve_blocked(&rec, 8, &ctx)),
+                true => drop(solve_parallel(&rec, 8, 1, 2, Scheduler::default(), &ctx)),
+            });
+            let payload = std::panic::catch_unwind(solve).expect_err("padding check fired");
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            assert!(
+                message.contains("PAD_FLOOR"),
+                "parallel {parallel}: {message}"
+            );
+        }
     }
 
     /// A composite-element ring for layout tests: every cell carries its

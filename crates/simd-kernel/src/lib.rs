@@ -17,14 +17,16 @@
 //! `f32`, `f64`, `i32` and `i64`. Its entry points dispatch at run time
 //! between three tiers: an AVX-512F micro-kernel (a 6 × 64 `f32` tile in 24
 //! `zmm` accumulators), an AVX2 one (6 × 16 in 12 `ymm`), and the 4×4
-//! sweep (`i32` and `i64` have no AVX-512 tier). Every candidate is one add
-//! and one `min(cand, acc)`, k ascending, with the same `MINPS` tie and NaN
-//! rule at every width; the integer tiers run only where no add can wrap.
-//! So all three tiers give the same bits. [`lane`]
-//! holds its `i32` sibling for rings whose element is a vector of
-//! independent tropical lanes (rule-lane CYK): `C ⊕= A ⊗ B` lane by lane,
-//! one 256-bit register per element (AVX2 or portable). These two modules
-//! are the only `unsafe` and the only ISA-specific code in the crate.
+//! sweep (`i32` has no AVX-512 tier). Every candidate is one add and one
+//! `min(cand, acc)`, k ascending, with the same `MINPS` tie and NaN rule at
+//! every width; the integer tiers run only where no add can wrap. So all
+//! three tiers give the same bits. [`lane`] holds the kernels of rings
+//! whose element is a vector of eight independent tropical `i32` lanes
+//! (rule-lane CYK): a lane gather by register permutes, `C ⊕= A ⊗ B` lane
+//! by lane, and a fold of lanes into head slots by a segmented `min`, each
+//! with AVX2 and portable tiers (the last two an AVX-512F tier too). These
+//! two modules are the only `unsafe` and the only ISA-specific code in the
+//! crate.
 //!
 //! ```
 //! use simd_kernel::{block4x4_minplus_f32, F32x4, KERNEL_SIMD_INSTRUCTIONS};
@@ -53,7 +55,9 @@ pub use kernel::{
     block4x4_minplus_f64_arrays, block4x4_minplus_scalar, BlockF32, BlockF64,
     KERNEL_SIMD_INSTRUCTIONS,
 };
-pub use lane::{lanewise_rank_update_i32x8, I32Lanes};
+pub use lane::{
+    fold_lanes, gather_lanes, lanewise_rank_update_i32x8, I32Lanes, LaneFold, LaneGather,
+};
 pub use rank::{
     minplus_rank_update_f32, minplus_rank_update_f64, minplus_rank_update_i32,
     minplus_rank_update_i64,

@@ -9,15 +9,15 @@
 //!
 //! | tier | `f32` tile | `f64` tile | `i32` tile | `i64` tile | accumulators |
 //! |---|---|---|---|---|---|
-//! | AVX-512F | 6 rows × 64 columns (4 `zmm`) | 6 × 32 (4 `zmm`) | — | — | 24 of 32 `zmm` |
+//! | AVX-512F | 6 rows × 64 columns (4 `zmm`) | 6 × 32 (4 `zmm`) | — | 6 × 32 (4 `zmm`) | 24 of 32 `zmm` |
 //! | AVX2 | 6 × 16 (2 `ymm`) | 6 × 8 (2 `ymm`) | 6 × 16 (2 `ymm`) | 6 × 8 (2 `ymm`) | 12 of 16 `ymm` |
 //! | portable | the 4×4 tile sweep | the 4×4 tile sweep | the 4×4 tile sweep | the 4×4 tile sweep | — |
 //!
 //! Each SIMD tier walks C in column panels, widest tile first. The AVX-512
-//! tier takes the remainders at 32 and 16 `f32` columns (16 and 8 `f64`)
-//! with narrower `zmm` tiles, then hands the last 8 / 4 `f32` columns (4
-//! `f64`) to the AVX2 kernels. Inside a panel, rows go in blocks of 6, then
-//! one block of 4, then one row at a time.
+//! tier takes the remainders at 32 and 16 `f32` columns (16 and 8 `f64` and
+//! `i64`) with narrower `zmm` tiles, then hands the last 8 / 4 `f32` columns
+//! (4 `f64` / `i64`) to the AVX2 kernels. Inside a panel, rows go in blocks
+//! of 6, then one block of 4, then one row at a time.
 //!
 //! # Bit-identity
 //!
@@ -33,13 +33,14 @@
 //! directly, each tier the CPU has.
 //!
 //! The integer kernels compute the saturating min-plus update
-//! `min(C, A.saturating_add(B))`. Both are AVX2 only:
-//! [`minplus_rank_update_i32`] adds with `vpaddd` and takes the minimum with
-//! `vpminsd` (6 × 16 tile); [`minplus_rank_update_i64`] uses `vpaddq` then
-//! `vpcmpgtq` + blend, as AVX2 has no `vpminsq` (6 × 8 tile). Neither has
-//! an AVX-512 tier: every `i32` caller runs 32-wide blocks, where the 6 × 64
-//! tile never fires, and a 6 × 32 `zmm` tile measured no faster there than
-//! the AVX2 one (DESIGN.md §4d). AVX2 has no saturating add at these
+//! `min(C, A.saturating_add(B))`. [`minplus_rank_update_i32`] is AVX2 only:
+//! it adds with `vpaddd` and takes the minimum with `vpminsd` (6 × 16
+//! tile). Every `i32` caller runs 32-wide blocks, where a 6 × 64 `zmm` tile
+//! never fires, and a 6 × 32 one measured no faster there than the AVX2
+//! tile (DESIGN.md §4d). [`minplus_rank_update_i64`] has both SIMD tiers:
+//! AVX-512 adds with `vpaddq` and takes the minimum with `vpminsq` (6 × 32
+//! tile); AVX2, which has no `vpminsq`, uses `vpcmpgtq` + blend (6 × 8
+//! tile). No SIMD tier has a saturating add at these
 //! widths, so the SIMD tiles run only on panels whose A and B elements all
 //! lie in `[MIN / 2, MAX / 2]` of their type, where no sum can overflow and
 //! the wrapping add *is* the saturating one. Min-plus tables
@@ -52,11 +53,12 @@
 //! [`minplus_rank_update_f32`] / [`minplus_rank_update_f64`] /
 //! [`minplus_rank_update_i32`] / [`minplus_rank_update_i64`] are the only
 //! entry points. They check the operand extents, then run the AVX-512 tier
-//! when `is_x86_feature_detected!("avx512f")` holds, AVX2 too (`f32` /
-//! `f64` only; its column remainders run the AVX2 kernels), else the AVX2
-//! tier when `is_x86_feature_detected!("avx2")` holds, and otherwise the
-//! 4×4 tile sweep ([`block4x4_minplus_f32_arrays`] per tile), which is
-//! also what every non-x86_64 target compiles to.
+//! when `is_x86_feature_detected!("avx512f")` holds, AVX2 too (`f32`,
+//! `f64` and `i64`; its column remainders run the AVX2 kernels), else the
+//! AVX2 tier when `is_x86_feature_detected!("avx2")` holds, and otherwise
+//! the 4×4 tile sweep ([`block4x4_minplus_f32_arrays`] per tile), which is
+//! also what every non-x86_64 target compiles to. The integer entry points
+//! take a SIMD tier only inside the no-overflow guard above.
 
 use crate::kernel::{block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays};
 
@@ -218,10 +220,10 @@ pub fn minplus_rank_update_i32(
 }
 
 /// Saturating-`i64` [`minplus_rank_update_f32`]: `C[r][j] = min(C[r][j],
-/// min_k A[r][k].saturating_add(B[k][j]))`. The AVX2 tile is 6 rows × 8
-/// columns and takes panels whose A and B elements all lie in
-/// `[i64::MIN / 2, i64::MAX / 2]` (module docs); the fallback is the 4×4
-/// saturating sweep.
+/// min_k A[r][k].saturating_add(B[k][j]))`. The AVX-512 tile is 6 rows × 32
+/// columns, the AVX2 one 6 × 8; both take panels whose A and B elements all
+/// lie in `[i64::MIN / 2, i64::MAX / 2]` (module docs); the fallback is the
+/// 4×4 saturating sweep.
 ///
 /// # Panics
 ///
@@ -245,6 +247,13 @@ pub fn minplus_rank_update_i64(
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && halves(a, as_, rows, depth) && halves(b, bs, depth, cols)
     {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: AVX-512F and AVX2 (its last 4 columns run the AVX2
+            // kernel) were detected, `check_extents` proved every panel lies
+            // inside its slice, and no A + B sum can overflow.
+            unsafe { avx512::rank_update_i64(c, cs, a, as_, b, bs, rows, cols, depth) };
+            return;
+        }
         // SAFETY: AVX2 was detected just above, `check_extents` proved every
         // panel lies inside its slice, and no A + B sum can overflow.
         unsafe { avx2::rank_update_i64(c, cs, a, as_, b, bs, rows, cols, depth) };
@@ -643,14 +652,15 @@ mod avx2 {
     );
 }
 
-/// The AVX-512F tier of the `f32` and `f64` kernels: a 6 × 4 `zmm` tile (64
-/// `f32` or 32 `f64` columns) for the wide panels, narrower `zmm` tiles for
-/// the column remainders, and the AVX2 kernels for the last 8 / 4 columns.
+/// The AVX-512F tier of the `f32`, `f64` and `i64` kernels: a 6 × 4 `zmm`
+/// tile (64 `f32` or 32 `f64` / `i64` columns) for the wide panels, narrower
+/// `zmm` tiles for the column remainders, and the AVX2 kernels for the last
+/// 8 / 4 columns.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use std::arch::x86_64::*;
 
-    use super::avx2::{tile4_f32, tile_f32, tile_f64};
+    use super::avx2::{tile4_f32, tile_f32, tile_f64, tile_i64};
 
     micro_kernel!(
         "avx512f",
@@ -675,6 +685,18 @@ mod avx512 {
         _mm512_min_pd
     );
 
+    micro_kernel!(
+        "avx512f",
+        zmm_i64,
+        i64,
+        8,
+        _mm512_loadu_epi64,
+        _mm512_storeu_epi64,
+        _mm512_set1_epi64,
+        _mm512_add_epi64,
+        _mm512_min_epi64
+    );
+
     panel_sweep!(
         "avx512f",
         rank_update_f32,
@@ -693,6 +715,15 @@ mod avx512 {
         (16, zmm_f64, 2),
         (8, zmm_f64, 1),
         (4, tile_f64, 1)
+    );
+    panel_sweep!(
+        "avx512f",
+        rank_update_i64,
+        i64,
+        (32, zmm_i64, 4),
+        (16, zmm_i64, 2),
+        (8, zmm_i64, 1),
+        (4, tile_i64, 1)
     );
 }
 
@@ -948,15 +979,17 @@ mod tests {
     tier_kernel!(tier_f32, f32, rank_update_f32, portable_f32, [Avx512 => avx512, Avx2 => avx2]);
     tier_kernel!(tier_f64, f64, rank_update_f64, portable_f64, [Avx512 => avx512, Avx2 => avx2]);
     tier_kernel!(tier_i32, i32, rank_update_i32, portable_i32, [Avx2 => avx2]);
+    tier_kernel!(tier_i64, i64, rank_update_i64, portable_i64, [Avx512 => avx512, Avx2 => avx2]);
 
     /// Every tier the CPU has, called directly, equals the portable sweep
     /// bit for bit on the hard value classes, over shapes that take every
     /// column remainder of the widest tile (64/32/16/8/4 `f32` columns,
-    /// 32/16/8/4 `f64`, 16/8/4 `i32`) and every row remainder (6/4/1),
-    /// with and without stride gaps. The `i32` operands stay inside the
-    /// tiers' no-overflow range, both ends included (the entry point routes
-    /// anything else to the portable sweep; `i32_guard_edges_saturate` and
-    /// the outlier runs below pin that). The dispatched tests above reach
+    /// 32/16/8/4 `f64` and `i64`, 16/8/4 `i32`) and every row remainder
+    /// (6/4/1), with and without stride gaps. The integer operands stay
+    /// inside the tiers' no-overflow range, both ends included (the entry
+    /// points route anything else to the portable sweep; the
+    /// `*_guard_edges_saturate` tests and the outlier runs below pin that).
+    /// The dispatched tests above reach
     /// only the widest tier; this one keeps the narrower ones covered on
     /// every host.
     #[test]
@@ -974,6 +1007,7 @@ mod tests {
                         let seed = (i * 100 + depth + pad) as u64;
                         assert_f32_matches(tier_f32(tier), r, c, depth, pad, seed);
                         assert_f64_matches(tier_f64(tier), r, c, depth, pad, seed);
+                        assert_i64_matches(tier_i64(tier), r, c, depth, pad, seed);
                         if !matches!(tier, Tier::Avx512) {
                             assert_i32_matches(tier_i32(tier), r, c, depth, pad, seed);
                         }
@@ -1100,6 +1134,34 @@ mod tests {
         assert_eq!(run(i32::MIN / 2, i32::MAX / 2), -1);
         assert_eq!(run(i32::MAX / 4, i32::MAX / 4), 5, "INF + INF loses");
         assert_eq!(run(i32::MAX / 4, -(i32::MAX / 4)), 0);
+    }
+
+    /// The `i64` guard, as `i32_guard_edges_saturate`: one step outside
+    /// either end the entry point falls back to the saturating sweep, and at
+    /// the ends themselves the SIMD tiers (AVX-512 where the CPU has it) run
+    /// with exact sums. `INF = i64::MAX / 4` and a once-padded `INF + INF`
+    /// both lie inside the guard.
+    #[test]
+    fn i64_guard_edges_saturate() {
+        const INF: i64 = i64::MAX / 4;
+        let run = |a: i64, b: i64| {
+            let mut c = vec![5i64; 16];
+            minplus_rank_update_i64(&mut c, 4, &[a; 16], 4, &[b; 16], 4, 4, 4, 4);
+            c[0]
+        };
+        assert_eq!(
+            run(i64::MAX / 2 + 1, i64::MAX / 2 + 1),
+            5,
+            "saturates, never wraps"
+        );
+        assert_eq!(run(i64::MIN / 2 - 1, i64::MIN / 2 - 1), i64::MIN);
+        assert_eq!(run(i64::MAX, i64::MAX), 5);
+        assert_eq!(run(i64::MAX / 2, i64::MAX / 2), 5);
+        assert_eq!(run(i64::MIN / 2, i64::MIN / 2), i64::MIN);
+        assert_eq!(run(i64::MIN / 2, i64::MAX / 2), -1);
+        assert_eq!(run(INF, INF), 5, "INF + INF loses");
+        assert_eq!(run(INF * 2, INF), 5, "a once-padded cell loses too");
+        assert_eq!(run(INF, -INF), 0);
     }
 
     #[test]
