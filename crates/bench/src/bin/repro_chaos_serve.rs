@@ -180,7 +180,7 @@ fn main() {
         workers: host_workers().min(8),
         small_threshold: large_side as usize,
         large_lanes: 2,
-        cache_entries: 256,
+        cache_bytes: 2 << 20,
         idle_timeout: Some(Duration::from_secs(30)),
         ..ServerConfig::default()
     };

@@ -105,7 +105,7 @@ fn main() {
         workers: host_workers().min(8),
         small_threshold: large_side as usize, // only the large closures cross
         large_lanes: 2,
-        cache_entries: 512,
+        cache_bytes: 4 << 20,
         ..ServerConfig::default()
     };
 
@@ -258,6 +258,7 @@ fn main() {
         .set_param("small_side", small_side as u64)
         .set_param("large_side", large_side as u64)
         .set_param("small_threshold", cfg.small_threshold as u64)
+        .set_param("cache_bytes", cfg.cache_bytes as u64)
         .set_param("tenants", mix.tenants as u64)
         .set_param("chaos", chaos)
         .set_param("throughput_rps", throughput)

@@ -202,7 +202,7 @@ fn main() {
             workers,
             small_threshold: 64,
             large_lanes: 1,
-            cache_entries: 64,
+            cache_bytes: 1 << 20,
             ..ServerConfig::default()
         },
         None,

@@ -1,6 +1,7 @@
 //! `npdp-stat` — poll a running solve server's `Stats` admin frame and
 //! render live telemetry: request/response rates as deltas per second,
-//! queue depths, per-tenant charge, and *interval* phase percentiles
+//! queue depths, the solve cache's resident bytes and oversize refusals,
+//! per-tenant charge, and *interval* phase percentiles
 //! (consecutive snapshots subtracted bucket-wise, so the numbers describe
 //! the last polling window, not the server's whole lifetime).
 //!
@@ -157,6 +158,13 @@ fn render(snap: &StatsSnapshot, prev: Option<&StatsSnapshot>) {
     if !rates.is_empty() {
         println!("   {}", rates.join("  "));
     }
+    // The cache's resident bytes are a level, its oversize refusals a
+    // lifetime count.
+    println!(
+        "   cache bytes={}  oversize={}",
+        snap.counter("serve.cache.bytes"),
+        snap.counter("serve.cache.oversize"),
+    );
     if !snap.tenants.is_empty() {
         let charges: Vec<String> = snap
             .tenants

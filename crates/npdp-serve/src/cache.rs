@@ -11,11 +11,16 @@
 //! contract end to end: a warmed cache serves bytes equal to a fresh
 //! recomputation.
 //!
-//! Eviction is **segmented LRU**: new bodies enter a *probation* segment
-//! and are promoted to a *protected* segment on their first hit, so a
-//! burst of one-shot workloads sweeping through probation cannot flush the
-//! workloads that hit repeatedly. Each segment is LRU-ordered; protected
-//! overflow demotes back to probation rather than evicting outright.
+//! Eviction is **segmented LRU**, weighed in bytes: each entry costs its
+//! body's length against a byte budget, a fifth of which is *probation*
+//! and the rest *protected*. New bodies enter probation and are promoted
+//! to protected on their first hit, so a burst of one-shot workloads
+//! sweeping through probation cannot flush the workloads that hit
+//! repeatedly. Each segment is LRU-ordered; protected overflow demotes
+//! back to probation rather than evicting outright. A body larger than the
+//! whole probation share is never admitted (the `serve.cache.oversize`
+//! counter), so one huge answer cannot flush the hot set — and the cache's
+//! resident bytes, not its entry count, are what the budget bounds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -42,9 +47,9 @@ pub fn workload_key(workload: &Workload) -> u128 {
     fnv1a_128(&workload.canonical_bytes())
 }
 
-/// A successful lookup: the cached body plus whether this hit promoted
-/// the entry out of probation (the event behind the
-/// `serve.cache.promotions` counter).
+/// A successful lookup: the cached body plus what the hit did to the
+/// segments (the events behind the `serve.cache.promotions` and
+/// `serve.cache.evictions` counters).
 #[derive(Debug, Clone)]
 pub struct CacheHit {
     /// The cached encoded result body.
@@ -52,14 +57,30 @@ pub struct CacheHit {
     /// True when this was the entry's first hit, moving it from the
     /// probation segment into the protected one.
     pub promoted: bool,
+    /// Probation bodies evicted to make room for what the promotion
+    /// demoted out of protected.
+    pub evicted: usize,
 }
 
-/// A bounded segmented-LRU memo of encoded result bodies.
+/// What [`SolveCache::insert`] did with a body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inserted {
+    /// Resident in probation (or already cached), after evicting this many
+    /// least-recently-used probation bodies.
+    Stored { evicted: usize },
+    /// Larger than the probation share: not admitted.
+    Oversize,
+    /// The cache has a zero budget.
+    Disabled,
+}
+
+/// A byte-budgeted segmented-LRU memo of encoded result bodies.
 ///
-/// Capacity 0 disables the cache entirely. Roughly a fifth of the
-/// capacity is probation (first sighting), the rest protected (hit at
-/// least once); both segments evict least-recently-used. Lock hold time
-/// is `O(log capacity)` per operation (ordered-map reshuffles).
+/// Budget 0 disables the cache entirely. A fifth of the budget is
+/// probation (first sighting), the rest protected (hit at least once);
+/// both segments evict least-recently-used until their bodies fit their
+/// share. Lock hold time is `O(log entries)` per operation (ordered-map
+/// reshuffles), plus one step per body evicted or demoted.
 #[derive(Debug)]
 pub struct SolveCache {
     inner: Mutex<CacheInner>,
@@ -74,9 +95,13 @@ struct CacheInner {
     /// exactly one of the two, matching its slot's `protected` flag.
     probation: BTreeMap<u64, u128>,
     protected: BTreeMap<u64, u128>,
+    /// Body bytes resident in each segment.
+    probation_bytes: usize,
+    protected_bytes: usize,
     stamp: u64,
     promotions: u64,
     evictions: u64,
+    oversize: u64,
 }
 
 #[derive(Debug)]
@@ -94,82 +119,72 @@ impl CacheInner {
 }
 
 impl SolveCache {
-    /// A cache holding at most `capacity` encoded bodies.
-    pub fn new(capacity: usize) -> Self {
-        // Probation gets at least one slot (else nothing could ever be
-        // admitted); protected takes the rest.
-        let probation_cap = if capacity == 0 {
-            0
-        } else {
-            (capacity / 5).max(1).min(capacity)
-        };
+    /// A cache holding at most `budget` bytes of encoded bodies.
+    pub fn new(budget: usize) -> Self {
+        let probation_cap = budget / 5;
         Self {
             inner: Mutex::new(CacheInner::default()),
             probation_cap,
-            protected_cap: capacity - probation_cap,
+            protected_cap: budget - probation_cap,
         }
+    }
+
+    fn disabled(&self) -> bool {
+        self.probation_cap + self.protected_cap == 0
     }
 
     /// Look up an encoded body. A hit refreshes the entry's recency; a
     /// first hit additionally promotes it from probation to protected
-    /// (demoting the protected LRU back to probation if that segment is
-    /// full).
+    /// (demoting protected LRUs back to probation if that segment
+    /// overflows).
     pub fn get(&self, key: u128) -> Option<CacheHit> {
-        if self.probation_cap == 0 {
+        if self.disabled() {
             return None;
         }
-        let mut inner = self.inner.lock().unwrap();
-        let slot = inner.map.get(&key)?;
-        let (old_stamp, was_probation) = (slot.stamp, !slot.protected);
-        if was_probation {
-            inner.probation.remove(&old_stamp);
-            inner.promotions += 1;
-        } else {
-            inner.protected.remove(&old_stamp);
-        }
-        let stamp = inner.next_stamp();
-        inner.protected.insert(stamp, key);
-        let slot = inner.map.get_mut(&key).expect("slot just found");
-        slot.stamp = stamp;
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        let slot = inner.map.get_mut(&key)?;
+        let (old_stamp, promoted) = (slot.stamp, !slot.protected);
+        inner.stamp += 1;
+        slot.stamp = inner.stamp;
         slot.protected = true;
         let body = Arc::clone(&slot.body);
-        // Protected overflow demotes its LRU back to probation (as that
-        // segment's MRU) instead of dropping it — it earned a hit once.
-        if inner.protected.len() > self.protected_cap {
-            let (&lru_stamp, &lru_key) = inner.protected.iter().next().expect("non-empty");
-            inner.protected.remove(&lru_stamp);
-            let demoted_stamp = inner.next_stamp();
-            inner.probation.insert(demoted_stamp, lru_key);
-            let demoted = inner
-                .map
-                .get_mut(&lru_key)
-                .expect("ordered keys are mapped");
-            demoted.stamp = demoted_stamp;
-            demoted.protected = false;
-            self.trim_probation(&mut inner);
-        }
+        inner.protected.insert(inner.stamp, key);
+        let evicted = if promoted {
+            inner.probation.remove(&old_stamp);
+            inner.probation_bytes -= body.len();
+            inner.protected_bytes += body.len();
+            inner.promotions += 1;
+            self.settle(inner)
+        } else {
+            inner.protected.remove(&old_stamp);
+            0
+        };
         Some(CacheHit {
             body,
-            promoted: was_probation,
+            promoted,
+            evicted,
         })
     }
 
     /// Insert an encoded body into probation, evicting that segment's LRU
-    /// at capacity. Returns the number of evictions performed (0 or 1).
-    /// Concurrent duplicate inserts are harmless: solves are
-    /// deterministic, so both writers carry identical bytes.
-    pub fn insert(&self, key: u128, body: Arc<Vec<u8>>) -> usize {
-        if self.probation_cap == 0 {
-            return 0;
+    /// bodies until it fits its share. Concurrent duplicate inserts are
+    /// harmless: solves are deterministic, so a racing miss carries the
+    /// bytes already resident, which keep their place.
+    pub fn insert(&self, key: u128, body: Arc<Vec<u8>>) -> Inserted {
+        if self.disabled() {
+            return Inserted::Disabled;
         }
         let mut inner = self.inner.lock().unwrap();
-        if let Some(slot) = inner.map.get_mut(&key) {
-            // Already cached (a racing miss): refresh the bytes, keep the
-            // recency position.
-            slot.body = body;
-            return 0;
+        if body.len() > self.probation_cap {
+            inner.oversize += 1;
+            return Inserted::Oversize;
+        }
+        if inner.map.contains_key(&key) {
+            return Inserted::Stored { evicted: 0 };
         }
         let stamp = inner.next_stamp();
+        inner.probation_bytes += body.len();
         inner.map.insert(
             key,
             Slot {
@@ -179,15 +194,34 @@ impl SolveCache {
             },
         );
         inner.probation.insert(stamp, key);
-        self.trim_probation(&mut inner)
+        Inserted::Stored {
+            evicted: self.settle(&mut inner),
+        }
     }
 
-    fn trim_probation(&self, inner: &mut CacheInner) -> usize {
+    /// Bring both segments back inside their shares: protected overflow
+    /// demotes its LRU to probation's MRU (it earned a hit once), then
+    /// probation evicts its LRU. Every resident body fits the probation
+    /// share, which is at most the protected one, so the entry a caller
+    /// just touched (the MRU) is never the one moved. Returns the number
+    /// of evictions.
+    fn settle(&self, inner: &mut CacheInner) -> usize {
+        while inner.protected_bytes > self.protected_cap {
+            let (_, key) = inner.protected.pop_first().expect("bytes imply entries");
+            let stamp = inner.next_stamp();
+            let slot = inner.map.get_mut(&key).expect("ordered keys are mapped");
+            slot.stamp = stamp;
+            slot.protected = false;
+            let len = slot.body.len();
+            inner.protected_bytes -= len;
+            inner.probation_bytes += len;
+            inner.probation.insert(stamp, key);
+        }
         let mut evicted = 0;
-        while inner.probation.len() > self.probation_cap {
-            let (&lru_stamp, &lru_key) = inner.probation.iter().next().expect("non-empty");
-            inner.probation.remove(&lru_stamp);
-            inner.map.remove(&lru_key);
+        while inner.probation_bytes > self.probation_cap {
+            let (_, key) = inner.probation.pop_first().expect("bytes imply entries");
+            let slot = inner.map.remove(&key).expect("ordered keys are mapped");
+            inner.probation_bytes -= slot.body.len();
             inner.evictions += 1;
             evicted += 1;
         }
@@ -204,15 +238,28 @@ impl SolveCache {
         self.len() == 0
     }
 
+    /// Body bytes resident across both segments (the `serve.cache.bytes`
+    /// gauge); never above the budget.
+    pub fn bytes(&self) -> usize {
+        let inner = self.inner.lock().unwrap();
+        inner.probation_bytes + inner.protected_bytes
+    }
+
     /// Lifetime probation→protected promotions (the
     /// `serve.cache.promotions` counter).
     pub fn promotions(&self) -> u64 {
         self.inner.lock().unwrap().promotions
     }
 
-    /// Lifetime capacity evictions (the `serve.cache.evictions` counter).
+    /// Lifetime evictions (the `serve.cache.evictions` counter).
     pub fn evictions(&self) -> u64 {
         self.inner.lock().unwrap().evictions
+    }
+
+    /// Lifetime bodies refused for exceeding the probation share (the
+    /// `serve.cache.oversize` counter).
+    pub fn oversize(&self) -> u64 {
+        self.inner.lock().unwrap().oversize
     }
 }
 
@@ -279,65 +326,175 @@ mod tests {
         assert_ne!(fnv1a_128(b"a"), fnv1a_128(b"b"));
     }
 
+    /// A body of `len` bytes.
+    fn body(len: usize) -> Arc<Vec<u8>> {
+        Arc::new(vec![len as u8; len])
+    }
+
+    /// Resident bytes per segment, as the cache tracks them.
+    fn segment_bytes(cache: &SolveCache) -> (usize, usize) {
+        let inner = cache.inner.lock().unwrap();
+        (inner.probation_bytes, inner.protected_bytes)
+    }
+
+    #[test]
+    fn oversize_bodies_are_refused() {
+        // Budget 100 → probation 20 bytes, protected 80.
+        let cache = SolveCache::new(100);
+        assert_eq!(cache.insert(1, body(21)), Inserted::Oversize);
+        assert!(cache.get(1).is_none());
+        assert_eq!((cache.bytes(), cache.oversize()), (0, 1));
+        // Exactly the probation share is admitted.
+        assert_eq!(cache.insert(2, body(20)), Inserted::Stored { evicted: 0 });
+        assert_eq!(cache.bytes(), 20);
+        assert_eq!(cache.oversize(), 1);
+    }
+
     #[test]
     fn probation_evicts_lru_and_bounds_the_cache() {
-        // Capacity 5 → probation 1, protected 4: un-hit entries churn
-        // through the single probation slot.
-        let cache = SolveCache::new(5);
-        assert_eq!(cache.insert(1, Arc::new(vec![1])), 0);
-        assert_eq!(cache.insert(2, Arc::new(vec![2])), 1, "1 evicted");
+        let cache = SolveCache::new(100);
+        cache.insert(1, body(10));
+        cache.insert(2, body(5));
+        assert_eq!(cache.bytes(), 15);
+        // 25 bytes would overflow the 20-byte share: the LRU (10 bytes)
+        // goes, however few entries are resident.
+        assert_eq!(cache.insert(3, body(10)), Inserted::Stored { evicted: 1 });
         assert!(cache.get(1).is_none(), "un-hit LRU evicted first");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
-        // Re-inserting an existing key neither duplicates nor evicts.
-        assert_eq!(cache.insert(2, Arc::new(vec![2])), 0);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(segment_bytes(&cache), (15, 0));
+        // A full-share body flushes both remaining one-shot entries.
+        assert_eq!(cache.insert(4, body(20)), Inserted::Stored { evicted: 2 });
+        assert_eq!((cache.len(), cache.bytes()), (1, 20));
+        assert_eq!(cache.evictions(), 3);
+    }
+
+    #[test]
+    fn reinserting_a_key_does_not_double_count() {
+        let cache = SolveCache::new(100);
+        cache.insert(1, body(12));
+        assert_eq!(cache.insert(1, body(12)), Inserted::Stored { evicted: 0 });
+        assert_eq!((cache.len(), cache.bytes()), (1, 12));
+        // Also once promoted: the bytes stay in protected, counted once.
+        cache.get(1).unwrap();
+        cache.insert(1, body(12));
+        assert_eq!(segment_bytes(&cache), (0, 12));
     }
 
     #[test]
     fn hits_promote_out_of_probations_reach() {
-        let cache = SolveCache::new(5);
-        cache.insert(1, Arc::new(vec![1]));
+        let cache = SolveCache::new(100);
+        cache.insert(1, body(8));
         let hit = cache.get(1).unwrap();
-        assert_eq!(*hit.body, vec![1]);
+        assert_eq!(*hit.body, vec![8; 8]);
         assert!(hit.promoted, "first hit promotes");
         assert_eq!(cache.promotions(), 1);
+        assert_eq!(segment_bytes(&cache), (0, 8));
         // A sweep of one-shot keys through probation cannot evict the
         // promoted entry.
-        for k in 10..20 {
-            cache.insert(k, Arc::new(vec![k as u8]));
+        for k in 10..30 {
+            cache.insert(k, body(7));
         }
         let hit = cache.get(1).unwrap();
-        assert_eq!(*hit.body, vec![1]);
         assert!(!hit.promoted, "already protected");
         assert_eq!(cache.promotions(), 1);
     }
 
     #[test]
     fn protected_overflow_demotes_its_lru() {
-        // Capacity 5 → protected 4. Promote five keys; the fifth
-        // promotion pushes the protected LRU (key 1) back to probation,
-        // where the next insert sweeps it out.
-        let cache = SolveCache::new(5);
-        for k in 1..=5 {
-            cache.insert(k, Arc::new(vec![k as u8]));
+        // Protected holds 80 bytes: four promoted 20-byte bodies fill it,
+        // and the fifth promotion demotes the protected LRU (key 1) back
+        // to probation, where the next insert sweeps it out.
+        let cache = SolveCache::new(100);
+        for k in 1..=4 {
+            cache.insert(k, body(20));
             cache.get(k).unwrap();
         }
-        assert_eq!(cache.promotions(), 5);
+        assert_eq!(segment_bytes(&cache), (0, 80));
+        cache.insert(5, body(20));
+        let hit = cache.get(5).unwrap();
+        assert_eq!((hit.promoted, hit.evicted), (true, 0));
+        assert_eq!(segment_bytes(&cache), (20, 80), "key 1's bytes demoted");
         assert_eq!(cache.len(), 5);
-        cache.insert(6, Arc::new(vec![6]));
+        assert_eq!(cache.insert(6, body(4)), Inserted::Stored { evicted: 1 });
         assert!(cache.get(1).is_none(), "demoted LRU swept from probation");
         for k in 2..=5 {
             assert!(cache.get(k).is_some(), "protected key {k} survived");
         }
+        assert_eq!(segment_bytes(&cache), (4, 80));
+    }
+
+    #[test]
+    fn a_promotion_can_evict_what_it_demotes_into() {
+        // Protected full, probation holding two one-shot bodies: promoting
+        // one of them demotes key 1 (20 bytes) onto the other, and the
+        // hit reports the eviction that makes room.
+        let cache = SolveCache::new(100);
+        for k in 1..=4 {
+            cache.insert(k, body(20));
+            cache.get(k).unwrap();
+        }
+        cache.insert(5, body(10));
+        cache.insert(6, body(10));
+        let hit = cache.get(5).unwrap();
+        assert_eq!((hit.promoted, hit.evicted), (true, 1));
+        assert_eq!(segment_bytes(&cache), (20, 70));
+        assert!(cache.get(6).is_none(), "the one-shot LRU made room");
+        assert_eq!(cache.evictions(), 1);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = SolveCache::new(0);
-        cache.insert(1, Arc::new(vec![1]));
+        assert_eq!(cache.insert(1, body(0)), Inserted::Disabled);
+        assert_eq!(cache.insert(2, body(1)), Inserted::Disabled);
         assert!(cache.get(1).is_none());
         assert!(cache.is_empty());
-        assert_eq!((cache.promotions(), cache.evictions()), (0, 0));
+        assert_eq!(
+            (cache.promotions(), cache.evictions(), cache.oversize()),
+            (0, 0, 0)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After any insert/get sequence, each segment's tracked bytes
+        /// equal the summed lengths of the bodies resident in it, each
+        /// stays within its share, and every entry sits in exactly one
+        /// segment's order.
+        #[test]
+        fn tracked_bytes_match_resident_bodies(
+            budget in 0usize..300,
+            ops in proptest::prop::collection::vec((0u8..3, 0u64..16, 0usize..70), 1..120),
+        ) {
+            let cache = SolveCache::new(budget);
+            for (op, key, len) in ops {
+                let key = u128::from(key);
+                if op == 0 {
+                    cache.get(key);
+                } else {
+                    cache.insert(key, body(len));
+                }
+                let inner = cache.inner.lock().unwrap();
+                let resident = |protected: bool| -> usize {
+                    inner
+                        .map
+                        .values()
+                        .filter(|s| s.protected == protected)
+                        .map(|s| s.body.len())
+                        .sum()
+                };
+                proptest::prop_assert_eq!(inner.probation_bytes, resident(false));
+                proptest::prop_assert_eq!(inner.protected_bytes, resident(true));
+                proptest::prop_assert!(inner.probation_bytes <= cache.probation_cap);
+                proptest::prop_assert!(inner.protected_bytes <= cache.protected_cap);
+                proptest::prop_assert_eq!(
+                    inner.map.len(),
+                    inner.probation.len() + inner.protected.len()
+                );
+                for (&stamp, key) in inner.probation.iter().chain(&inner.protected) {
+                    proptest::prop_assert_eq!(inner.map[key].stamp, stamp);
+                }
+            }
+        }
     }
 }

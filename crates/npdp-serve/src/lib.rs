@@ -13,10 +13,11 @@
 //! * **large** — one `ParallelEngine::solve_with` per request with
 //!   `Tuning::Auto`, letting the §V performance model pick the block side.
 //!
-//! Identical workloads are memoized by a 128-bit content hash ([`cache`]);
-//! cache hits are bit-identical to recomputation because every engine in
-//! the workspace is bit-identical by contract and the cache stores the
-//! exact bytes a miss produced. Admission control bounds the pending
+//! Identical workloads are memoized by a 128-bit content hash ([`cache`])
+//! in a segmented LRU bounded in bytes; cache hits are bit-identical to
+//! recomputation because every engine in the workspace is bit-identical
+//! by contract and the cache stores the exact bytes a miss produced.
+//! Admission control bounds the pending
 //! queue, and per-tenant fairness (least DP-cells charged first) keeps a
 //! heavy tenant from starving light ones — both observable through the
 //! `serve.*` metrics vocabulary on the server's
@@ -71,7 +72,7 @@ pub mod server;
 pub mod solve;
 pub mod stats;
 
-pub use cache::{workload_key, CacheHit, SolveCache};
+pub use cache::{workload_key, CacheHit, Inserted, SolveCache};
 pub use client::{CallOpts, Client, ClientError};
 pub use load::{synthetic_stream, LatencyRecorder, LatencySummary, MixConfig};
 pub use net::ChaosStream;

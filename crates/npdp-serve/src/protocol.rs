@@ -14,7 +14,7 @@
 //! [`Response::body`]), so the solve cache can store one encoded body and
 //! serve it under any request id.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 use npdp_core::TriangularMatrix;
 
@@ -492,7 +492,10 @@ impl Response {
 
     /// Write one response frame straight from the (possibly cached) body:
     /// the same bytes as `write_frame(w, &Response::encode_parts(..))`,
-    /// without copying the body into a payload buffer first.
+    /// without copying the body into a payload buffer first. Length
+    /// prefix, header and body go out in one vectored write (looping only
+    /// on a short write), so a `TCP_NODELAY` socket sends the frame as one
+    /// burst rather than a header segment the body must wait behind.
     pub(crate) fn write_parts(
         w: &mut impl Write,
         id: u64,
@@ -505,8 +508,16 @@ impl Response {
         let mut prefix = [0u8; 4 + RESPONSE_HEADER];
         prefix[..4].copy_from_slice(&(len as u32).to_le_bytes());
         prefix[4..].copy_from_slice(&Self::header(id, status, cached));
-        w.write_all(&prefix)?;
-        w.write_all(body)?;
+        let mut parts = [IoSlice::new(&prefix), IoSlice::new(body)];
+        let mut parts = &mut parts[..];
+        while !parts.is_empty() {
+            match w.write_vectored(parts) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 
@@ -797,6 +808,63 @@ mod tests {
         let mut bad = Response::encode_parts(5, Status::Ok, false, b"");
         bad[9] = 250;
         assert!(Response::decode(&bad).is_err());
+    }
+
+    /// A writer that takes at most `cap` bytes per call and counts calls.
+    struct Trickle {
+        out: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut left = self.cap;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.cap - left)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_frames_go_out_in_one_write_and_survive_short_ones() {
+        for body in [&b""[..], b"x", &[7u8; 100][..]] {
+            let mut framed = Vec::new();
+            write_frame(
+                &mut framed,
+                &Response::encode_parts(5, Status::Ok, false, body),
+            )
+            .unwrap();
+            // A writer that takes everything sees the frame in one call.
+            let mut whole = Trickle {
+                out: Vec::new(),
+                cap: usize::MAX,
+                calls: 0,
+            };
+            Response::write_parts(&mut whole, 5, Status::Ok, false, body).unwrap();
+            assert_eq!((whole.out.as_slice(), whole.calls), (framed.as_slice(), 1));
+            // Short writes resume mid-slice until every byte is out.
+            let mut short = Trickle {
+                out: Vec::new(),
+                cap: 3,
+                calls: 0,
+            };
+            Response::write_parts(&mut short, 5, Status::Ok, false, body).unwrap();
+            assert_eq!(short.out, framed);
+            assert_eq!(short.calls, framed.len().div_ceil(3));
+        }
     }
 
     #[test]

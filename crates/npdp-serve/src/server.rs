@@ -7,7 +7,9 @@
 //! 1. A reader thread decodes a frame. Malformed → `Invalid` response.
 //! 2. Cache lookup by the workload's stable content key — a hit responds
 //!    immediately with the stored bytes (bit-identical to recomputation by
-//!    construction) and never touches the queues.
+//!    construction) and never touches the queues. The cache holds at most
+//!    [`ServerConfig::cache_bytes`] of encoded bodies, so the server's
+//!    memory does not grow with the number of distinct answers it served.
 //! 3. Admission control: if the pending count is at
 //!    [`ServerConfig::queue_limit`], respond `Overloaded` — a bounded queue
 //!    is what keeps tail latency honest under pressure.
@@ -23,7 +25,8 @@
 //! requests*: up to [`ServerConfig::batch_max`] small problems become one
 //! [`task_queue::run`] epoch — one task per request, all independent — so a
 //! burst of tiny solves rides one worker-pool wakeup instead of paying
-//! per-request pool spin-up.
+//! per-request pool spin-up. The batcher thread itself runs the epoch's
+//! worker 0, so a lone small request starts no thread at all.
 //!
 //! The batcher is work-conserving, like the paper's §IV-B ready queue: no
 //! timer holds work back. The moment the epoch worker is idle and small
@@ -32,6 +35,13 @@
 //! lone request under light load waits for nothing. Each member is
 //! answered from its own task as soon as its solve finishes, not when the
 //! epoch's slowest member does.
+//!
+//! Each tier has its own condition variable: an admission wakes one
+//! dispatcher of the tier its job joined, and an idle dispatcher waits
+//! without a timeout (shutdown is set under the dispatch lock, so its
+//! wake-up cannot slip between a dispatcher's check and its wait). Every
+//! response frame leaves in one vectored write on a `TCP_NODELAY` socket,
+//! so a lock-step client never waits out a delayed ACK.
 //!
 //! ## Fairness
 //!
@@ -55,7 +65,7 @@ use npdp_fault::{site2, FaultKind};
 use npdp_trace::{EventKind, TimeDomain, Track, TrackDesc};
 use task_queue::TaskGraph;
 
-use crate::cache::{workload_key, SolveCache};
+use crate::cache::{workload_key, Inserted, SolveCache};
 use crate::protocol::{read_frame, Request, RequestFrame, Response, Status, Workload};
 use crate::solve::{materialize, solve_problem};
 use crate::stats::{Phase, StatsSnapshot, Telemetry};
@@ -102,8 +112,9 @@ pub struct ServerConfig {
     /// Admission bound: pending (queued, un-started) requests beyond this
     /// are refused with [`Status::Overloaded`].
     pub queue_limit: usize,
-    /// Solve-cache capacity in entries; 0 disables caching.
-    pub cache_entries: usize,
+    /// Solve-cache budget in bytes of encoded result bodies; 0 disables
+    /// caching. A body larger than a fifth of it is never cached.
+    pub cache_bytes: usize,
     /// Concurrent large solves (each already uses `workers` threads).
     pub large_lanes: usize,
     /// Memory-block side of the small tier's serial NDL+SIMD engine.
@@ -127,7 +138,7 @@ impl Default for ServerConfig {
             small_threshold: 128,
             batch_max: 32,
             queue_limit: 1024,
-            cache_entries: 1024,
+            cache_bytes: 8 << 20,
             large_lanes: 1,
             small_nb: 32,
             idle_timeout: Some(Duration::from_secs(120)),
@@ -256,10 +267,28 @@ struct ConnWriter {
 }
 
 impl ConnWriter {
-    /// Best-effort send; a vanished client is not a server error.
-    fn send(&self, id: u64, status: Status, cached: bool, body: &[u8]) {
+    /// Best-effort send; a vanished client is not a server error. The
+    /// returned guard keeps this connection's writes locked: what the
+    /// caller records before dropping it is in every `Stats` reply to a
+    /// frame the client sends after reading this response.
+    fn send(
+        &self,
+        id: u64,
+        status: Status,
+        cached: bool,
+        body: &[u8],
+    ) -> MutexGuard<'_, TcpStream> {
         let mut stream = self.stream.lock().unwrap();
         let _ = Response::write_parts(&mut *stream, id, status, cached, body);
+        stream
+    }
+
+    /// Answer a `Stats` frame from a snapshot taken under the write lock,
+    /// so it counts every response already written on this connection.
+    fn send_stats(&self, id: u64, shared: &Shared) {
+        let mut stream = self.stream.lock().unwrap();
+        let body = shared.stats_snapshot().encode_body();
+        let _ = Response::write_parts(&mut *stream, id, Status::Ok, false, &body);
     }
 }
 
@@ -268,7 +297,16 @@ struct Shared {
     ctx: ExecContext,
     cache: SolveCache,
     q: Mutex<DispatchQueues>,
-    work_ready: Condvar,
+    /// Signals the batcher: small work was queued, or shutdown.
+    small_ready: Condvar,
+    /// Signals the large lanes: large work was queued, or shutdown.
+    large_ready: Condvar,
+    /// Signals a large lane held by an injected dispatch stall: shutdown
+    /// only. (Held on `large_ready`, it could swallow the one wake-up an
+    /// admission meant for an idle lane.)
+    stopping: Condvar,
+    /// Set under the `q` lock, so a dispatcher that checked it and then
+    /// waits is woken by the notify that follows.
     shutdown: AtomicBool,
     /// Set by [`ServerHandle::drain`]: new solve requests are refused
     /// (typed `Overloaded`, "server draining") while queued and in-flight
@@ -353,7 +391,21 @@ impl Shared {
                 .collect();
             (q.small_pending as u64, q.large_pending as u64, tenants)
         };
-        self.telemetry.snapshot(queue_small, queue_large, tenants)
+        let mut snap = self.telemetry.snapshot(queue_small, queue_large, tenants);
+        // The cache reports itself, zeros included: its resident bytes (a
+        // level, not a count) and its oversize refusals, slotted into the
+        // sorted counters.
+        let cache = [
+            ("serve.cache.bytes", self.cache.bytes() as u64),
+            ("serve.cache.oversize", self.cache.oversize()),
+        ];
+        for (key, value) in cache {
+            match snap.counters.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+                Ok(at) => snap.counters[at].1 = value,
+                Err(at) => snap.counters.insert(at, (key.to_owned(), value)),
+            }
+        }
+        snap
     }
 }
 
@@ -401,7 +453,6 @@ impl ServerHandle {
             if quiesced || Instant::now() >= deadline {
                 break;
             }
-            shared.work_ready.notify_all();
             std::thread::sleep(Duration::from_millis(1));
         }
         // Grace expired: whatever is still queued is dead work — answer it
@@ -432,14 +483,19 @@ impl ServerHandle {
             return None;
         }
         let shared = &self.shared;
-        shared.shutdown.store(true, Ordering::Release);
+        {
+            let _q = shared.q.lock().unwrap();
+            shared.shutdown.store(true, Ordering::Release);
+        }
         // Unblock readers (connection shutdown) and the acceptor (dummy
         // connect), then wake the solver threads.
         for conn in shared.conns.lock().unwrap().iter() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let _ = TcpStream::connect(self.addr);
-        shared.work_ready.notify_all();
+        shared.small_ready.notify_all();
+        shared.large_ready.notify_all();
+        shared.stopping.notify_all();
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
@@ -502,11 +558,13 @@ pub fn spawn(
     let listener = TcpListener::bind(addr.unwrap_or_else(|| "127.0.0.1:0".parse().unwrap()))?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
-        cache: SolveCache::new(cfg.cache_entries),
+        cache: SolveCache::new(cfg.cache_bytes),
         cfg,
         ctx: ctx.clone(),
         q: Mutex::new(DispatchQueues::default()),
-        work_ready: Condvar::new(),
+        small_ready: Condvar::new(),
+        large_ready: Condvar::new(),
+        stopping: Condvar::new(),
         shutdown: AtomicBool::new(false),
         draining: AtomicBool::new(false),
         inflight: AtomicUsize::new(0),
@@ -566,6 +624,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             continue;
         }
         let _ = stream.set_write_timeout(shared.cfg.write_timeout);
+        // Each response frame is one write; Nagle would hold the next
+        // frame until the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
         let read_half = match stream.try_clone() {
             Ok(h) => h,
             Err(_) => continue,
@@ -614,7 +675,7 @@ fn read_loop(stream: TcpStream, conn: Arc<ConnWriter>, shared: Arc<Shared>, trac
                     // close rather than desyncing every later frame.
                     std::io::ErrorKind::InvalidData => {
                         shared.metric("serve.net.oversized", 1);
-                        conn.send(0, Status::Invalid, false, e.to_string().as_bytes());
+                        drop(conn.send(0, Status::Invalid, false, e.to_string().as_bytes()));
                         let _ = conn.stream.lock().unwrap().shutdown(Shutdown::Both);
                     }
                     // Torn connection (EOF mid-frame, reset): close both
@@ -639,17 +700,16 @@ fn read_loop(stream: TcpStream, conn: Arc<ConnWriter>, shared: Arc<Shared>, trac
                 // must stay reachable when the solve queues are saturated,
                 // so it never passes through admission control.
                 shared.metric("serve.stats_requests", 1);
-                let snap = shared.stats_snapshot();
-                conn.send(req.id, Status::Ok, false, &snap.encode_body());
+                conn.send_stats(req.id, &shared);
             }
             Err(e) => {
                 shared.metric("serve.malformed", 1);
-                conn.send(
+                drop(conn.send(
                     salvage_id(&payload),
                     Status::Invalid,
                     false,
                     e.to_string().as_bytes(),
-                );
+                ));
             }
         }
     }
@@ -682,13 +742,16 @@ fn admit(req: Request, conn: Arc<ConnWriter>, shared: &Arc<Shared>, track: Track
         if hit.promoted {
             shared.metric("serve.cache.promotions", 1);
         }
+        if hit.evicted > 0 {
+            shared.metric("serve.cache.evictions", hit.evicted as u64);
+        }
         let adm_ns = elapsed_ns(t_recv);
         shared.phase_ns(Phase::Admission, adm_ns);
         shared.phase_labeled(Phase::Admission, &[("status", "hit")], adm_ns);
         tracer.end(track, phase_kind(Phase::Admission));
         let t_resp = Instant::now();
         tracer.begin(track, phase_kind(Phase::Respond));
-        conn.send(req.id, Status::Ok, true, &hit.body);
+        let _sent = conn.send(req.id, Status::Ok, true, &hit.body);
         tracer.end(track, phase_kind(Phase::Respond));
         shared.phase_since(Phase::Respond, t_resp);
         shared.record_total(&req.tenant, kind, small, "hit", t_recv);
@@ -726,7 +789,8 @@ fn admit(req: Request, conn: Arc<ConnWriter>, shared: &Arc<Shared>, track: Track
         tracer.end(track, phase_kind(Phase::Admission));
         let t_resp = Instant::now();
         tracer.begin(track, phase_kind(Phase::Respond));
-        job.conn
+        let _sent = job
+            .conn
             .send(job.id, Status::Overloaded, false, b"server draining");
         tracer.end(track, phase_kind(Phase::Respond));
         shared.phase_since(Phase::Respond, t_resp);
@@ -744,7 +808,8 @@ fn admit(req: Request, conn: Arc<ConnWriter>, shared: &Arc<Shared>, track: Track
             tracer.end(track, phase_kind(Phase::Admission));
             let t_resp = Instant::now();
             tracer.begin(track, phase_kind(Phase::Respond));
-            job.conn
+            let _sent = job
+                .conn
                 .send(job.id, Status::Overloaded, false, b"admission queue full");
             tracer.end(track, phase_kind(Phase::Respond));
             shared.phase_since(Phase::Respond, t_resp);
@@ -772,7 +837,11 @@ fn admit(req: Request, conn: Arc<ConnWriter>, shared: &Arc<Shared>, track: Track
     shared.phase_ns(Phase::Admission, adm_ns);
     shared.phase_labeled(Phase::Admission, &[("status", "ok")], adm_ns);
     tracer.end(track, phase_kind(Phase::Admission));
-    shared.work_ready.notify_all();
+    if small {
+        shared.small_ready.notify_one();
+    } else {
+        shared.large_ready.notify_one();
+    }
 }
 
 /// The small tier: merge queued requests into shared scheduler epochs.
@@ -788,11 +857,7 @@ fn batch_loop(shared: Arc<Shared>, track: Track) {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            let (guard, _) = shared
-                .work_ready
-                .wait_timeout(q, Duration::from_millis(20))
-                .unwrap();
-            q = guard;
+            q = shared.small_ready.wait(q).unwrap();
             continue;
         }
         // Collection, timed as the `batch_linger` phase: wake-up → drain,
@@ -809,7 +874,9 @@ fn batch_loop(shared: Arc<Shared>, track: Track) {
             .faults
             .should_inject(FaultKind::DispatchStall, site2(0, dispatches))
         {
-            q = stall_dispatch(&shared, q, track, |q| q.small_pending >= batch_max);
+            q = stall_dispatch(&shared, q, &shared.small_ready, track, |q| {
+                q.small_pending >= batch_max
+            });
         }
         dispatches += 1;
         let batch = q.drain_small(batch_max);
@@ -827,12 +894,14 @@ fn batch_loop(shared: Arc<Shared>, track: Track) {
     }
 }
 
-/// Hold a dispatcher under an injected [`FaultKind::DispatchStall`]: wait up
-/// to [`DISPATCH_STALL`] with the dispatch lock released (admission keeps
-/// queueing meanwhile), ending early at shutdown or once `enough` holds.
+/// Hold a dispatcher under an injected [`FaultKind::DispatchStall`]: wait on
+/// `wake` up to [`DISPATCH_STALL`] with the dispatch lock released
+/// (admission keeps queueing meanwhile), ending early at shutdown or once
+/// `enough` holds.
 fn stall_dispatch<'a>(
     shared: &'a Shared,
     mut q: MutexGuard<'a, DispatchQueues>,
+    wake: &Condvar,
     track: Track,
     enough: impl Fn(&DispatchQueues) -> bool,
 ) -> MutexGuard<'a, DispatchQueues> {
@@ -848,7 +917,7 @@ fn stall_dispatch<'a>(
         if now >= until {
             break;
         }
-        q = shared.work_ready.wait_timeout(q, until - now).unwrap().0;
+        q = wake.wait_timeout(q, until - now).unwrap().0;
     }
     q
 }
@@ -955,11 +1024,7 @@ fn large_loop(shared: Arc<Shared>, track: Track) {
             if shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            let (guard, _) = shared
-                .work_ready
-                .wait_timeout(q, Duration::from_millis(20))
-                .unwrap();
-            q = guard;
+            q = shared.large_ready.wait(q).unwrap();
             continue;
         };
         shared.inflight.fetch_add(1, Ordering::AcqRel);
@@ -968,7 +1033,7 @@ fn large_loop(shared: Arc<Shared>, track: Track) {
             .faults
             .should_inject(FaultKind::DispatchStall, site2(1, job.id))
         {
-            q = stall_dispatch(&shared, q, track, |_| false);
+            q = stall_dispatch(&shared, q, &shared.stopping, track, |_| false);
         }
         drop(q);
         tracer.instant(track, EventKind::Request { id: job.id as u32 });
@@ -1016,52 +1081,45 @@ fn respond(
     let tracer = &shared.ctx.tracer;
     let t_resp = Instant::now();
     tracer.begin(track, phase_kind(Phase::Respond));
-    let status = match result {
+    let result = result.map(|r| r.map(Arc::new));
+    let message: String;
+    let (status, body, label): (Status, &[u8], &'static str) = match &result {
         Some(Ok(body)) => {
-            let body = Arc::new(body);
-            let evicted = shared.cache.insert(job.key, Arc::clone(&body));
-            if evicted > 0 {
-                shared.metric("serve.cache.evictions", evicted as u64);
+            match shared.cache.insert(job.key, Arc::clone(body)) {
+                Inserted::Stored { evicted } if evicted > 0 => {
+                    shared.metric("serve.cache.evictions", evicted as u64);
+                }
+                Inserted::Oversize => shared.metric("serve.cache.oversize", 1),
+                _ => {}
             }
             shared.metric("serve.responses_ok", 1);
-            job.conn.send(job.id, Status::Ok, false, &body);
-            "ok"
+            (Status::Ok, body, "ok")
         }
         Some(Err(e)) => {
-            let status = match e {
-                SolveError::InvalidSeed { .. } | SolveError::InvalidProblem { .. } => {
-                    Status::Invalid
-                }
-                _ => Status::Failed,
-            };
             shared.metric("serve.responses_failed", 1);
-            job.conn
-                .send(job.id, status, false, e.to_string().as_bytes());
-            match status {
-                Status::Invalid => "invalid",
-                _ => "failed",
+            message = e.to_string();
+            match e {
+                SolveError::InvalidSeed { .. } | SolveError::InvalidProblem { .. } => {
+                    (Status::Invalid, message.as_bytes(), "invalid")
+                }
+                _ => (Status::Failed, message.as_bytes(), "failed"),
             }
         }
         None => {
             // The epoch aborted (retry budget exhausted) before this task
             // ran; its retry machinery already counted the panics.
             shared.metric("serve.responses_failed", 1);
-            job.conn.send(
-                job.id,
-                Status::Failed,
-                false,
-                b"epoch aborted before task ran",
-            );
-            "failed"
+            (Status::Failed, b"epoch aborted before task ran", "failed")
         }
     };
+    let _sent = job.conn.send(job.id, status, false, body);
     tracer.end(track, phase_kind(Phase::Respond));
     shared.phase_since(Phase::Respond, t_resp);
     shared.record_total(
         &job.tenant,
         job.workload.kind_name(),
         job.small,
-        status,
+        label,
         job.t_recv,
     );
 }
@@ -1075,7 +1133,8 @@ fn respond_deadline(job: &Job, shared: &Arc<Shared>, track: Track, msg: &str) {
     let t_resp = Instant::now();
     tracer.begin(track, phase_kind(Phase::Respond));
     shared.metric("serve.deadline_exceeded", 1);
-    job.conn
+    let _sent = job
+        .conn
         .send(job.id, Status::DeadlineExceeded, false, msg.as_bytes());
     tracer.end(track, phase_kind(Phase::Respond));
     shared.phase_since(Phase::Respond, t_resp);

@@ -59,7 +59,7 @@ fn expired_small_jobs_are_cancelled_before_the_epoch() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -108,7 +108,7 @@ fn expired_large_jobs_are_cancelled_before_the_lane_solve() {
     let cfg = ServerConfig {
         workers: 2,
         small_threshold: 32,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -149,7 +149,7 @@ fn drain_deadline_fails_leftover_queued_work() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -192,7 +192,7 @@ fn drain_finishes_inflight_work_and_refuses_new_solves() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -364,7 +364,7 @@ fn chaos_client_calls_end_typed_or_correct_never_wrong() {
         ServerConfig {
             workers: 2,
             small_threshold: 64,
-            cache_entries: 0,
+            cache_bytes: 0,
             large_lanes: 1,
             ..ServerConfig::default()
         },
@@ -433,7 +433,7 @@ fn call_opts_deadline_is_stamped_on_the_wire() {
         workers: 1,
         small_threshold: 64,
         batch_max: 32,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };

@@ -4,6 +4,7 @@
 
 use std::net::TcpStream;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 use npdp_exec::{ExecContext, Metrics, Tracer};
 use npdp_fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
@@ -76,7 +77,7 @@ fn pipelined_small_requests_share_one_batch_epoch() {
         workers: 2,
         small_threshold: 64,
         batch_max: 8,
-        cache_entries: 0, // every request must really solve
+        cache_bytes: 0, // every request must really solve
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -155,7 +156,7 @@ fn saturated_small_tier_coalesces_without_a_timer() {
         workers: 2,
         small_threshold: 64,
         batch_max: 32,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -229,7 +230,7 @@ fn every_request_is_answered_once_from_its_own_task() {
         workers: 2,
         small_threshold: 48,
         batch_max: 8,
-        cache_entries: 1024,
+        cache_bytes: 1 << 20,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -292,7 +293,7 @@ fn aborted_epoch_still_answers_every_member_typed() {
         workers: 2,
         small_threshold: 64,
         batch_max: 6,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -338,7 +339,7 @@ fn overload_is_a_typed_rejection_not_a_hang() {
     let cfg = ServerConfig {
         workers: 1,
         queue_limit: 0, // admit nothing
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -420,7 +421,7 @@ fn stats_frame_answers_live_with_consistent_phases() {
     let cfg = ServerConfig {
         workers: 2,
         small_threshold: 48,
-        cache_entries: 1024,
+        cache_bytes: 1 << 20,
         large_lanes: 1,
         ..ServerConfig::default()
     };
@@ -480,6 +481,82 @@ fn stats_frame_answers_live_with_consistent_phases() {
     assert_eq!(last.phase(Phase::Total.key()).unwrap().count, 4);
 }
 
+/// A lock-step library caller does not wait out its own delayed ACK: each
+/// response frame leaves the server in one write on a no-delay socket.
+/// Sent as a header write then a body write under Nagle, every hit would
+/// wait for the client kernel's ACK timer (~40 ms); the median of 20 hits
+/// must sit far below that.
+#[test]
+fn lockstep_cache_hits_do_not_wait_for_delayed_acks() {
+    let cfg = ServerConfig {
+        workers: 1,
+        cache_bytes: 1 << 20,
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg, None, &ExecContext::disabled()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let workload = Workload::ClosureSynthetic { n: 24, seed: 9 };
+    let first = client.call(&req(0, "t", workload.clone())).unwrap();
+    assert_eq!(first.status, Status::Ok, "{}", first.message());
+    let mut ms: Vec<f64> = (1..=20)
+        .map(|id| {
+            let t = Instant::now();
+            let hit = client.call(&req(id, "t", workload.clone())).unwrap();
+            let elapsed = t.elapsed().as_secs_f64() * 1e3;
+            assert!(hit.cached, "repeat {id} missed the cache");
+            assert_eq!(hit.body, first.body);
+            elapsed
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(median < 10.0, "lock-step hit median {median:.2} ms: {ms:?}");
+    server.shutdown();
+}
+
+/// The cache is bounded in bytes: an answer larger than the probation
+/// fifth of the budget is served but never cached, and the Stats frame
+/// reports the resident bytes and the refusals.
+#[test]
+fn oversize_answers_are_served_but_never_cached() {
+    let small = Workload::ClosureSynthetic { n: 8, seed: 1 };
+    let big = Workload::ClosureSynthetic { n: 40, seed: 2 };
+    let small_len = solve_direct(&small).unwrap().encode_body().len();
+    let big_len = solve_direct(&big).unwrap().encode_body().len();
+    // A probation share that fits the small answer but not the big one.
+    let budget = 5 * (small_len + big_len) / 2;
+    assert!(small_len <= budget / 5 && big_len > budget / 5);
+    let cfg = ServerConfig {
+        workers: 1,
+        cache_bytes: budget,
+        ..ServerConfig::default()
+    };
+    let server = spawn(cfg, None, &ExecContext::disabled()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let empty = client.stats().unwrap();
+    assert_eq!(empty.counter("serve.cache.bytes"), 0);
+    assert!(empty
+        .counters
+        .iter()
+        .any(|(k, _)| k == "serve.cache.oversize"));
+    for (id, w, cached) in [
+        (0, &big, false),
+        (1, &big, false), // refused, so solved again
+        (2, &small, false),
+        (3, &small, true),
+    ] {
+        let resp = client.call(&req(id, "t", w.clone())).unwrap();
+        assert_eq!(resp.status, Status::Ok, "{}", resp.message());
+        assert_eq!(resp.cached, cached, "request {id}");
+        assert_eq!(resp.body, solve_direct(w).unwrap().encode_body());
+    }
+    let snap = client.stats().unwrap();
+    assert_eq!(snap.counter("serve.cache.oversize"), 2);
+    assert_eq!(snap.counter("serve.cache.bytes"), small_len as u64);
+    assert_eq!(snap.counter("serve.cache_hits"), 1);
+    server.shutdown();
+}
+
 /// One long-lived server for the cache property: never shut down, its
 /// threads die with the test process.
 fn shared_server() -> &'static ServerHandle {
@@ -489,7 +566,7 @@ fn shared_server() -> &'static ServerHandle {
             workers: 2,
             small_threshold: 32,
             large_lanes: 1,
-            cache_entries: 4096,
+            cache_bytes: 4 << 20,
             ..ServerConfig::default()
         };
         spawn(cfg, None, &ExecContext::disabled()).unwrap()

@@ -407,7 +407,9 @@ impl Discipline for Pipelined {
 }
 
 /// Execute every task of `graph` exactly once, respecting dependences, on
-/// `workers` threads, under the policies of `ctx`: the ready-set discipline
+/// `workers` threads — the calling thread runs worker 0 and `workers - 1`
+/// scoped threads run the rest, so `workers == 1` starts no thread — under
+/// the policies of `ctx`: the ready-set discipline
 /// comes from [`ExecContext::scheduler`], counters go to
 /// [`ExecContext::metrics`] (`queue.*`), the timeline to
 /// [`ExecContext::tracer`] (one `Worker` track per thread, `Task`/`Idle`
@@ -529,144 +531,149 @@ where
         .map(|w| tracer.register(TrackDesc::worker(format!("worker {w}"), w as u32)))
         .collect();
 
-    std::thread::scope(|scope| {
-        for (w, local) in locals.into_iter().enumerate() {
-            let pending = &pending;
-            let attempts = &attempts;
-            let aborted = &aborted;
-            let failure = &failure;
-            let remaining = &remaining;
-            let counts = &counts;
-            let task = &task;
-            let track = tracks[w];
-            scope.spawn(move || {
-                let _bind = tracer.bind_thread(track);
-                let backoff = Backoff::new();
-                let observed = metrics.enabled() || tracer.enabled();
-                let mut idle_ns: u128 = 0;
-                // One `Idle` span per idle stretch: from the first missed
-                // claim to the next claim or to the worker's exit, however
-                // many back-off rounds it spans.
-                let mut idle_since: Option<Instant> = None;
-                let mut end_idle = |idle_since: &mut Option<Instant>| {
-                    if let Some(start) = idle_since.take() {
-                        idle_ns += start.elapsed().as_nanos();
-                        tracer.end(track, EventKind::Idle);
-                    }
-                };
-                loop {
+    // One worker's loop. Workers `1..` run it on scoped threads; the
+    // calling thread runs worker 0 itself, so a one-worker run starts no
+    // thread and its caller keeps its warm thread-local state (allocator
+    // arena, kernel scratch) across runs.
+    let worker = |w: usize, local: D::Local| {
+        let track = tracks[w];
+        let _bind = tracer.bind_thread(track);
+        let backoff = Backoff::new();
+        let observed = metrics.enabled() || tracer.enabled();
+        let mut idle_ns: u128 = 0;
+        // Counted locally and published once: a shared per-task increment
+        // would bounce one cache line between the workers.
+        let mut executed = 0;
+        // One `Idle` span per idle stretch: from the first missed
+        // claim to the next claim or to the worker's exit, however
+        // many back-off rounds it spans.
+        let mut idle_since: Option<Instant> = None;
+        let mut end_idle = |idle_since: &mut Option<Instant>| {
+            if let Some(start) = idle_since.take() {
+                idle_ns += start.elapsed().as_nanos();
+                tracer.end(track, EventKind::Idle);
+            }
+        };
+        loop {
+            if aborted.load(Ordering::Acquire) {
+                break;
+            }
+            match discipline.next(w, &local, metrics, tracer, track) {
+                Some(t) => {
+                    end_idle(&mut idle_since);
+                    backoff.reset();
+                    // Re-check the abort flag after the claim: the
+                    // claim can race another worker's terminal
+                    // failure (the flag was clear at the loop top),
+                    // and no task body may start once abort is
+                    // observed. The claim is surrendered, not
+                    // requeued — the run is returning Err and every
+                    // ready queue dies with it.
                     if aborted.load(Ordering::Acquire) {
+                        metrics.add("queue.aborted_claims", 1);
                         break;
                     }
-                    match discipline.next(w, &local, metrics, tracer, track) {
-                        Some(t) => {
-                            end_idle(&mut idle_since);
-                            backoff.reset();
-                            // Re-check the abort flag after the claim: the
-                            // claim can race another worker's terminal
-                            // failure (the flag was clear at the loop top),
-                            // and no task body may start once abort is
-                            // observed. The claim is surrendered, not
-                            // requeued — the run is returning Err and every
-                            // ready queue dies with it.
-                            if aborted.load(Ordering::Acquire) {
-                                metrics.add("queue.aborted_claims", 1);
-                                break;
-                            }
-                            discipline.claimed(w, t, metrics);
-                            let attempt = attempts[t as usize].load(Ordering::Relaxed);
-                            tracer.begin(track, EventKind::Task { id: t });
-                            // Injected panics fire before the body touches
-                            // anything, so retrying them is side-effect free.
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                if faults.should_inject(
-                                    FaultKind::TaskPanic,
-                                    site2(t as u64, attempt as u64),
-                                ) {
-                                    panic!("injected task panic");
-                                }
-                                task(t as usize)
-                            }));
-                            tracer.end(track, EventKind::Task { id: t });
-                            match outcome {
-                                Ok(()) => {
-                                    counts[w].fetch_add(1, Ordering::Relaxed);
-                                    metrics.add("queue.tasks_executed", 1);
-                                    // Notify successors; Release pairs with
-                                    // the Acquire below so a worker picking
-                                    // up a newly-ready task sees all writes
-                                    // made while computing its predecessors.
-                                    let mut first = true;
-                                    for &s in graph.successors(t as usize) {
-                                        if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                            discipline.ready(w, &local, s, first, metrics);
-                                            first = false;
-                                        }
-                                    }
-                                    discipline.completed(t, metrics);
-                                    remaining.fetch_sub(1, Ordering::Release);
-                                }
-                                Err(payload) => {
-                                    faults.count_task_panic();
-                                    metrics.add("queue.task_panics", 1);
-                                    tracer.instant(
-                                        track,
-                                        EventKind::Fault {
-                                            code: FaultKind::TaskPanic.code(),
-                                        },
-                                    );
-                                    let made =
-                                        attempts[t as usize].fetch_add(1, Ordering::Relaxed) + 1;
-                                    if made < retry.max_attempts {
-                                        // A retry consults the abort flag
-                                        // before requeueing: handing the
-                                        // task back to a dying run could
-                                        // let a worker that has not yet
-                                        // observed the flag start its body.
-                                        if aborted.load(Ordering::Acquire) {
-                                            metrics.add("queue.aborted_claims", 1);
-                                            break;
-                                        }
-                                        metrics.add("queue.task_retries", 1);
-                                        discipline.retry(w, &local, t);
-                                    } else {
-                                        // First terminal failure wins the
-                                        // slot; a concurrent exhaustion on
-                                        // another worker must not replace
-                                        // the error the caller sees.
-                                        let mut slot = failure.lock().unwrap();
-                                        if slot.is_none() {
-                                            *slot = Some(ExecError::TaskPanicked {
-                                                task: t as usize,
-                                                attempts: made,
-                                                message: panic_message(payload),
-                                            });
-                                        }
-                                        drop(slot);
-                                        aborted.store(true, Ordering::Release);
-                                        break;
-                                    }
-                                }
-                            }
+                    discipline.claimed(w, t, metrics);
+                    let attempt = attempts[t as usize].load(Ordering::Relaxed);
+                    tracer.begin(track, EventKind::Task { id: t });
+                    // Injected panics fire before the body touches
+                    // anything, so retrying them is side-effect free.
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        if faults
+                            .should_inject(FaultKind::TaskPanic, site2(t as u64, attempt as u64))
+                        {
+                            panic!("injected task panic");
                         }
-                        None => {
-                            if remaining.load(Ordering::Acquire) == 0 {
+                        task(t as usize)
+                    }));
+                    tracer.end(track, EventKind::Task { id: t });
+                    match outcome {
+                        Ok(()) => {
+                            executed += 1;
+                            metrics.add("queue.tasks_executed", 1);
+                            // Notify successors; Release pairs with
+                            // the Acquire below so a worker picking
+                            // up a newly-ready task sees all writes
+                            // made while computing its predecessors.
+                            let mut first = true;
+                            for &s in graph.successors(t as usize) {
+                                if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                                    discipline.ready(w, &local, s, first, metrics);
+                                    first = false;
+                                }
+                            }
+                            discipline.completed(t, metrics);
+                            remaining.fetch_sub(1, Ordering::Release);
+                        }
+                        Err(payload) => {
+                            faults.count_task_panic();
+                            metrics.add("queue.task_panics", 1);
+                            tracer.instant(
+                                track,
+                                EventKind::Fault {
+                                    code: FaultKind::TaskPanic.code(),
+                                },
+                            );
+                            let made = attempts[t as usize].fetch_add(1, Ordering::Relaxed) + 1;
+                            if made < retry.max_attempts {
+                                // A retry consults the abort flag
+                                // before requeueing: handing the
+                                // task back to a dying run could
+                                // let a worker that has not yet
+                                // observed the flag start its body.
+                                if aborted.load(Ordering::Acquire) {
+                                    metrics.add("queue.aborted_claims", 1);
+                                    break;
+                                }
+                                metrics.add("queue.task_retries", 1);
+                                discipline.retry(w, &local, t);
+                            } else {
+                                // First terminal failure wins the
+                                // slot; a concurrent exhaustion on
+                                // another worker must not replace
+                                // the error the caller sees.
+                                let mut slot = failure.lock().unwrap();
+                                if slot.is_none() {
+                                    *slot = Some(ExecError::TaskPanicked {
+                                        task: t as usize,
+                                        attempts: made,
+                                        message: panic_message(payload),
+                                    });
+                                }
+                                drop(slot);
+                                aborted.store(true, Ordering::Release);
                                 break;
                             }
-                            if observed && idle_since.is_none() {
-                                tracer.begin(track, EventKind::Idle);
-                                idle_since = Some(Instant::now());
-                            }
-                            backoff.snooze();
                         }
                     }
                 }
-                end_idle(&mut idle_since);
-                if idle_ns > 0 {
-                    metrics.add("queue.worker_idle_ns", saturating_ns(idle_ns));
+                None => {
+                    if remaining.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                    if observed && idle_since.is_none() {
+                        tracer.begin(track, EventKind::Idle);
+                        idle_since = Some(Instant::now());
+                    }
+                    backoff.snooze();
                 }
-            });
+            }
         }
+        end_idle(&mut idle_since);
+        counts[w].store(executed, Ordering::Relaxed);
+        if idle_ns > 0 {
+            metrics.add("queue.worker_idle_ns", saturating_ns(idle_ns));
+        }
+    };
+
+    std::thread::scope(|scope| {
+        let mut locals = locals.into_iter();
+        let first = locals.next().expect("at least one worker");
+        for (w, local) in locals.enumerate() {
+            let worker = &worker;
+            scope.spawn(move || worker(w + 1, local));
+        }
+        worker(0, first);
     });
 
     if let Some(err) = failure.into_inner().unwrap() {
@@ -708,6 +715,81 @@ mod tests {
                 "{sched:?}"
             );
         }
+    }
+
+    /// A one-worker run starts no thread: the caller runs worker 0, so
+    /// every task body sees the calling thread.
+    #[test]
+    fn one_worker_runs_every_task_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for sched in [
+            Scheduler::CentralQueue,
+            Scheduler::WorkStealing,
+            Scheduler::LocalityBatched,
+            Scheduler::pipelined(),
+        ] {
+            let g = triangle_graph(6);
+            let threads = Mutex::new(Vec::new());
+            let ctx = ExecContext::disabled().with_scheduler(sched);
+            run(&g, 1, &ctx, |_| {
+                threads.lock().unwrap().push(std::thread::current().id());
+            })
+            .unwrap();
+            let threads = threads.into_inner().unwrap();
+            assert_eq!(threads.len(), g.len(), "{sched:?}");
+            assert!(threads.iter().all(|&t| t == caller), "{sched:?}");
+        }
+    }
+
+    /// The caller's tasks run on worker 0's trace track, and the caller's
+    /// own thread-track binding is back in place when `run` returns.
+    #[test]
+    fn caller_runs_worker_zero_and_keeps_its_trace_binding() {
+        let tracer = Tracer::new();
+        let outer = tracer.register(TrackDesc::control("caller"));
+        let _bind = tracer.bind_thread(outer);
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        // Tasks 0 and 1 meet at a barrier, so each worker runs one of them
+        // however the threads are scheduled.
+        let meet = std::sync::Barrier::new(2);
+        let ctx = ExecContext::disabled().with_tracer(&tracer);
+        run(&TaskGraph::new(16), 2, &ctx, |t| {
+            if t < 2 {
+                meet.wait();
+            }
+            let on_caller = std::thread::current().id() == caller;
+            seen.lock()
+                .unwrap()
+                .push((on_caller, tracer.thread_track()));
+        })
+        .unwrap();
+        assert_eq!(tracer.thread_track(), Some(outer), "binding restored");
+        let seen = seen.into_inner().unwrap();
+        let track_of = |on: bool| {
+            let tracks: Vec<_> = seen.iter().filter(|s| s.0 == on).map(|s| s.1).collect();
+            assert!(
+                tracks.windows(2).all(|w| w[0] == w[1]),
+                "one track per thread"
+            );
+            assert!(tracks.iter().all(Option::is_some), "workers are bound");
+            (tracks.len(), tracks.first().copied().flatten())
+        };
+        let (by_caller, caller_track) = track_of(true);
+        let (by_spawned, spawned_track) = track_of(false);
+        assert!(by_caller > 0 && by_spawned > 0, "both workers ran tasks");
+        assert!(caller_track.is_some() && caller_track != Some(outer));
+        assert_ne!(caller_track, spawned_track);
+        // Worker 0's track holds exactly the caller's task spans.
+        let data = tracer.snapshot();
+        let worker0 = data.tracks.iter().find(|t| t.name == "worker 0").unwrap();
+        let task_spans = worker0
+            .events
+            .iter()
+            .filter(|e| e.phase == npdp_trace::Phase::Begin)
+            .filter(|e| matches!(e.kind, EventKind::Task { .. }))
+            .count();
+        assert_eq!(task_spans, by_caller);
     }
 
     /// A worker waiting on slow tasks records one `Idle` span per idle

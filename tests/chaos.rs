@@ -424,7 +424,7 @@ fn dispatch_stalls_delay_served_work_but_never_change_it() {
         small_threshold: 48,
         // The held epoch worker lets go once all small requests queue.
         batch_max: small as usize,
-        cache_entries: 0,
+        cache_bytes: 0,
         large_lanes: 1,
         ..ServerConfig::default()
     };
