@@ -12,15 +12,17 @@
 //! recomputation.
 //!
 //! Eviction is **segmented LRU**, weighed in bytes: each entry costs its
-//! body's length against a byte budget, a fifth of which is *probation*
-//! and the rest *protected*. New bodies enter probation and are promoted
-//! to protected on their first hit, so a burst of one-shot workloads
-//! sweeping through probation cannot flush the workloads that hit
-//! repeatedly. Each segment is LRU-ordered; protected overflow demotes
-//! back to probation rather than evicting outright. A body larger than the
-//! whole probation share is never admitted (the `serve.cache.oversize`
-//! counter), so one huge answer cannot flush the hot set — and the cache's
-//! resident bytes, not its entry count, are what the budget bounds.
+//! body's length plus [`ENTRY_OVERHEAD`] against a byte budget, a fifth of
+//! which is *probation* and the rest *protected*. New bodies enter
+//! probation and are promoted to protected on their first hit, so a burst
+//! of one-shot workloads sweeping through probation cannot flush the
+//! workloads that hit repeatedly. Each segment is LRU-ordered; protected
+//! overflow demotes back to probation rather than evicting outright. An
+//! entry weighing more than the whole probation share is never admitted
+//! (the `serve.cache.oversize` counter), so one huge answer cannot flush
+//! the hot set. The fixed per-entry charge keeps tiny bodies from piling
+//! up uncounted bookkeeping: the budget bounds the entry count too, at
+//! `budget / ENTRY_OVERHEAD`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -57,30 +59,30 @@ pub struct CacheHit {
     /// True when this was the entry's first hit, moving it from the
     /// probation segment into the protected one.
     pub promoted: bool,
-    /// Probation bodies evicted to make room for what the promotion
+    /// Probation entries evicted to make room for what the promotion
     /// demoted out of protected.
     pub evicted: usize,
 }
 
-/// What [`SolveCache::insert`] did with a body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inserted {
-    /// Resident in probation (or already cached), after evicting this many
-    /// least-recently-used probation bodies.
-    Stored { evicted: usize },
-    /// Larger than the probation share: not admitted.
-    Oversize,
-    /// The cache has a zero budget.
-    Disabled,
+/// Bytes charged per cached entry on top of its body: the hash-map slot
+/// with its 128-bit key, the recency-order entry, the `Arc` allocation
+/// and the allocator's headers. A counting-allocator probe of 10⁴–10⁵
+/// inserts of 1–13 byte bodies measured 189–227 bytes; this rounds up.
+pub const ENTRY_OVERHEAD: usize = 256;
+
+/// What an entry holding `body` costs against the budget.
+fn weight(body: &[u8]) -> usize {
+    body.len() + ENTRY_OVERHEAD
 }
 
 /// A byte-budgeted segmented-LRU memo of encoded result bodies.
 ///
 /// Budget 0 disables the cache entirely. A fifth of the budget is
 /// probation (first sighting), the rest protected (hit at least once);
-/// both segments evict least-recently-used until their bodies fit their
-/// share. Lock hold time is `O(log entries)` per operation (ordered-map
-/// reshuffles), plus one step per body evicted or demoted.
+/// both segments evict least-recently-used until their entries' weights
+/// ([`ENTRY_OVERHEAD`] plus the body length) fit their share. Lock hold
+/// time is `O(log entries)` per operation (ordered-map reshuffles), plus
+/// one step per entry evicted or demoted.
 #[derive(Debug)]
 pub struct SolveCache {
     inner: Mutex<CacheInner>,
@@ -95,7 +97,7 @@ struct CacheInner {
     /// exactly one of the two, matching its slot's `protected` flag.
     probation: BTreeMap<u64, u128>,
     protected: BTreeMap<u64, u128>,
-    /// Body bytes resident in each segment.
+    /// Entry weights resident in each segment.
     probation_bytes: usize,
     protected_bytes: usize,
     stamp: u64,
@@ -119,7 +121,7 @@ impl CacheInner {
 }
 
 impl SolveCache {
-    /// A cache holding at most `budget` bytes of encoded bodies.
+    /// A cache whose entries weigh at most `budget` bytes in all.
     pub fn new(budget: usize) -> Self {
         let probation_cap = budget / 5;
         Self {
@@ -152,8 +154,8 @@ impl SolveCache {
         inner.protected.insert(inner.stamp, key);
         let evicted = if promoted {
             inner.probation.remove(&old_stamp);
-            inner.probation_bytes -= body.len();
-            inner.protected_bytes += body.len();
+            inner.probation_bytes -= weight(&body);
+            inner.protected_bytes += weight(&body);
             inner.promotions += 1;
             self.settle(inner)
         } else {
@@ -168,23 +170,25 @@ impl SolveCache {
     }
 
     /// Insert an encoded body into probation, evicting that segment's LRU
-    /// bodies until it fits its share. Concurrent duplicate inserts are
+    /// entries until it fits its share; returns the number evicted. An
+    /// entry heavier than the whole share is refused and counted
+    /// ([`SolveCache::oversize`]). Concurrent duplicate inserts are
     /// harmless: solves are deterministic, so a racing miss carries the
     /// bytes already resident, which keep their place.
-    pub fn insert(&self, key: u128, body: Arc<Vec<u8>>) -> Inserted {
+    pub fn insert(&self, key: u128, body: Arc<Vec<u8>>) -> usize {
         if self.disabled() {
-            return Inserted::Disabled;
+            return 0;
         }
         let mut inner = self.inner.lock().unwrap();
-        if body.len() > self.probation_cap {
+        if weight(&body) > self.probation_cap {
             inner.oversize += 1;
-            return Inserted::Oversize;
+            return 0;
         }
         if inner.map.contains_key(&key) {
-            return Inserted::Stored { evicted: 0 };
+            return 0;
         }
         let stamp = inner.next_stamp();
-        inner.probation_bytes += body.len();
+        inner.probation_bytes += weight(&body);
         inner.map.insert(
             key,
             Slot {
@@ -194,14 +198,12 @@ impl SolveCache {
             },
         );
         inner.probation.insert(stamp, key);
-        Inserted::Stored {
-            evicted: self.settle(&mut inner),
-        }
+        self.settle(&mut inner)
     }
 
     /// Bring both segments back inside their shares: protected overflow
     /// demotes its LRU to probation's MRU (it earned a hit once), then
-    /// probation evicts its LRU. Every resident body fits the probation
+    /// probation evicts its LRU. Every resident entry fits the probation
     /// share, which is at most the protected one, so the entry a caller
     /// just touched (the MRU) is never the one moved. Returns the number
     /// of evictions.
@@ -212,16 +214,16 @@ impl SolveCache {
             let slot = inner.map.get_mut(&key).expect("ordered keys are mapped");
             slot.stamp = stamp;
             slot.protected = false;
-            let len = slot.body.len();
-            inner.protected_bytes -= len;
-            inner.probation_bytes += len;
+            let w = weight(&slot.body);
+            inner.protected_bytes -= w;
+            inner.probation_bytes += w;
             inner.probation.insert(stamp, key);
         }
         let mut evicted = 0;
         while inner.probation_bytes > self.probation_cap {
             let (_, key) = inner.probation.pop_first().expect("bytes imply entries");
             let slot = inner.map.remove(&key).expect("ordered keys are mapped");
-            inner.probation_bytes -= slot.body.len();
+            inner.probation_bytes -= weight(&slot.body);
             inner.evictions += 1;
             evicted += 1;
         }
@@ -238,7 +240,8 @@ impl SolveCache {
         self.len() == 0
     }
 
-    /// Body bytes resident across both segments (the `serve.cache.bytes`
+    /// Bytes charged for the resident entries across both segments,
+    /// bodies plus [`ENTRY_OVERHEAD`] each (the `serve.cache.bytes`
     /// gauge); never above the budget.
     pub fn bytes(&self) -> usize {
         let inner = self.inner.lock().unwrap();
@@ -256,8 +259,8 @@ impl SolveCache {
         self.inner.lock().unwrap().evictions
     }
 
-    /// Lifetime bodies refused for exceeding the probation share (the
-    /// `serve.cache.oversize` counter).
+    /// Lifetime bodies refused for weighing more than the probation share
+    /// (the `serve.cache.oversize` counter).
     pub fn oversize(&self) -> u64 {
         self.inner.lock().unwrap().oversize
     }
@@ -331,7 +334,12 @@ mod tests {
         Arc::new(vec![len as u8; len])
     }
 
-    /// Resident bytes per segment, as the cache tracks them.
+    /// What an entry with a `len`-byte body weighs.
+    fn w(len: usize) -> usize {
+        len + ENTRY_OVERHEAD
+    }
+
+    /// Resident weight per segment, as the cache tracks it.
     fn segment_bytes(cache: &SolveCache) -> (usize, usize) {
         let inner = cache.inner.lock().unwrap();
         (inner.probation_bytes, inner.protected_bytes)
@@ -339,104 +347,130 @@ mod tests {
 
     #[test]
     fn oversize_bodies_are_refused() {
-        // Budget 100 → probation 20 bytes, protected 80.
-        let cache = SolveCache::new(100);
-        assert_eq!(cache.insert(1, body(21)), Inserted::Oversize);
+        // Probation holds exactly one 20-byte body's entry.
+        let cache = SolveCache::new(5 * w(20));
+        assert_eq!(cache.insert(1, body(21)), 0);
         assert!(cache.get(1).is_none());
         assert_eq!((cache.bytes(), cache.oversize()), (0, 1));
         // Exactly the probation share is admitted.
-        assert_eq!(cache.insert(2, body(20)), Inserted::Stored { evicted: 0 });
-        assert_eq!(cache.bytes(), 20);
+        assert_eq!(cache.insert(2, body(20)), 0);
+        assert_eq!(cache.bytes(), w(20));
         assert_eq!(cache.oversize(), 1);
     }
 
     #[test]
     fn probation_evicts_lru_and_bounds_the_cache() {
-        let cache = SolveCache::new(100);
+        let share = w(10) + w(5);
+        let cache = SolveCache::new(5 * share);
         cache.insert(1, body(10));
         cache.insert(2, body(5));
-        assert_eq!(cache.bytes(), 15);
-        // 25 bytes would overflow the 20-byte share: the LRU (10 bytes)
-        // goes, however few entries are resident.
-        assert_eq!(cache.insert(3, body(10)), Inserted::Stored { evicted: 1 });
+        assert_eq!(cache.bytes(), share);
+        // Another 10-byte body would overflow the share: the LRU (key 1)
+        // goes.
+        assert_eq!(cache.insert(3, body(10)), 1);
         assert!(cache.get(1).is_none(), "un-hit LRU evicted first");
-        assert_eq!(segment_bytes(&cache), (15, 0));
+        assert_eq!(segment_bytes(&cache), (share, 0));
         // A full-share body flushes both remaining one-shot entries.
-        assert_eq!(cache.insert(4, body(20)), Inserted::Stored { evicted: 2 });
-        assert_eq!((cache.len(), cache.bytes()), (1, 20));
+        assert_eq!(cache.insert(4, body(share - ENTRY_OVERHEAD)), 2);
+        assert_eq!((cache.len(), cache.bytes()), (1, share));
         assert_eq!(cache.evictions(), 3);
     }
 
     #[test]
+    fn tiny_bodies_are_bounded_by_their_entry_overhead() {
+        // However small the bodies, each entry is charged its bookkeeping,
+        // so the budget bounds the entry count.
+        let budget = 64 * ENTRY_OVERHEAD;
+        let cache = SolveCache::new(budget);
+        for k in 0..10_000u128 {
+            cache.insert(k, body(1));
+            if k % 2 == 0 {
+                cache.get(k).unwrap();
+            }
+            assert!(cache.len() <= budget / ENTRY_OVERHEAD);
+        }
+        assert!(cache.bytes() <= budget);
+        assert!(cache.len() > budget / (2 * ENTRY_OVERHEAD), "still caches");
+    }
+
+    #[test]
     fn reinserting_a_key_does_not_double_count() {
-        let cache = SolveCache::new(100);
+        let cache = SolveCache::new(5 * w(12));
         cache.insert(1, body(12));
-        assert_eq!(cache.insert(1, body(12)), Inserted::Stored { evicted: 0 });
-        assert_eq!((cache.len(), cache.bytes()), (1, 12));
+        assert_eq!(cache.insert(1, body(12)), 0);
+        assert_eq!((cache.len(), cache.bytes()), (1, w(12)));
         // Also once promoted: the bytes stay in protected, counted once.
         cache.get(1).unwrap();
         cache.insert(1, body(12));
-        assert_eq!(segment_bytes(&cache), (0, 12));
+        assert_eq!(segment_bytes(&cache), (0, w(12)));
     }
 
     #[test]
     fn hits_promote_out_of_probations_reach() {
-        let cache = SolveCache::new(100);
+        let cache = SolveCache::new(5 * w(8));
         cache.insert(1, body(8));
         let hit = cache.get(1).unwrap();
         assert_eq!(*hit.body, vec![8; 8]);
         assert!(hit.promoted, "first hit promotes");
         assert_eq!(cache.promotions(), 1);
-        assert_eq!(segment_bytes(&cache), (0, 8));
+        assert_eq!(segment_bytes(&cache), (0, w(8)));
         // A sweep of one-shot keys through probation cannot evict the
         // promoted entry.
         for k in 10..30 {
             cache.insert(k, body(7));
         }
         let hit = cache.get(1).unwrap();
+        assert_eq!(*hit.body, vec![8; 8]);
         assert!(!hit.promoted, "already protected");
         assert_eq!(cache.promotions(), 1);
     }
 
     #[test]
     fn protected_overflow_demotes_its_lru() {
-        // Protected holds 80 bytes: four promoted 20-byte bodies fill it,
-        // and the fifth promotion demotes the protected LRU (key 1) back
-        // to probation, where the next insert sweeps it out.
-        let cache = SolveCache::new(100);
+        // Protected holds four 20-byte entries: four promoted bodies fill
+        // it, and the fifth promotion demotes the protected LRU (key 1)
+        // back to probation, where the next insert sweeps it out.
+        let cache = SolveCache::new(5 * w(20));
         for k in 1..=4 {
             cache.insert(k, body(20));
             cache.get(k).unwrap();
         }
-        assert_eq!(segment_bytes(&cache), (0, 80));
+        assert_eq!(segment_bytes(&cache), (0, 4 * w(20)));
         cache.insert(5, body(20));
         let hit = cache.get(5).unwrap();
         assert_eq!((hit.promoted, hit.evicted), (true, 0));
-        assert_eq!(segment_bytes(&cache), (20, 80), "key 1's bytes demoted");
+        assert_eq!(cache.promotions(), 5);
+        assert_eq!(
+            segment_bytes(&cache),
+            (w(20), 4 * w(20)),
+            "key 1's bytes demoted"
+        );
         assert_eq!(cache.len(), 5);
-        assert_eq!(cache.insert(6, body(4)), Inserted::Stored { evicted: 1 });
+        assert_eq!(cache.insert(6, body(4)), 1);
         assert!(cache.get(1).is_none(), "demoted LRU swept from probation");
         for k in 2..=5 {
             assert!(cache.get(k).is_some(), "protected key {k} survived");
         }
-        assert_eq!(segment_bytes(&cache), (4, 80));
+        assert_eq!(segment_bytes(&cache), (w(4), 4 * w(20)));
     }
 
     #[test]
     fn a_promotion_can_evict_what_it_demotes_into() {
-        // Protected full, probation holding two one-shot bodies: promoting
-        // one of them demotes key 1 (20 bytes) onto the other, and the
-        // hit reports the eviction that makes room.
-        let cache = SolveCache::new(100);
+        // Protected full of share-sized entries, probation holding two
+        // one-shot 10-byte bodies: promoting one of them demotes key 1
+        // onto the other, and the hit reports the eviction that makes
+        // room.
+        let share = 2 * w(10);
+        let cache = SolveCache::new(5 * share);
         for k in 1..=4 {
-            cache.insert(k, body(20));
+            cache.insert(k, body(share - ENTRY_OVERHEAD));
             cache.get(k).unwrap();
         }
         cache.insert(5, body(10));
         cache.insert(6, body(10));
         let hit = cache.get(5).unwrap();
         assert_eq!((hit.promoted, hit.evicted), (true, 1));
-        assert_eq!(segment_bytes(&cache), (20, 70));
+        assert_eq!(segment_bytes(&cache), (share, 3 * share + w(10)));
         assert!(cache.get(6).is_none(), "the one-shot LRU made room");
         assert_eq!(cache.evictions(), 1);
     }
@@ -444,8 +478,8 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = SolveCache::new(0);
-        assert_eq!(cache.insert(1, body(0)), Inserted::Disabled);
-        assert_eq!(cache.insert(2, body(1)), Inserted::Disabled);
+        assert_eq!(cache.insert(1, body(0)), 0);
+        assert_eq!(cache.insert(2, body(1)), 0);
         assert!(cache.get(1).is_none());
         assert!(cache.is_empty());
         assert_eq!(
@@ -458,13 +492,13 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// After any insert/get sequence, each segment's tracked bytes
-        /// equal the summed lengths of the bodies resident in it, each
+        /// equal the summed weights of the entries resident in it, each
         /// stays within its share, and every entry sits in exactly one
         /// segment's order.
         #[test]
         fn tracked_bytes_match_resident_bodies(
-            budget in 0usize..300,
-            ops in proptest::prop::collection::vec((0u8..3, 0u64..16, 0usize..70), 1..120),
+            budget in 0usize..5000,
+            ops in proptest::prop::collection::vec((0u8..3, 0u64..16, 0usize..500), 1..120),
         ) {
             let cache = SolveCache::new(budget);
             for (op, key, len) in ops {
@@ -480,7 +514,7 @@ mod tests {
                         .map
                         .values()
                         .filter(|s| s.protected == protected)
-                        .map(|s| s.body.len())
+                        .map(|s| weight(&s.body))
                         .sum()
                 };
                 proptest::prop_assert_eq!(inner.probation_bytes, resident(false));

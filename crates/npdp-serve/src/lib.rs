@@ -72,7 +72,7 @@ pub mod server;
 pub mod solve;
 pub mod stats;
 
-pub use cache::{workload_key, CacheHit, Inserted, SolveCache};
+pub use cache::{workload_key, CacheHit, SolveCache};
 pub use client::{CallOpts, Client, ClientError};
 pub use load::{synthetic_stream, LatencyRecorder, LatencySummary, MixConfig};
 pub use net::ChaosStream;

@@ -7,9 +7,10 @@
 //! 1. A reader thread decodes a frame. Malformed → `Invalid` response.
 //! 2. Cache lookup by the workload's stable content key — a hit responds
 //!    immediately with the stored bytes (bit-identical to recomputation by
-//!    construction) and never touches the queues. The cache holds at most
-//!    [`ServerConfig::cache_bytes`] of encoded bodies, so the server's
-//!    memory does not grow with the number of distinct answers it served.
+//!    construction) and never touches the queues. The cache charges each
+//!    entry its body plus a fixed bookkeeping overhead against
+//!    [`ServerConfig::cache_bytes`], so the server's memory does not grow
+//!    with the number of distinct answers it served.
 //! 3. Admission control: if the pending count is at
 //!    [`ServerConfig::queue_limit`], respond `Overloaded` — a bounded queue
 //!    is what keeps tail latency honest under pressure.
@@ -65,7 +66,7 @@ use npdp_fault::{site2, FaultKind};
 use npdp_trace::{EventKind, TimeDomain, Track, TrackDesc};
 use task_queue::TaskGraph;
 
-use crate::cache::{workload_key, Inserted, SolveCache};
+use crate::cache::{workload_key, SolveCache};
 use crate::protocol::{read_frame, Request, RequestFrame, Response, Status, Workload};
 use crate::solve::{materialize, solve_problem};
 use crate::stats::{Phase, StatsSnapshot, Telemetry};
@@ -112,8 +113,9 @@ pub struct ServerConfig {
     /// Admission bound: pending (queued, un-started) requests beyond this
     /// are refused with [`Status::Overloaded`].
     pub queue_limit: usize,
-    /// Solve-cache budget in bytes of encoded result bodies; 0 disables
-    /// caching. A body larger than a fifth of it is never cached.
+    /// Solve-cache budget in bytes: each entry is charged its encoded
+    /// result body plus [`crate::cache::ENTRY_OVERHEAD`]; 0 disables
+    /// caching. An entry weighing more than a fifth of it is never cached.
     pub cache_bytes: usize,
     /// Concurrent large solves (each already uses `workers` threads).
     pub large_lanes: usize,
@@ -1085,12 +1087,9 @@ fn respond(
     let message: String;
     let (status, body, label): (Status, &[u8], &'static str) = match &result {
         Some(Ok(body)) => {
-            match shared.cache.insert(job.key, Arc::clone(body)) {
-                Inserted::Stored { evicted } if evicted > 0 => {
-                    shared.metric("serve.cache.evictions", evicted as u64);
-                }
-                Inserted::Oversize => shared.metric("serve.cache.oversize", 1),
-                _ => {}
+            let evicted = shared.cache.insert(job.key, Arc::clone(body));
+            if evicted > 0 {
+                shared.metric("serve.cache.evictions", evicted as u64);
             }
             shared.metric("serve.responses_ok", 1);
             (Status::Ok, body, "ok")

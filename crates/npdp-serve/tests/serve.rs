@@ -8,6 +8,7 @@ use std::time::Instant;
 
 use npdp_exec::{ExecContext, Metrics, Tracer};
 use npdp_fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
+use npdp_serve::cache::ENTRY_OVERHEAD;
 use npdp_serve::client::Client;
 use npdp_serve::protocol::{read_frame, write_frame, Request, Response, Status, Workload};
 use npdp_serve::server::{spawn, ServerConfig, ServerHandle};
@@ -514,18 +515,18 @@ fn lockstep_cache_hits_do_not_wait_for_delayed_acks() {
     server.shutdown();
 }
 
-/// The cache is bounded in bytes: an answer larger than the probation
-/// fifth of the budget is served but never cached, and the Stats frame
-/// reports the resident bytes and the refusals.
+/// The cache is bounded in bytes: an answer whose entry outweighs the
+/// probation fifth of the budget is served but never cached, and the Stats
+/// frame reports the resident bytes and the refusals.
 #[test]
 fn oversize_answers_are_served_but_never_cached() {
     let small = Workload::ClosureSynthetic { n: 8, seed: 1 };
     let big = Workload::ClosureSynthetic { n: 40, seed: 2 };
-    let small_len = solve_direct(&small).unwrap().encode_body().len();
-    let big_len = solve_direct(&big).unwrap().encode_body().len();
+    let weigh = |w: &Workload| solve_direct(w).unwrap().encode_body().len() + ENTRY_OVERHEAD;
+    let (small_w, big_w) = (weigh(&small), weigh(&big));
     // A probation share that fits the small answer but not the big one.
-    let budget = 5 * (small_len + big_len) / 2;
-    assert!(small_len <= budget / 5 && big_len > budget / 5);
+    let budget = 5 * (small_w + big_w) / 2;
+    assert!(small_w <= budget / 5 && big_w > budget / 5);
     let cfg = ServerConfig {
         workers: 1,
         cache_bytes: budget,
@@ -552,7 +553,7 @@ fn oversize_answers_are_served_but_never_cached() {
     }
     let snap = client.stats().unwrap();
     assert_eq!(snap.counter("serve.cache.oversize"), 2);
-    assert_eq!(snap.counter("serve.cache.bytes"), small_len as u64);
+    assert_eq!(snap.counter("serve.cache.bytes"), small_w as u64);
     assert_eq!(snap.counter("serve.cache_hits"), 1);
     server.shutdown();
 }

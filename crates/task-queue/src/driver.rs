@@ -526,23 +526,21 @@ where
     let aborted = AtomicBool::new(false);
     let failure: Mutex<Option<ExecError>> = Mutex::new(None);
     let remaining = AtomicUsize::new(n);
-    let counts: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
     let tracks: Vec<_> = (0..workers)
         .map(|w| tracer.register(TrackDesc::worker(format!("worker {w}"), w as u32)))
         .collect();
 
-    // One worker's loop. Workers `1..` run it on scoped threads; the
-    // calling thread runs worker 0 itself, so a one-worker run starts no
-    // thread and its caller keeps its warm thread-local state (allocator
-    // arena, kernel scratch) across runs.
-    let worker = |w: usize, local: D::Local| {
+    // One worker's loop, returning the number of tasks it executed.
+    // Workers `1..` run it on scoped threads; the calling thread runs
+    // worker 0 itself, so a one-worker run starts no thread and its caller
+    // keeps its warm thread-local state (allocator arena, kernel scratch)
+    // across runs.
+    let worker = |w: usize, local: D::Local| -> usize {
         let track = tracks[w];
         let _bind = tracer.bind_thread(track);
         let backoff = Backoff::new();
         let observed = metrics.enabled() || tracer.enabled();
         let mut idle_ns: u128 = 0;
-        // Counted locally and published once: a shared per-task increment
-        // would bounce one cache line between the workers.
         let mut executed = 0;
         // One `Idle` span per idle stretch: from the first missed
         // claim to the next claim or to the worker's exit, however
@@ -660,28 +658,37 @@ where
             }
         }
         end_idle(&mut idle_since);
-        counts[w].store(executed, Ordering::Relaxed);
         if idle_ns > 0 {
             metrics.add("queue.worker_idle_ns", saturating_ns(idle_ns));
         }
+        executed
     };
 
-    std::thread::scope(|scope| {
+    let tasks_per_worker = std::thread::scope(|scope| {
         let mut locals = locals.into_iter();
         let first = locals.next().expect("at least one worker");
-        for (w, local) in locals.enumerate() {
-            let worker = &worker;
-            scope.spawn(move || worker(w + 1, local));
-        }
-        worker(0, first);
+        let spawned: Vec<_> = locals
+            .enumerate()
+            .map(|(w, local)| {
+                let worker = &worker;
+                scope.spawn(move || worker(w + 1, local))
+            })
+            .collect();
+        let mut counts = vec![worker(0, first)];
+        // Task panics are caught inside the loop, so a worker thread
+        // panicking is a driver bug: re-raise it on the caller.
+        counts.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        counts
     });
 
     if let Some(err) = failure.into_inner().unwrap() {
         return Err(err);
     }
-    Ok(ExecStats {
-        tasks_per_worker: counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-    })
+    Ok(ExecStats { tasks_per_worker })
 }
 
 #[cfg(test)]
