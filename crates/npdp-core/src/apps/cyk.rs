@@ -39,7 +39,8 @@ use std::sync::Arc;
 
 use npdp_exec::ExecContext;
 use simd_kernel::{
-    fold_lanes, gather_lanes, lanewise_rank_update_i32x8, I32Lanes, LaneFold, LaneGather,
+    edge_lanes, fold_lanes, gather_lanes, lanewise_rank_update_i32x8, I32Lanes, LaneFold,
+    LaneGather, LaneRules,
 };
 
 use crate::error::SolveError;
@@ -155,19 +156,12 @@ impl Grammar {
 #[derive(Clone)]
 pub struct CykRing {
     grammar: Arc<Grammar>,
-    groups: Arc<[RuleGroup]>,
-}
-
-/// Up to eight binary rules `a → b c`, one per `i32` lane. Lanes past the
-/// last rule read nonterminal 0 with weight 0 and are never folded back.
-#[derive(Debug)]
-struct RuleGroup {
-    /// A′ gather: lane `r` takes the left child `b_r`.
-    left: LaneGather,
-    /// B′ gather: lane `r` takes the right child `c_r` plus the weight `w_r`.
-    right: LaneGather,
-    /// Folds lane `r` into the head `a_r`.
-    heads: LaneFold,
+    /// Up to eight binary rules `a → b c` per group, one per `i32` lane:
+    /// the A′ gather takes the left child `b_r`, the B′ gather the right
+    /// child `c_r` plus the weight `w_r`, and the fold sends lane `r` to
+    /// the head `a_r`. Lanes past the last rule read nonterminal 0 with
+    /// weight 0 and are never folded back.
+    groups: Arc<[LaneRules]>,
 }
 
 thread_local! {
@@ -195,7 +189,7 @@ impl CykRing {
                     std::array::from_fn(|l| g.get(l).map_or(0, f))
                 };
                 let weight = std::array::from_fn(|l| g.get(l).map_or(0, |r| r.3));
-                RuleGroup {
+                LaneRules {
                     left: LaneGather::new(lane(|r| r.1.into()), [0; 8]),
                     right: LaneGather::new(lane(|r| r.2.into()), weight),
                     heads: LaneFold::new(&g.iter().map(|r| r.0.into()).collect::<Vec<_>>()),
@@ -271,6 +265,22 @@ impl Semiring for CykRing {
     fn tile4(&self, c: &mut [NtVec], cs: usize, a: &[NtVec], as_: usize, b: &[NtVec], bs: usize) {
         let mut panels = [[0; 8]; 48];
         self.rule_lane_update(c, cs, a, as_, b, bs, 4, 4, 4, &mut panels);
+    }
+
+    /// The whole same-tile edge in registers, rule group by rule group
+    /// ([`simd_kernel::edge_lanes`]): exact for the reason the rank update
+    /// is (module docs), since the tile's cells, like every stored cell,
+    /// keep their lanes in `[0, INF]`.
+    fn edge(
+        &self,
+        t: &mut [NtVec; 16],
+        lo: &[NtVec; 16],
+        hi: &[NtVec; 16],
+        finalize: impl Fn(usize, usize, NtVec) -> NtVec,
+    ) {
+        edge_lanes(t, lo, hi, &self.groups, |i, j, cell: &mut NtVec| {
+            *cell = finalize(i, j, *cell)
+        });
     }
 
     /// The rule-lane update (module docs) on thread-local panels.
@@ -799,6 +809,30 @@ mod tests {
             let ring = CykRing::new(Arc::new(lane_grammar(rules, head_mode, seed)));
             assert_rank_update_matches(&ring, (4 * rows, 4 * cols, 4 * depth), seed, all_inf);
             assert_rank_update_matches(&ring, (4, 4, 4), seed ^ 1, all_inf);
+        }
+    }
+
+    proptest::proptest! {
+        /// The rule-lane edge equals the flowchart default bit for bit on
+        /// random tiles (`INF` padding, weights 0 and 10⁶), with a
+        /// non-identity `finalize` that later cells must see.
+        #[test]
+        fn prop_rule_lane_edge_equals_flowchart(
+            rule_count in 0usize..5, head_mode in 0usize..3, seed in proptest::prelude::any::<u64>(),
+        ) {
+            let rules = [1, 8, 9, 12, 17][rule_count];
+            let ring = CykRing::new(Arc::new(lane_grammar(rules, head_mode, seed)));
+            let mut s = seed | 1;
+            let mut tile = || -> [NtVec; 16] { panel(16, &mut s, false).try_into().unwrap() };
+            let (t0, lo, hi) = (tile(), tile(), tile());
+            let finalize = |i: usize, j: usize, mut v: NtVec| {
+                v.0[(i + j) % MAX_NT] = v.0[(i + j) % MAX_NT].min((i * 4 + j) as i32);
+                v
+            };
+            let (mut lanes, mut scalar) = (t0, t0);
+            ring.edge(&mut lanes, &lo, &hi, finalize);
+            ScalarCyk(ring.clone()).edge(&mut scalar, &lo, &hi, finalize);
+            proptest::prop_assert!(lanes == scalar, "rules {rules} heads {head_mode}");
         }
     }
 

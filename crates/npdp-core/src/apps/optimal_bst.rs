@@ -140,8 +140,13 @@ pub fn optimal_bst_on<E: SolveRecurrence + ?Sized>(
     let rec = BstRec::new(freq);
     let (d, _) = engine.solve_recurrence(&rec, ctx)?;
     let n = freq.len();
-    // Shift back out of gap coordinates: e(i, j) = D(i, j + 1).
-    let table = TriangularMatrix::from_fn(n + 1, |i, j| d.get(i, j + 1));
+    // Shift back out of gap coordinates: e(i, j) = D(i, j + 1), so row i of
+    // the table is row i of D without its first cell, D(i, i + 1).
+    let mut flat = Vec::with_capacity(n * (n + 1) / 2);
+    for i in 0..=n {
+        flat.extend_from_slice(&d.row(i)[1..]);
+    }
+    let table = TriangularMatrix::from_flat(n + 1, flat);
     Ok(OptimalBst {
         freq: freq.to_vec(),
         table,

@@ -19,15 +19,24 @@
 //!   (b) the final tiles to the left arrive per 16-column panel — one
 //!   rank update for the tiles left of the panel, then one small update per
 //!   tile for the panel's own tiles left of it;
-//!   (c) the same-tile remainder runs the original scalar flowchart on a
-//!   local copy of the tile and of the two diagonal tiles it reads, and
-//!   writes the tile back once.
+//!   (c) the same-tile remainder runs [`Semiring::edge`] on a local copy of
+//!   the tile and of the two diagonal tiles it reads, and writes the tile
+//!   back once. The hook's default is the original scalar flowchart; CYK
+//!   overrides it with a rule-lane edge in registers and Zuker with a
+//!   track-wise one.
 //!   A cell sees rows below, then columns left in ascending `k`, then its
 //!   own tile — the order of a tile-by-tile sweep.
 //!
 //! A diagonal memory block `(b, b)` is the whole recurrence in miniature and
-//! is handled by [`compute_diag`], whose edge pass is the same local-tile
-//! step (c), with the block's own diagonal tiles as operands.
+//! is handled by [`compute_diag`]: each tile's middle k-tiles arrive in one
+//! staged rank update, and its edge pass is the same local-tile step (c),
+//! with the block's own diagonal tiles as operands.
+//!
+//! In a ragged last block column the recurrence tiers pass the column's
+//! logical width `w`, rounded up to 4 (the crate-private `_cols` forms):
+//! stage 1 and the stage-2 strips update `w` columns, and stage 2 and the
+//! diagonal block run over `w / 4` tiles. Padding columns past `w` keep
+//! their seeded `zero`.
 //!
 //! Padding (`+∞`) below the diagonal of diagonal blocks makes the cell-level
 //! constraints `k > i` / `k < j` automatic: out-of-range candidates are
@@ -67,24 +76,32 @@ pub fn stage1_ring<S: Semiring>(
     b: &[S::Elem],
     nb: usize,
 ) {
-    debug_assert!(nb.is_multiple_of(4));
-    ring.rank_update(c, nb, a, nb, b, nb, nb, nb, nb);
+    stage1_cols(ring, c, a, b, nb, nb);
 }
 
-/// The scalar edge pass of a computing block `(r, cc)` of `C`: resolves the
-/// candidates whose operands share the tile being computed — `k` in the
-/// tile-row range (reading `lo`, the diagonal tile `(r, r)` of
-/// `Block(bi, bi)`) and `k` in the tile-column range (reading `hi`, the
-/// diagonal tile `(cc, cc)` of `Block(bj, bj)`) — then applies `finalize`
-/// to each cell, whose last candidate this is. Cells are swept bottom-up,
-/// left-to-right so same-tile operands are final when read.
-///
-/// The pass runs on a local copy of the C tile and writes it back once, so
-/// no candidate reloads a cell through `c` that the pass has just stored.
-/// Returns the finished tile (stride 4).
+/// [`stage1_ring`] on the block's first `w` columns: a multiple of 4, `nb`
+/// except in a ragged last block column, whose columns past the table's
+/// side stay untouched.
+pub(crate) fn stage1_cols<S: Semiring>(
+    ring: &S,
+    c: &mut [S::Elem],
+    a: &[S::Elem],
+    b: &[S::Elem],
+    nb: usize,
+    w: usize,
+) {
+    debug_assert!(nb.is_multiple_of(4) && w.is_multiple_of(4) && w <= nb);
+    ring.rank_update(c, nb, a, nb, b, nb, nb, w, nb);
+}
+
+/// The same-tile edge of computing block `(r, cc)` of `C`: a local copy of
+/// the tile through [`Semiring::edge`] — `lo` is the diagonal tile `(r, r)`
+/// of the row block, `hi` the diagonal tile `(cc, cc)` of the column block —
+/// with `finalize` in block-local coordinates, written back once. Returns
+/// the finished tile (stride 4).
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn scalar_edge<S: Semiring>(
+fn edge_tile<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
     lo: &[S::Elem; 16],
@@ -95,22 +112,9 @@ fn scalar_edge<S: Semiring>(
     finalize: &impl Fn(usize, usize, S::Elem) -> S::Elem,
 ) -> [S::Elem; 16] {
     let mut t = copy_tile(c, nb, r, cc);
-    for il in (0..4).rev() {
-        for jl in 0..4 {
-            let mut best = t[il * 4 + jl];
-            // k inside this block's row range, k > i: d(i, k) comes from
-            // the low diagonal tile, d(k, j) from this tile's lower rows.
-            for kl in il + 1..4 {
-                best = ring.combine(best, ring.extend(lo[il * 4 + kl], t[kl * 4 + jl]));
-            }
-            // k inside this block's column range, k < j: d(i, k) from this
-            // tile's left columns, d(k, j) from the high diagonal tile.
-            for kl in 0..jl {
-                best = ring.combine(best, ring.extend(t[il * 4 + kl], hi[kl * 4 + jl]));
-            }
-            t[il * 4 + jl] = finalize(r * 4 + il, cc * 4 + jl, best);
-        }
-    }
+    ring.edge(&mut t, lo, hi, |il, jl, acc| {
+        finalize(r * 4 + il, cc * 4 + jl, acc)
+    });
     let base = r * 4 * nb + cc * 4;
     for il in 0..4 {
         c[base + il * nb..base + il * nb + 4].copy_from_slice(&t[il * 4..il * 4 + 4]);
@@ -121,7 +125,7 @@ fn scalar_edge<S: Semiring>(
 /// Fully resolve the inner dependences of one 4×4 diagonal tile `(t, t)` of a
 /// diagonal memory block: the original Fig. 1 flowchart confined to the
 /// tile, finalizing each cell after its last candidate. Below-diagonal and
-/// diagonal cells are `+∞` padding and are never written.
+/// diagonal cells are padding and are never written.
 #[inline]
 fn diag_tile_closure<S: Semiring>(
     ring: &S,
@@ -150,6 +154,15 @@ fn no_finalize<T>(_: usize, _: usize, acc: T) -> T {
     acc
 }
 
+/// Stage the finished tile `t` (stride 4) at tile column `cc` of the
+/// 4-row strip `left` (row stride `nb`).
+#[inline(always)]
+fn stage_tile<T: Copy>(left: &mut [T], nb: usize, cc: usize, t: &[T; 16]) {
+    for il in 0..4 {
+        left[il * nb + cc * 4..il * nb + cc * 4 + 4].copy_from_slice(&t[il * 4..il * 4 + 4]);
+    }
+}
+
 /// Computing blocks per stage-2 column panel: part (b) of a tile row takes
 /// the final tiles left of a panel in one 4 × 16 × depth `rank_update`.
 const PANEL_TILES: usize = 4;
@@ -164,9 +177,9 @@ const PANEL_TILES: usize = 4;
 /// below it in one [`Semiring::rank_update`] strip. Then, per 16-column
 /// panel, the final tiles left of the panel arrive in one `rank_update`;
 /// per tile, the panel's own tiles to its left in one more, and the
-/// same-tile remainder through `scalar_edge`. A cell sees its candidates in
-/// the same order as a tile-by-tile sweep: rows below, columns left
-/// (ascending `k`), own tile.
+/// same-tile remainder through [`Semiring::edge`]. A cell sees its
+/// candidates in the same order as a tile-by-tile sweep: rows below,
+/// columns left (ascending `k`), own tile.
 pub fn stage2_offdiag<T: DpValue>(c: &mut [T], dlo: &[T], dhi: &[T], nb: usize) {
     stage2_offdiag_ring(&MinPlus::<T>::new(), c, dlo, dhi, nb, no_finalize);
 }
@@ -183,8 +196,22 @@ pub fn stage2_offdiag_ring<S: Semiring>(
     nb: usize,
     finalize: impl Fn(usize, usize, S::Elem) -> S::Elem,
 ) {
-    debug_assert!(nb.is_multiple_of(4));
-    let nt = nb / 4;
+    stage2_offdiag_cols(ring, c, dlo, dhi, nb, nb, finalize);
+}
+
+/// [`stage2_offdiag_ring`] on the block's first `w` columns (as in
+/// [`stage1_cols`]); columns from `w` on are not touched.
+pub(crate) fn stage2_offdiag_cols<S: Semiring>(
+    ring: &S,
+    c: &mut [S::Elem],
+    dlo: &[S::Elem],
+    dhi: &[S::Elem],
+    nb: usize,
+    w: usize,
+    finalize: impl Fn(usize, usize, S::Elem) -> S::Elem,
+) {
+    debug_assert!(nb.is_multiple_of(4) && w.is_multiple_of(4) && w <= nb);
+    let (nt, wt) = (nb / 4, w / 4);
     let mut left = vec![ring.zero(); 4 * nb];
     for r in (0..nt).rev() {
         // (a) k strictly below tile row r in this block's row range, for the
@@ -202,12 +229,12 @@ pub fn stage2_offdiag_ring<S: Semiring>(
             tail,
             nb,
             4,
-            nb,
+            w,
             nb - below,
         );
         let lo = copy_tile(dlo, nb, r, r);
-        for p0 in (0..nt).step_by(PANEL_TILES) {
-            let p1 = (p0 + PANEL_TILES).min(nt);
+        for p0 in (0..wt).step_by(PANEL_TILES) {
+            let p1 = (p0 + PANEL_TILES).min(wt);
             // (b) k-tiles strictly left of the panel in this block's column
             //     range, for the whole panel at once: C(r, p0..p1) ⊗=
             //     C(r, ..p0) × DHI(..p0, p0..p1). The A operand shares rows
@@ -244,14 +271,11 @@ pub fn stage2_offdiag_ring<S: Semiring>(
                         (cc - p0) * 4,
                     );
                 }
-                // (c) same-tile remainder: the original flowchart, then
-                //     finalize; the finished tile is staged in `left`.
+                // (c) same-tile remainder and finalize; the finished tile is
+                //     staged in `left`.
                 let hi = copy_tile(dhi, nb, cc, cc);
-                let t = scalar_edge(ring, c, &lo, &hi, nb, r, cc, &finalize);
-                for il in 0..4 {
-                    left[il * nb + cc * 4..il * nb + cc * 4 + 4]
-                        .copy_from_slice(&t[il * 4..il * 4 + 4]);
-                }
+                let t = edge_tile(ring, c, &lo, &hi, nb, r, cc, &finalize);
+                stage_tile(&mut left, nb, cc, &t);
             }
         }
     }
@@ -259,7 +283,7 @@ pub fn stage2_offdiag_ring<S: Semiring>(
 
 /// Compute a diagonal memory block `(b, b)` entirely from its own seeds: the
 /// full NPDP recurrence restricted to the block, using the same
-/// tile-then-scalar structure as stage 2.
+/// tile-then-edge structure as stage 2.
 pub fn compute_diag<T: DpValue>(c: &mut [T], nb: usize) {
     compute_diag_ring(&MinPlus::<T>::new(), c, nb, no_finalize);
 }
@@ -267,31 +291,55 @@ pub fn compute_diag<T: DpValue>(c: &mut [T], nb: usize) {
 /// [`compute_diag`] over an arbitrary [`Semiring`], with a per-cell
 /// `finalize(i, j, acc)` (block-local coordinates) applied right after the
 /// cell's last candidate, as in [`stage2_offdiag_ring`].
+///
+/// Tile rows go bottom first, each left to right from its diagonal tile.
+/// Tile `(r, cc)` takes its middle k-tiles `r+1..cc` in one `4 × 4 ×
+/// 4(cc−r−1)` [`Semiring::rank_update`]: A is the row's finished tiles,
+/// staged in `left` as each edge pass ends, and B the final rows below, read
+/// in place. Its edge k-tiles (`r` and `cc`) have same-tile operands; their
+/// other operands are this block's final diagonal tiles.
 pub fn compute_diag_ring<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],
     nb: usize,
     finalize: impl Fn(usize, usize, S::Elem) -> S::Elem,
 ) {
-    debug_assert!(nb.is_multiple_of(4));
-    let nt = nb / 4;
-    for r in (0..nt).rev() {
-        for cc in r..nt {
-            if r == cc {
-                diag_tile_closure(ring, c, nb, r, &finalize);
-                continue;
+    compute_diag_cols(ring, c, nb, nb, finalize);
+}
+
+/// [`compute_diag_ring`] on the block's first `w` rows and columns (as in
+/// [`stage1_cols`]); the rest stays untouched.
+pub(crate) fn compute_diag_cols<S: Semiring>(
+    ring: &S,
+    c: &mut [S::Elem],
+    nb: usize,
+    w: usize,
+    finalize: impl Fn(usize, usize, S::Elem) -> S::Elem,
+) {
+    debug_assert!(nb.is_multiple_of(4) && w.is_multiple_of(4) && w <= nb);
+    let wt = w / 4;
+    let mut left = vec![ring.zero(); 4 * nb];
+    for r in (0..wt).rev() {
+        diag_tile_closure(ring, c, nb, r, &finalize);
+        let lo = copy_tile(c, nb, r, r);
+        for cc in r + 1..wt {
+            if cc > r + 1 {
+                let (head, tail) = c.split_at_mut((r + 1) * 4 * nb);
+                ring.rank_update(
+                    &mut head[r * 4 * nb + cc * 4..],
+                    nb,
+                    &left[(r + 1) * 4..],
+                    nb,
+                    &tail[cc * 4..],
+                    nb,
+                    4,
+                    4,
+                    (cc - r - 1) * 4,
+                );
             }
-            // Middle k-tiles: both operands are final tiles of this block.
-            for tk in r + 1..cc {
-                let a_scratch = copy_tile(c, nb, r, tk);
-                let b_scratch = copy_tile(c, nb, tk, cc);
-                let c_tile = &mut c[r * 4 * nb + cc * 4..];
-                ring.tile4(c_tile, nb, &a_scratch, 4, &b_scratch, 4);
-            }
-            // Edge k-tiles (tk == r and tk == cc) have same-tile operands;
-            // their other operands are this block's final diagonal tiles.
-            let (lo, hi) = (copy_tile(c, nb, r, r), copy_tile(c, nb, cc, cc));
-            scalar_edge(ring, c, &lo, &hi, nb, r, cc, &finalize);
+            let hi = copy_tile(c, nb, cc, cc);
+            let t = edge_tile(ring, c, &lo, &hi, nb, r, cc, &finalize);
+            stage_tile(&mut left, nb, cc, &t);
         }
     }
 }

@@ -40,8 +40,8 @@ impl OpCounts {
 }
 
 /// [`MinPlus`] that adds up the 4×4 tile volume of every `rank_update` and
-/// `tile4` call it receives. Stage 1 is the one full `nb × nb × nb` rank
-/// update; every other call belongs to stage 2 or a diagonal block. Rings
+/// `tile4` call it receives. Stage 1 is the one `nb`-row rank update;
+/// every other call belongs to stage 2 or a diagonal block. Rings
 /// are `'static`, so the counters sit behind an `Arc`.
 #[derive(Clone)]
 struct Counting<T> {
@@ -88,8 +88,10 @@ impl<T: DpValue> Semiring for Counting<T> {
         depth: usize,
     ) {
         let tiles = ((rows / 4) * (cols / 4) * (depth / 4)) as u64;
-        let nb = self.nb;
-        let stage = if (rows, cols, depth) == (nb, nb, nb) {
+        // Stage 1 is the one call with `nb` rows (its columns are fewer in
+        // a ragged last block column); every stage-2 and diagonal call has
+        // 4 rows.
+        let stage = if rows == self.nb {
             &self.stage1_tiles
         } else {
             &self.stage2_tiles
@@ -97,6 +99,16 @@ impl<T: DpValue> Semiring for Counting<T> {
         stage.fetch_add(tiles, Ordering::Relaxed);
         self.inner
             .rank_update(c, cs, a, as_, b, bs, rows, cols, depth);
+    }
+
+    fn edge(
+        &self,
+        t: &mut [T; 16],
+        lo: &[T; 16],
+        hi: &[T; 16],
+        finalize: impl Fn(usize, usize, T) -> T,
+    ) {
+        self.inner.edge(t, lo, hi, finalize);
     }
 }
 
@@ -192,6 +204,21 @@ mod tests {
                 .sum();
             assert_eq!(counts.stage1_calls, pairs);
             assert_eq!(counts.stage2_calls, offdiag);
+            assert_eq!(counts.diag_calls, mb as u64);
+        }
+        // Ragged sides: the last block column computes only its logical
+        // width, so the same calls do at most the analytic tile volume.
+        for (n, nb) in [(33usize, 8usize), (50, 16), (61, 12)] {
+            let seeds = problem::random_seeds_f32(n, 100.0, (n * nb) as u64);
+            let (out, counts) = solve_simd_counted(&seeds, nb);
+            assert_eq!(SerialEngine.solve(&seeds).first_difference(&out), None);
+            let mb = n.div_ceil(nb);
+            assert!(counts.tile_updates() <= analytic_tile_updates(mb, nb));
+            let pairs: u64 = (0..mb as u64)
+                .flat_map(|bi| (bi + 1..mb as u64).map(move |bj| bj - bi - 1))
+                .sum();
+            assert_eq!(counts.stage1_calls, pairs, "n={n} nb={nb}");
+            assert_eq!(counts.stage2_calls, (mb * (mb - 1) / 2) as u64);
             assert_eq!(counts.diag_calls, mb as u64);
         }
     }

@@ -149,6 +149,11 @@ impl<T: Copy> TriangularMatrix<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
+
+    /// Row `i`'s cells, columns `i+1..n` in order. Requires `i < n`.
+    pub fn row(&self, i: usize) -> &[T] {
+        &self.data[self.row_offsets[i]..self.row_offsets[i + 1]]
+    }
 }
 
 impl<T: Copy + PartialEq> TriangularMatrix<T> {
@@ -191,6 +196,16 @@ mod tests {
                 assert_eq!(m.get(i, j), (i * 100 + j) as i64);
             }
         }
+    }
+
+    #[test]
+    fn rows_are_the_flat_runs() {
+        let m = TriangularMatrix::<i64>::from_fn(6, |i, j| (i * 10 + j) as i64);
+        assert_eq!(m.row(0), &[1, 2, 3, 4, 5]);
+        assert_eq!(m.row(4), &[45]);
+        assert!(m.row(5).is_empty());
+        let flat: Vec<i64> = (0..6).flat_map(|i| m.row(i).to_vec()).collect();
+        assert_eq!(flat, m.as_slice());
     }
 
     #[test]

@@ -46,7 +46,7 @@ use npdp_metrics::Metrics;
 use npdp_trace::{EventKind, TrackDesc};
 use task_queue::{diagonal_batched_grid, run, scheduling_grid, ExecStats};
 
-use crate::engine::block_compute::{compute_diag_ring, stage1_ring, stage2_offdiag_ring};
+use crate::engine::block_compute::{compute_diag_cols, stage1_cols, stage2_offdiag_cols};
 use crate::engine::shared::SharedBlocked;
 use crate::engine::{BlockedEngine, ParallelEngine, SerialEngine, SimdEngine};
 use crate::error::SolveError;
@@ -150,6 +150,12 @@ fn finalize_at<R: Recurrence>(
 /// with `rec`'s `finalize` on every logical cell. `block(r, c)` reads a
 /// final block. Both tiers, and the wavefront and banded engines, compute
 /// every block through here.
+///
+/// Only the block's first `w` columns are computed: its logical columns
+/// (those below the table's side), rounded up to a multiple of 4. That is
+/// `nb` except in a ragged last block column, whose padding columns keep
+/// their seeded `zero` — no later block reads them, since every operand a
+/// block takes from column block `bj` lies in a column it computes itself.
 pub(crate) fn compute_block<'a, R: Recurrence>(
     rec: &R,
     c: &mut [RingElem<R>],
@@ -159,15 +165,20 @@ pub(crate) fn compute_block<'a, R: Recurrence>(
     block: impl Fn(usize, usize) -> &'a [RingElem<R>],
 ) {
     let ring = rec.ring();
+    let w = rec
+        .side()
+        .saturating_sub(bj * nb)
+        .min(nb)
+        .next_multiple_of(4);
     if bi == bj {
-        compute_diag_ring(ring, c, nb, finalize_at(rec, bi * nb, bi * nb));
+        compute_diag_cols(ring, c, nb, w, finalize_at(rec, bi * nb, bi * nb));
         return;
     }
     for bk in bi + 1..bj {
-        stage1_ring(ring, c, block(bi, bk), block(bk, bj), nb);
+        stage1_cols(ring, c, block(bi, bk), block(bk, bj), nb, w);
     }
     let finalize = finalize_at(rec, bi * nb, bj * nb);
-    stage2_offdiag_ring(ring, c, block(bi, bi), block(bj, bj), nb, finalize);
+    stage2_offdiag_cols(ring, c, block(bi, bi), block(bj, bj), nb, w, finalize);
 }
 
 /// The work counters of one computed block `(bi, bj)` holding `cells`

@@ -130,6 +130,42 @@ pub trait Semiring: Clone + Send + Sync + 'static {
         sweep_tiles(c, cs, a, as_, b, bs, rows, cols, depth, tile4);
     }
 
+    /// The same-tile edge of one 4×4 computing block: the candidates whose
+    /// operands share the tile being computed, then `finalize`. `t` is the
+    /// C tile, `lo` the diagonal tile of its row range and `hi` the
+    /// diagonal tile of its column range, all dense (stride 4). Cell
+    /// `(il, jl)` reduces `extend(lo[il][k], t[k][jl])` for `k` in `il+1..4`
+    /// (rows below), then `extend(t[il][k], hi[k][jl])` for `k` in `0..jl`
+    /// (columns left), and is then replaced by `finalize(il, jl, acc)` —
+    /// before any other cell reads it.
+    ///
+    /// The default is the paper's flowchart: cells bottom row first, left to
+    /// right, candidates in that order. An override must reduce the same
+    /// candidate set into every cell and finalize each cell after its last
+    /// candidate; floats must keep the flowchart's per-cell order, the
+    /// integer and lane-wise rings may reorder (the `combine` laws).
+    #[inline]
+    fn edge(
+        &self,
+        t: &mut [Self::Elem; 16],
+        lo: &[Self::Elem; 16],
+        hi: &[Self::Elem; 16],
+        finalize: impl Fn(usize, usize, Self::Elem) -> Self::Elem,
+    ) {
+        for il in (0..4).rev() {
+            for jl in 0..4 {
+                let mut best = t[il * 4 + jl];
+                for kl in il + 1..4 {
+                    best = self.combine(best, self.extend(lo[il * 4 + kl], t[kl * 4 + jl]));
+                }
+                for kl in 0..jl {
+                    best = self.combine(best, self.extend(t[il * 4 + kl], hi[kl * 4 + jl]));
+                }
+                t[il * 4 + jl] = finalize(il, jl, best);
+            }
+        }
+    }
+
     /// Padding-law witness: `true` when `padded` loses `combine` against
     /// `probe` from either side. Engines may `debug_assert` this over block
     /// padding after a sweep; the property tests drive it exhaustively.

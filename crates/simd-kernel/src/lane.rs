@@ -20,6 +20,12 @@
 //!    share a head, by fixed lane permutes, then one permute that moves
 //!    each head's minimum into its slot.
 //!
+//! [`edge_lanes`] runs all three steps in registers on one 4×4 tile whose
+//! operands share the tile (the same-tile edge of a block procedure): for
+//! each cell in dependence order, every rule group ([`LaneRules`]) gathers
+//! its candidates' lanes, adds them, takes the lane-wise `min` and folds
+//! it into the cell, which is then final for the cells after it.
+//!
 //! # Semantics
 //!
 //! The rank update computes `c[r·cols + j][l] = min(c[r·cols + j][l],
@@ -27,7 +33,8 @@
 //! addition, for `r < rows`, `j < cols`, `k < depth`, `l < 8`; all three
 //! panels are dense and row-major. The gather's add wraps too. Integer
 //! `min` is exact and order-free, so every tier agrees with its portable
-//! loop bit for bit on every input (pinned by the tests below). Callers
+//! loop bit for bit on every input (pinned by the tests below). The edge
+//! has the same semantics per candidate (see [`edge_lanes`]). Callers
 //! that need saturating sums keep their operands small enough that no sum
 //! wraps.
 //!
@@ -319,11 +326,93 @@ fn portable_fold<T: AsMut<I32Lanes>>(
     }
 }
 
+/// One group of up to eight rules for [`edge_lanes`]: the A′ gather of
+/// the left operand, the B′ gather of the right one (weights in its
+/// addend), and the fold of the rule lanes into their heads.
+#[derive(Clone, Debug)]
+pub struct LaneRules {
+    /// Gather of the left operand (rule-lane CYK: the left child `b_r`).
+    pub left: LaneGather,
+    /// Gather of the right operand (the right child `c_r` plus `w_r`).
+    pub right: LaneGather,
+    /// Fold of each rule lane into its head `a_r`.
+    pub heads: LaneFold,
+}
+
+/// The same-tile edge of a 4×4 tile over lane elements: `t` is the tile,
+/// `lo` and `hi` the two tiles its row and column ranges meet on the
+/// diagonal, all dense row-major. Cells go bottom row first, left to
+/// right. Cell `(i, j)` takes, for every group `g` of `rules` and every
+/// lane `l` with head `h`,
+///
+/// ```text
+/// cell[h] = min(cell[h], min over x, y of L(x)[l] + R(y)[l])
+/// ```
+///
+/// over the candidate pairs `(x, y) = (lo[i][k], t[k][j])` for `k` in
+/// `i+1..4` and `(t[i][k], hi[k][j])` for `k` in `0..j`, where `L` and `R`
+/// are `g`'s left and right gathers and every add wraps. Then
+/// `finalize(i, j, cell)` runs, before any later cell reads the cell.
+///
+/// All of it runs in registers: one permute and one add per gathered
+/// operand, one add and one `min` per candidate, and one fold per cell and
+/// group.
+pub fn edge_lanes<T: AsRef<I32Lanes> + AsMut<I32Lanes>>(
+    t: &mut [T; 16],
+    lo: &[T; 16],
+    hi: &[T; 16],
+    rules: &[LaneRules],
+    finalize: impl FnMut(usize, usize, &mut T),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected just above.
+        unsafe { avx2::edge(t, lo, hi, rules, finalize) };
+        return;
+    }
+    portable_edge(t, lo, hi, rules, finalize);
+}
+
+/// The reference edge: cell by cell, group by group, lanes innermost.
+fn portable_edge<T: AsRef<I32Lanes> + AsMut<I32Lanes>>(
+    t: &mut [T; 16],
+    lo: &[T; 16],
+    hi: &[T; 16],
+    rules: &[LaneRules],
+    mut finalize: impl FnMut(usize, usize, &mut T),
+) {
+    let gathered = |g: &LaneGather, x: &T| -> I32Lanes {
+        let x = x.as_ref();
+        std::array::from_fn(|l| x[g.index[l] as usize].wrapping_add(g.add[l]))
+    };
+    for i in (0..4).rev() {
+        for j in 0..4 {
+            let mut cell = *t[i * 4 + j].as_ref();
+            for g in rules {
+                let mut acc = [i32::MAX; 8];
+                let below = (i + 1..4).map(|k| (&lo[i * 4 + k], &t[k * 4 + j]));
+                let left = (0..j).map(|k| (&t[i * 4 + k], &hi[k * 4 + j]));
+                for (x, y) in below.chain(left) {
+                    let (x, y) = (gathered(&g.left, x), gathered(&g.right, y));
+                    for l in 0..8 {
+                        acc[l] = acc[l].min(x[l].wrapping_add(y[l]));
+                    }
+                }
+                for (&h, &v) in g.heads.heads.iter().zip(&acc) {
+                    cell[h] = cell[h].min(v);
+                }
+            }
+            *t[i * 4 + j].as_mut() = cell;
+            finalize(i, j, &mut t[i * 4 + j]);
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    use super::{I32Lanes, LaneFold, LaneGather};
+    use super::{I32Lanes, LaneFold, LaneGather, LaneRules};
 
     /// Rows and columns of C one micro-kernel call keeps in registers:
     /// 4 × 2 accumulators, plus 4 A vectors and 1 B vector, of the 16
@@ -484,16 +573,57 @@ mod avx2 {
             }
         }
 
-        /// Segmented `min`, head permute, masked `min` into `cell`: one
-        /// element.
+        /// Segmented `min` and head permute of one element's lanes: each
+        /// head's minimum in its slot, `i32::MAX` in slots no lane folds
+        /// into.
         #[target_feature(enable = "avx2")]
-        pub(super) fn one(self, cell: &mut I32Lanes, lanes: &I32Lanes) {
-            let mut v = load(lanes);
+        pub(super) fn heads(self, mut v: __m256i) -> __m256i {
             for &idx in &self.steps[..self.n] {
                 v = _mm256_min_epi32(v, _mm256_permutevar8x32_epi32(v, idx));
             }
-            let v = _mm256_max_epi32(_mm256_permutevar8x32_epi32(v, self.head), self.absent);
-            store(cell, _mm256_min_epi32(load(cell), v));
+            _mm256_max_epi32(_mm256_permutevar8x32_epi32(v, self.head), self.absent)
+        }
+
+        /// [`Fold::heads`], then a `min` into `cell`: one element.
+        #[target_feature(enable = "avx2")]
+        pub(super) fn one(self, cell: &mut I32Lanes, lanes: &I32Lanes) {
+            store(cell, _mm256_min_epi32(load(cell), self.heads(load(lanes))));
+        }
+    }
+
+    /// [`super::edge_lanes`]: each cell held in a register while every
+    /// group gathers, adds, reduces and folds its candidates.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn edge<T: AsRef<I32Lanes> + AsMut<I32Lanes>>(
+        t: &mut [T; 16],
+        lo: &[T; 16],
+        hi: &[T; 16],
+        rules: &[LaneRules],
+        mut finalize: impl FnMut(usize, usize, &mut T),
+    ) {
+        let gather = |g: &LaneGather| {
+            let (index, add) = (load(&g.index), load(&g.add));
+            move |x: &T| _mm256_add_epi32(_mm256_permutevar8x32_epi32(load(x.as_ref()), index), add)
+        };
+        for i in (0..4).rev() {
+            for j in 0..4 {
+                let mut cell = load(t[i * 4 + j].as_ref());
+                for g in rules {
+                    let (left, right) = (gather(&g.left), gather(&g.right));
+                    let mut acc = _mm256_set1_epi32(i32::MAX);
+                    for k in i + 1..4 {
+                        let cand = _mm256_add_epi32(left(&lo[i * 4 + k]), right(&t[k * 4 + j]));
+                        acc = _mm256_min_epi32(acc, cand);
+                    }
+                    for k in 0..j {
+                        let cand = _mm256_add_epi32(left(&t[i * 4 + k]), right(&hi[k * 4 + j]));
+                        acc = _mm256_min_epi32(acc, cand);
+                    }
+                    cell = _mm256_min_epi32(cell, Fold::new(&g.heads).heads(acc));
+                }
+                store(t[i * 4 + j].as_mut(), cell);
+                finalize(i, j, &mut t[i * 4 + j]);
+            }
         }
     }
 
@@ -1038,6 +1168,50 @@ mod tests {
                 }
             }
             println!("{tier:?} tier: fold bit-identical to the portable loop");
+        }
+    }
+
+    /// Every tier of the edge the CPU has, called directly, equals the
+    /// portable edge: one, two and three rule groups with any heads, and a
+    /// `finalize` whose output later cells must read.
+    #[test]
+    fn edge_tiers_match_portable_loop() {
+        for tier in [Tier::Avx2, Tier::Portable]
+            .into_iter()
+            .filter(|t| t.available())
+        {
+            let mut s = 0xed9e;
+            for groups in 1..=3 {
+                let rules: Vec<LaneRules> = (0..groups)
+                    .map(|g| LaneRules {
+                        left: LaneGather::new(
+                            std::array::from_fn(|_| any_lane(&mut s) as u32 as usize % 8),
+                            [0; 8],
+                        ),
+                        right: LaneGather::new(
+                            std::array::from_fn(|_| any_lane(&mut s) as u32 as usize % 8),
+                            std::array::from_fn(|_| hard(&mut s) % 1_000_001),
+                        ),
+                        heads: LaneFold::new(&head_lists(&mut s)[g + 3]),
+                    })
+                    .collect();
+                let mut tile = || -> [Cell; 16] {
+                    std::array::from_fn(|_| Cell(std::array::from_fn(|_| hard(&mut s) % (INF + 1))))
+                };
+                let (t0, lo, hi) = (tile(), tile(), tile());
+                let finalize =
+                    |i: usize, j: usize, c: &mut Cell| c.0[i + j] = c.0[i + j].min(j as i32);
+                let (mut fast, mut reference) = (t0, t0);
+                match tier {
+                    // SAFETY: `Tier::available` detected AVX2.
+                    #[cfg(target_arch = "x86_64")]
+                    Tier::Avx2 => unsafe { avx2::edge(&mut fast, &lo, &hi, &rules, finalize) },
+                    _ => portable_edge(&mut fast, &lo, &hi, &rules, finalize),
+                }
+                portable_edge(&mut reference, &lo, &hi, &rules, finalize);
+                assert_eq!(fast, reference, "{tier:?} groups {groups}");
+            }
+            println!("{tier:?} tier: edge bit-identical to the portable loop");
         }
     }
 

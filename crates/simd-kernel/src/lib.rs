@@ -56,7 +56,8 @@ pub use kernel::{
     KERNEL_SIMD_INSTRUCTIONS,
 };
 pub use lane::{
-    fold_lanes, gather_lanes, lanewise_rank_update_i32x8, I32Lanes, LaneFold, LaneGather,
+    edge_lanes, fold_lanes, gather_lanes, lanewise_rank_update_i32x8, I32Lanes, LaneFold,
+    LaneGather, LaneRules,
 };
 pub use rank::{
     minplus_rank_update_f32, minplus_rank_update_f64, minplus_rank_update_i32,

@@ -196,6 +196,48 @@ fn within_inf(e: &ZkElem) -> bool {
 }
 
 impl ZkRing {
+    /// `*c = combine(*c, extend(l, r))`, touching only the tracks `extend`
+    /// can set below `INF`: `span`, `w`, `wm`, `wm2` always, the unit-span
+    /// rules when a side has `span == 1`. Exact whenever every track of
+    /// `*c` is at most `INF` (the track-plane precondition), for the same
+    /// reason: every other track of the candidate is `INF`, and `min(c,
+    /// INF) = c`. The window shift of a unit-span side is, per trim total
+    /// `s`, one contiguous run of the packed windows.
+    #[inline]
+    fn reduce_into(&self, c: &mut ZkElem, l: &ZkElem, r: &ZkElem) {
+        let wm = l.wm.saturating_add(r.wm);
+        c.span = c.span.min(l.span.saturating_add(r.span));
+        c.w = c.w.min(l.w.saturating_add(r.w));
+        c.wm = c.wm.min(wm);
+        c.wm2 = c.wm2.min(wm);
+        if r.span == 1 {
+            c.wm = c.wm.min(l.wm.saturating_add(self.multi_unpaired));
+            c.wm2_tr = c.wm2_tr.min(l.wm2);
+            let t = win_idx(0, 1);
+            c.win[t] = c.win[t].min(l.v);
+            // win(p, q + 1) ⊕= l.win(p, q) for p + q = s.
+            for s in 1..LMAX {
+                let (dst, src) = (&mut c.win[OFF[s + 1]..=OFF[s + 1] + s], &l.win[OFF[s]..]);
+                for (x, &y) in dst.iter_mut().zip(src) {
+                    *x = (*x).min(y);
+                }
+            }
+        }
+        if l.span == 1 {
+            c.wm = c.wm.min(r.wm.saturating_add(self.multi_unpaired));
+            c.mb = c.mb.min(r.wm2_tr);
+            let t = win_idx(1, 0);
+            c.win[t] = c.win[t].min(r.v);
+            // win(p + 1, q) ⊕= r.win(p, q) for p + q = s.
+            for s in 1..LMAX {
+                let dst = &mut c.win[OFF[s + 1] + 1..=OFF[s + 1] + s + 1];
+                for (x, &y) in dst.iter_mut().zip(&r.win[OFF[s]..]) {
+                    *x = (*x).min(y);
+                }
+            }
+        }
+    }
+
     /// `C ⊕= A ⊗ B` by track planes (see the type's docs), with `planes` as
     /// scratch of at least [`planes_len`] elements.
     #[allow(clippy::too_many_arguments)]
@@ -263,19 +305,17 @@ impl ZkRing {
         let (a_span, b_span) = (&pa[..na], &pb[..nb]);
         for r in 0..rows {
             for k in (0..depth).filter(|&k| a_span[r * depth + k] == 1) {
-                let x = a[r * as_ + k];
+                let x = &a[r * as_ + k];
                 for j in 0..cols {
-                    let cell = &mut c[r * cs + j];
-                    *cell = self.combine(*cell, self.extend(x, b[k * bs + j]));
+                    self.reduce_into(&mut c[r * cs + j], x, &b[k * bs + j]);
                 }
             }
         }
         for k in 0..depth {
             for j in (0..cols).filter(|&j| b_span[k * cols + j] == 1) {
-                let y = b[k * bs + j];
+                let y = &b[k * bs + j];
                 for r in 0..rows {
-                    let cell = &mut c[r * cs + j];
-                    *cell = self.combine(*cell, self.extend(a[r * as_ + k], y));
+                    self.reduce_into(&mut c[r * cs + j], &a[r * as_ + k], y);
                 }
             }
         }
@@ -365,6 +405,37 @@ impl Semiring for ZkRing {
         self.plane_update(c, cs, a, as_, b, bs, 4, 4, 4, &mut planes);
     }
 
+    /// The flowchart with every candidate reduced track-wise
+    /// (`ZkRing::reduce_into`): a non-unit candidate costs four `min`s,
+    /// and only the unit-span operands — `lo`'s cell right of the diagonal
+    /// in the rows-below pass, `hi`'s in the columns-left pass — run the
+    /// window shift. Every tile cell is a stored cell, so at most `INF` on
+    /// every track (debug builds assert it).
+    fn edge(
+        &self,
+        t: &mut [ZkElem; 16],
+        lo: &[ZkElem; 16],
+        hi: &[ZkElem; 16],
+        finalize: impl Fn(usize, usize, ZkElem) -> ZkElem,
+    ) {
+        debug_assert!(
+            t.iter().all(within_inf),
+            "edge needs every tile track at most INF"
+        );
+        for il in (0..4).rev() {
+            for jl in 0..4 {
+                let mut cell = t[il * 4 + jl];
+                for kl in il + 1..4 {
+                    self.reduce_into(&mut cell, &lo[il * 4 + kl], &t[kl * 4 + jl]);
+                }
+                for kl in 0..jl {
+                    self.reduce_into(&mut cell, &t[il * 4 + kl], &hi[kl * 4 + jl]);
+                }
+                t[il * 4 + jl] = finalize(il, jl, cell);
+            }
+        }
+    }
+
     /// The track-plane update (type docs) on thread-local planes.
     ///
     /// Every track of every C element in the panel must be at most `INF`
@@ -396,6 +467,10 @@ pub struct ZukerRec<'a> {
     ring: ZkRing,
     seq: &'a [Base],
     model: &'a EnergyModel,
+    /// `model.hairpin(len)` for every loop length the sequence has room for.
+    hairpin: Vec<i32>,
+    /// `model.internal(l1, l2)` for `l1 + l2 ≤ max_internal`.
+    internal: [[i32; ON_ENGINE_MAX_INTERNAL + 1]; ON_ENGINE_MAX_INTERNAL + 1],
 }
 
 impl<'a> ZukerRec<'a> {
@@ -408,12 +483,20 @@ impl<'a> ZukerRec<'a> {
             "on-engine fold supports internal loops up to {ON_ENGINE_MAX_INTERNAL}, model asks for {}",
             model.max_internal
         );
+        let internal = std::array::from_fn(|l1| {
+            std::array::from_fn(|l2| match l1 + l2 {
+                t if t == 0 || t > model.max_internal => INF,
+                _ => model.internal(l1, l2),
+            })
+        });
         Self {
             ring: ZkRing {
                 multi_unpaired: model.multi_unpaired,
             },
             seq,
             model,
+            hairpin: (0..seq.len()).map(|len| model.hairpin(len)).collect(),
+            internal,
         }
     }
 }
@@ -453,7 +536,7 @@ impl Recurrence for ZukerRec<'_> {
         let (a, b) = (i, j - 1); // the closing pair, in classic coordinates
         let mut v = INF;
         if m.can_pair(seq[a], seq[b]) {
-            let mut best = m.hairpin(span - 2);
+            let mut best = self.hairpin[span - 2];
             if span >= 4 {
                 // Stack: inner pair hugs the closing pair. `win(1,1) < INF`
                 // implies the inner bases can pair, so `stack` is safe.
@@ -469,7 +552,7 @@ impl Recurrence for ZukerRec<'_> {
                         }
                         let inner = e.win(l1 + 1, l2 + 1);
                         if inner < INF {
-                            best = best.min(inner + m.internal(l1, l2));
+                            best = best.min(inner + self.internal[l1][l2]);
                         }
                     }
                 }
@@ -785,6 +868,43 @@ mod tests {
             ring.tile4(&mut planes, cs, &a, as_, &b, bs);
             FullSweep(ring).tile4(&mut full, cs, &a, as_, &b, bs);
             proptest::prop_assert!(planes == full, "tile4 pad {pad} units {units}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The track-wise edge equals the flowchart default bit for bit:
+        /// tiles of solved cells and `ABSENT`, `BASE` (unit spans) at the
+        /// positions the edge reads as unit operands, and a non-identity
+        /// `finalize`.
+        #[test]
+        fn track_edge_matches_flowchart(seed in proptest::prelude::any::<u64>(), units in 0usize..4) {
+            let ring = ZkRing { multi_unpaired: 3 };
+            let cells = solved_cells();
+            let mut s = seed | 1;
+            let mut tile = || -> [ZkElem; 16] {
+                std::array::from_fn(|_| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    cells[(s >> 33) as usize % cells.len()]
+                })
+            };
+            let (t0, mut lo, mut hi) = (tile(), tile(), tile());
+            for k in 0..3 {
+                if units & 1 == 1 {
+                    lo[k * 4 + k + 1] = ZkElem::BASE;
+                }
+                if units & 2 == 2 {
+                    hi[k * 4 + k + 1] = ZkElem::BASE;
+                }
+            }
+            let finalize = |i: usize, j: usize, mut e: ZkElem| {
+                e.w = e.w.min((i * 4 + j) as i32 - 40);
+                e.v = e.v.min(e.wm);
+                e
+            };
+            let (mut tracks, mut full) = (t0, t0);
+            ring.edge(&mut tracks, &lo, &hi, finalize);
+            FullSweep(ring).edge(&mut full, &lo, &hi, finalize);
+            proptest::prop_assert!(tracks == full, "units {units}");
         }
     }
 

@@ -47,8 +47,9 @@ echo "Deprecation guard: no #[deprecated] items or allow(deprecated) carve-outs.
 
 # Host-native kernels dispatch at run time behind one public function per
 # element type and step (`minplus_rank_update_f32`, `_f64`, `_i32`, `_i64`,
-# and the rule-lane steps `gather_lanes`, `lanewise_rank_update_i32x8` and
-# `fold_lanes`); an ISA- or speed-suffixed public twin would let callers
+# the rule-lane steps `gather_lanes`, `lanewise_rank_update_i32x8` and
+# `fold_lanes`, and the rule-lane same-tile edge `edge_lanes`); an ISA- or
+# speed-suffixed public twin would let callers
 # bypass the dispatch and its fallback.
 isa=$(grep -rnoE 'pub(\([a-z]+\))? (unsafe )?fn [a-zA-Z0-9_]+_(avx2|avx512[a-z]*|sse[0-9]*|neon|fast|portable)\s*[(<]' \
           crates/*/src --include='*.rs' || true)

@@ -174,7 +174,10 @@ fn bandwidth_constraint_transition_visible_in_simulator() {
 fn host_engine_simulator_and_analytics_count_identical_kernels() {
     // Three independent counters of the same quantity: the instrumented
     // host engine, the functional SPU simulation, and the closed-form
-    // accounting used by the discrete-event machine model.
+    // accounting used by the discrete-event machine model. The host counts
+    // equal the SPU simulation's only on exact tilings (n a multiple of
+    // nb): on a ragged side the host computes only the last block column's
+    // logical width, while the SPU program sweeps the whole padded block.
     use npdp::cell::npdp::functional_cellnpdp_f32;
     use npdp::core::engine::{analytic_tile_updates, solve_simd_counted};
     use npdp::core::problem;
