@@ -207,13 +207,13 @@ mod tests {
             assert_eq!(counts.diag_calls, mb as u64);
         }
         // Ragged sides: the last block column computes only its logical
-        // width, so the same calls do at most the analytic tile volume.
+        // width, so the same calls do less than the padded analytic volume.
         for (n, nb) in [(33usize, 8usize), (50, 16), (61, 12)] {
             let seeds = problem::random_seeds_f32(n, 100.0, (n * nb) as u64);
             let (out, counts) = solve_simd_counted(&seeds, nb);
             assert_eq!(SerialEngine.solve(&seeds).first_difference(&out), None);
             let mb = n.div_ceil(nb);
-            assert!(counts.tile_updates() <= analytic_tile_updates(mb, nb));
+            assert!(counts.tile_updates() < analytic_tile_updates(mb, nb));
             let pairs: u64 = (0..mb as u64)
                 .flat_map(|bi| (bi + 1..mb as u64).map(move |bj| bj - bi - 1))
                 .sum();

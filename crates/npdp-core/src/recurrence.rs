@@ -775,6 +775,40 @@ mod tests {
         }
     }
 
+    /// Ragged last block columns holding 1, 2, 3, 4 and nb − 1 logical
+    /// columns: the blocked and parallel tiers equal the serial flowchart,
+    /// and every padding cell past the column's computed width stays
+    /// bit-exactly `zero`.
+    #[test]
+    fn recurrence_ragged_last_block_column_keeps_padding_zero() {
+        let (nb, ctx) = (16, ExecContext::disabled());
+        for w in [1, 2, 3, 4, nb - 1] {
+            let n = 2 * nb + w;
+            let seeds = random_seeds(n, w as u64);
+            let expect = SerialEngine.solve(&seeds);
+            let rec = ClosureRec::new(MinPlus::<f32>::new(), &seeds);
+            let blocked = solve_blocked(&rec, nb, &ctx);
+            assert_eq!(blocked.first_difference(&expect), None, "blocked w={w}");
+            let mut m = seeded_blocked(&rec, nb);
+            sweep_parallel(&rec, &mut m, 1, 2, Scheduler::default(), &ctx).unwrap();
+            assert_eq!(
+                m.to_triangular().first_difference(&expect),
+                None,
+                "parallel w={w}"
+            );
+            let last = m.blocks_per_side() - 1;
+            for bi in 0..=last {
+                let block = m.block(bi, last);
+                for i in 0..nb {
+                    for j in w.next_multiple_of(4)..nb {
+                        let bits = block[i * nb + j].to_bits();
+                        assert_eq!(bits, f32::INFINITY.to_bits(), "w={w} ({bi}: {i},{j})");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn closure_rec_serial_matches_engine_bitwise() {
         for n in [0, 1, 2, 9, 33, 64] {
