@@ -3,8 +3,10 @@
 //! on the host).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use npdp_core::DpValue;
-use simd_kernel::{block4x4_minplus_f32, block4x4_minplus_scalar, BlockF32, F32x4};
+use simd_kernel::{
+    block4x4_minplus_f32, block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays,
+    block4x4_minplus_scalar, BlockF32, F32x4,
+};
 
 fn mk_block(seed: u64) -> [[f32; 4]; 4] {
     let mut s = seed;
@@ -54,7 +56,7 @@ fn bench_tile_kernels(c: &mut Criterion) {
         });
     });
 
-    g.bench_function("strided_f32_via_dpvalue", |bench| {
+    g.bench_function("strided_f32", |bench| {
         let stride = 8usize;
         let flat = |m: &[[f32; 4]; 4]| {
             let mut v = vec![0.0f32; 4 * stride];
@@ -66,12 +68,12 @@ fn bench_tile_kernels(c: &mut Criterion) {
         let (af, bf) = (flat(&a), flat(&b));
         let mut cf = flat(&c0);
         bench.iter(|| {
-            f32::tile4_update(&mut cf, stride, &af, stride, &bf, stride);
+            block4x4_minplus_f32_arrays(&mut cf, stride, &af, stride, &bf, stride);
             cf[0]
         });
     });
 
-    g.bench_function("strided_f64_via_dpvalue", |bench| {
+    g.bench_function("strided_f64", |bench| {
         let stride = 8usize;
         let flat = |m: &[[f32; 4]; 4]| {
             let mut v = vec![0.0f64; 4 * stride];
@@ -85,7 +87,7 @@ fn bench_tile_kernels(c: &mut Criterion) {
         let (af, bf) = (flat(&a), flat(&b));
         let mut cf = flat(&c0);
         bench.iter(|| {
-            f64::tile4_update(&mut cf, stride, &af, stride, &bf, stride);
+            block4x4_minplus_f64_arrays(&mut cf, stride, &af, stride, &bf, stride);
             cf[0]
         });
     });

@@ -15,17 +15,19 @@
 //! `k · startup + s / bandwidth` cycles on the issuing SPE's DMA engine,
 //! with at most 16 KB per command (the MFC limit).
 
+use crate::npdp::SpeElem;
+
 /// MFC maximum bytes per DMA command.
 pub const MAX_DMA_BYTES: usize = 16 * 1024;
 
-/// FNV-1a over the raw bit patterns of a block of `f32`s — the
+/// FNV-1a over the raw bit patterns of a block of elements — the
 /// verify-on-receive checksum of the fault-tolerant DMA path. Bit-pattern
 /// based, so NaNs and signed zeros hash stably and any single flipped bit
 /// changes the digest.
-pub fn checksum_f32(data: &[f32]) -> u64 {
+pub fn checksum<T: SpeElem>(data: &[T]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for v in data {
-        for byte in v.to_bits().to_le_bytes() {
+        for &byte in &v.bits().to_le_bytes()[..T::PRECISION.bytes()] {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
@@ -214,14 +216,20 @@ mod tests {
     fn checksum_is_deterministic_and_bit_sensitive() {
         let a = vec![1.0f32, 2.5, f32::INFINITY, -0.0];
         let b = a.clone();
-        assert_eq!(checksum_f32(&a), checksum_f32(&b));
+        assert_eq!(checksum(&a), checksum(&b));
         let mut c = a.clone();
         c[1] = f32::from_bits(c[1].to_bits() ^ 1);
-        assert_ne!(checksum_f32(&a), checksum_f32(&c));
+        assert_ne!(checksum(&a), checksum(&c));
         // NaN payloads hash by bit pattern, not by float equality.
         let n1 = vec![f32::from_bits(0x7FC0_0001)];
         let n2 = vec![f32::from_bits(0x7FC0_0002)];
-        assert_ne!(checksum_f32(&n1), checksum_f32(&n2));
+        assert_ne!(checksum(&n1), checksum(&n2));
+        // Doubles hash all eight bytes.
+        let d = [2.5f64];
+        assert_ne!(
+            checksum(&d),
+            checksum(&[f64::from_bits(d[0].to_bits() ^ 1 << 60)])
+        );
     }
 
     use super::*;

@@ -18,8 +18,10 @@
 //!   on one SPE (the Table II baselines);
 //! * [`machine`] — the QS20 machine model and the block-granular
 //!   discrete-event simulation of CellNPDP (Table II, Figures 9a/10a/11a/13);
-//! * [`npdp`] — CellNPDP run *functionally* on simulated SPUs for small
-//!   problems, validating the simulated numerics against `npdp-core`.
+//! * [`npdp`] — CellNPDP run *functionally* on one simulated SPU for small
+//!   problems, SP or DP through one generic procedure, validating the
+//!   simulated numerics against `npdp-core`;
+//! * [`multi_spe`] — the full Fig. 8 protocol on several simulated SPUs.
 //!
 //! ## Fidelity model
 //!
@@ -61,7 +63,6 @@ pub mod machine;
 pub mod mailbox;
 pub mod multi_spe;
 pub mod npdp;
-pub mod npdp_f64;
 pub mod ppe;
 pub mod spu;
 pub mod swp;

@@ -17,7 +17,7 @@ use npdp_trace::{EventKind, TimeDomain, TrackDesc};
 use task_queue::scheduling_grid;
 
 use crate::mailbox::{Mailbox, MailboxWrite};
-use crate::npdp::{spe_compute_block_checked, LsLayout, SimSpe};
+use crate::npdp::SimSpe;
 
 /// Protocol-clock ticks per scheduler round in traced runs. The functional
 /// simulation has no cycle model — its clock is the round counter, stretched
@@ -103,7 +103,7 @@ pub fn functional_cellnpdp_multi_spe(
 /// that never change once final):
 ///
 /// - **Checksummed DMA** — every block transfer is verified on receive and
-///   retried with backoff (see `spe_compute_block_checked`).
+///   retried with backoff (see `SimSpe::compute_block`).
 /// - **Watchdog resend** — an assignment outstanding for
 ///   [`WATCHDOG_ROUNDS`] without a completion (dropped assignment word,
 ///   dropped completion word, or dead SPE) is re-queued for any live SPE.
@@ -135,7 +135,6 @@ pub fn functional_cellnpdp_multi_spe_with(
     assert!(spes >= 1);
     let mut mem = BlockedMatrix::from_triangular(seeds, nb);
     let mb = mem.blocks_per_side();
-    let layout = LsLayout::new(nb, crate::spu::LOCAL_STORE_BYTES);
     let sched = scheduling_grid(mb, sb);
     let total = sched.graph.len();
 
@@ -145,7 +144,7 @@ pub fn functional_cellnpdp_multi_spe_with(
         sched.graph.roots().map(|t| t as u32).collect();
 
     // SPE-side state.
-    let mut spe_units: Vec<SimSpe> = (0..spes).map(|_| SimSpe::new(&layout)).collect();
+    let mut spe_units: Vec<SimSpe<f32>> = (0..spes).map(|_| SimSpe::new(nb)).collect();
     let mut inbox: Vec<Mailbox> = (0..spes).map(|_| Mailbox::spu_inbound()).collect();
     let mut outbox: Vec<Mailbox> = (0..spes).map(|_| Mailbox::spu_outbound()).collect();
     let mut tasks_per_spe = vec![0usize; spes];
@@ -298,15 +297,7 @@ pub fn functional_cellnpdp_multi_spe_with(
                         bj: bj as u32,
                     };
                     tracer.begin_at(spe_tracks[s], now + k as u64 * width, kind);
-                    let r = spe_compute_block_checked(
-                        &mut spe_units[s],
-                        &layout,
-                        &mut mem,
-                        bi,
-                        bj,
-                        faults,
-                        retry,
-                    );
+                    let r = spe_units[s].compute_block(&mut mem, bi, bj, faults, retry);
                     tracer.end_at(spe_tracks[s], now + (k as u64 + 1) * width, kind);
                     if let Err(e) = r {
                         tracer.end_at(spe_tracks[s], now + ROUND_TICKS, EventKind::Task { id: t });
@@ -611,7 +602,8 @@ mod tests {
     #[test]
     fn kernel_calls_match_single_spe_run() {
         let seeds = random_seeds(48, 7);
-        let (_, single) = crate::npdp::functional_cellnpdp_f32(&seeds, 8);
+        let (_, single) =
+            crate::npdp::functional_cellnpdp(&seeds, 8, &ExecContext::disabled()).unwrap();
         let (_, multi) = functional_cellnpdp_multi_spe(&seeds, 8, 1, 4);
         assert_eq!(single, multi.kernel_calls);
     }

@@ -31,7 +31,7 @@ pub enum Precision {
 
 impl Precision {
     /// Element size in bytes.
-    pub fn bytes(self) -> usize {
+    pub const fn bytes(self) -> usize {
         match self {
             Precision::Single => 4,
             Precision::Double => 8,

@@ -15,7 +15,7 @@
 //!
 //! # Rule lanes
 //!
-//! [`CykRing`]'s `rank_update` (and `tile4`) turns a panel update into one
+//! [`CykRing`]'s `rank_update` turns a panel update into one
 //! lane per binary rule, eight rules per group, in three `simd_kernel::lane`
 //! steps per group:
 //!
@@ -198,34 +198,6 @@ impl CykRing {
             .collect();
         Self { grammar, groups }
     }
-
-    /// `C ⊕= A ⊗ B` over NtVec panels by rule lanes (module docs), with
-    /// `panels` as scratch for the A′, B′ and accumulator panels.
-    #[allow(clippy::too_many_arguments)]
-    fn rule_lane_update(
-        &self,
-        c: &mut [NtVec],
-        cs: usize,
-        a: &[NtVec],
-        as_: usize,
-        b: &[NtVec],
-        bs: usize,
-        rows: usize,
-        cols: usize,
-        depth: usize,
-        panels: &mut [I32Lanes],
-    ) {
-        let (ap, rest) = panels.split_at_mut(rows * depth);
-        let (bp, acc) = rest.split_at_mut(depth * cols);
-        let acc = &mut acc[..rows * cols];
-        for group in self.groups.iter() {
-            gather_lanes(ap, a, as_, rows, depth, &group.left);
-            gather_lanes(bp, b, bs, depth, cols, &group.right);
-            acc.fill([INF; 8]);
-            lanewise_rank_update_i32x8(acc, ap, bp, rows, cols, depth);
-            fold_lanes(c, cs, acc, rows, cols, &group.heads);
-        }
-    }
 }
 
 impl Semiring for CykRing {
@@ -259,12 +231,6 @@ impl Semiring for CykRing {
             }
         }
         out
-    }
-
-    /// One 4×4×4 rule-lane update on stack panels (no heap allocation).
-    fn tile4(&self, c: &mut [NtVec], cs: usize, a: &[NtVec], as_: usize, b: &[NtVec], bs: usize) {
-        let mut panels = [[0; 8]; 48];
-        self.rule_lane_update(c, cs, a, as_, b, bs, 4, 4, 4, &mut panels);
     }
 
     /// The whole same-tile edge in registers, rule group by rule group
@@ -301,7 +267,16 @@ impl Semiring for CykRing {
             if panels.len() < need {
                 panels.resize(need, [0; 8]);
             }
-            self.rule_lane_update(c, cs, a, as_, b, bs, rows, cols, depth, panels);
+            let (ap, rest) = panels.split_at_mut(rows * depth);
+            let (bp, acc) = rest.split_at_mut(depth * cols);
+            let acc = &mut acc[..rows * cols];
+            for group in self.groups.iter() {
+                gather_lanes(ap, a, as_, rows, depth, &group.left);
+                gather_lanes(bp, b, bs, depth, cols, &group.right);
+                acc.fill([INF; 8]);
+                lanewise_rank_update_i32x8(acc, ap, bp, rows, cols, depth);
+                fold_lanes(c, cs, acc, rows, cols, &group.heads);
+            }
         });
     }
 }
@@ -623,9 +598,9 @@ mod tests {
         crate::semiring::tests::combine_laws(&ring, &domain);
     }
 
-    /// CYK through the `Semiring` defaults only: `rank_update` is the 4×4
-    /// tile sweep over the scalar `tile4`, one `extend`/`combine` per
-    /// candidate — the reference the rule-lane kernel must equal.
+    /// CYK through the `Semiring` defaults only: `rank_update` is the scalar
+    /// 4×4 tile sweep, one `extend`/`combine` per candidate — the reference
+    /// the rule-lane kernel must equal.
     #[derive(Clone)]
     struct ScalarCyk(CykRing);
 

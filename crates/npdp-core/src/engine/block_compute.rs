@@ -67,8 +67,8 @@ pub fn stage1<T: DpValue>(c: &mut [T], a: &[T], b: &[T], nb: usize) {
 
 /// [`stage1`] over an arbitrary [`Semiring`]: one `nb × nb × nb`
 /// [`Semiring::rank_update`] — the host-native kernels for min-plus
-/// `f32`/`f64`/`i32`/`i64`, CYK's rule lanes and Zuker's track planes, the
-/// 4×4 tile sweep through [`Semiring::tile4`] for everything else.
+/// `f32`/`f64`/`i32`/`i64`, CYK's rule lanes and Zuker's track planes,
+/// the scalar 4×4 tile sweep for everything else.
 pub fn stage1_ring<S: Semiring>(
     ring: &S,
     c: &mut [S::Elem],

@@ -39,8 +39,8 @@ impl OpCounts {
     }
 }
 
-/// [`MinPlus`] that adds up the 4×4 tile volume of every `rank_update` and
-/// `tile4` call it receives. Stage 1 is the one `nb`-row rank update;
+/// [`MinPlus`] that adds up the 4×4 tile volume of every `rank_update`
+/// call it receives. Stage 1 is the one `nb`-row rank update;
 /// every other call belongs to stage 2 or a diagonal block. Rings
 /// are `'static`, so the counters sit behind an `Arc`.
 #[derive(Clone)]
@@ -68,11 +68,6 @@ impl<T: DpValue> Semiring for Counting<T> {
 
     fn extend(&self, a: T, b: T) -> T {
         self.inner.extend(a, b)
-    }
-
-    fn tile4(&self, c: &mut [T], cs: usize, a: &[T], as_: usize, b: &[T], bs: usize) {
-        self.stage2_tiles.fetch_add(1, Ordering::Relaxed);
-        self.inner.tile4(c, cs, a, as_, b, bs);
     }
 
     fn rank_update(

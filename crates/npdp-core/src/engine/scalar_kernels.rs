@@ -1,7 +1,7 @@
 //! The NDL ablation's kernels: min-plus with nothing but its scalar
 //! operations, so every block procedure runs the [`Semiring`] trait's
-//! defaults — stage 1 and the stage-2 strips sweep 4×4 tiles through the
-//! scalar 64-iteration `tile4` instead of the host-native kernels. This is
+//! defaults — stage 1 and the stage-2 strips sweep 4×4 tiles with the
+//! scalar 64-iteration body instead of the host-native kernels. This is
 //! the kernel axis of the paper's Fig. 10(b) "NDL" bar as a ring choice;
 //! [`MinPlus`] is the "+SPEP" side.
 
@@ -9,7 +9,7 @@ use crate::semiring::{MinPlus, Semiring};
 use crate::value::DpValue;
 
 /// Min-plus forwarding only `zero`/`one`/`combine`/`extend`: the trait's
-/// scalar `tile4` and `rank_update` defaults do the block work.
+/// scalar `rank_update` and `edge` defaults do the block work.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ScalarTiles<T>(MinPlus<T>);
 

@@ -5,10 +5,10 @@
 //!
 //! [`DpValue`] remains the *min-plus instance* of this algebra — its
 //! `min2`/`add_sat`/`INFINITY` contract is exactly `combine`/`extend`/`zero`
-//! for [`MinPlus`], and the SIMD kernels ride along through
-//! [`Semiring::tile4`] (one 4×4 tile) and [`Semiring::rank_update`] (a
-//! whole panel: the host-native register-blocked kernel for
-//! `f32`/`f64`/`i32`/`i64`).
+//! for [`MinPlus`]. A ring's kernel surface is two methods:
+//! [`Semiring::rank_update`] (a whole panel — for [`MinPlus`] the
+//! host-native register-blocked kernel for `f32`/`f64`/`i32`/`i64`) and
+//! [`Semiring::edge`] (the same-tile edge of one 4×4 computing block).
 //! Other instances ([`MaxPlusRing`], the CYK tropical vector ring in
 //! `apps::cyk`, the Zuker track ring in the `zuker` crate) reuse every
 //! engine unchanged.
@@ -74,38 +74,14 @@ pub trait Semiring: Clone + Send + Sync + 'static {
     /// saturating `+`).
     fn extend(&self, a: Self::Elem, b: Self::Elem) -> Self::Elem;
 
-    /// Rank-4 update of one 4×4 tile: `C = C ⊕ (A ⊗ B)` with row-strided
-    /// tiles. The default is the scalar 64-iteration loop; [`MinPlus`]
-    /// overrides it with [`DpValue::tile4_update`] so `f32`/`f64` keep the
-    /// register-blocked SIMD fast path.
-    #[inline]
-    fn tile4(
-        &self,
-        c: &mut [Self::Elem],
-        cs: usize,
-        a: &[Self::Elem],
-        as_: usize,
-        b: &[Self::Elem],
-        bs: usize,
-    ) {
-        for r in 0..4 {
-            for cc in 0..4 {
-                let mut best = c[r * cs + cc];
-                for k in 0..4 {
-                    best = self.combine(best, self.extend(a[r * as_ + k], b[k * bs + cc]));
-                }
-                c[r * cs + cc] = best;
-            }
-        }
-    }
-
     /// Rank update of a `rows × cols` panel: `C = C ⊕ (A ⊗ B)` with a
     /// `rows × depth` A panel and a `depth × cols` B panel, all dimensions
-    /// multiples of 4 and every panel row-strided.
+    /// multiples of 4 and every panel row-strided. With [`Semiring::edge`]
+    /// this is a ring's whole kernel surface.
     ///
     /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
-    /// ascending — through [`Semiring::tile4`]. [`MinPlus`] overrides it
-    /// with [`DpValue::rank_update`], the host-native register-blocked
+    /// ascending — with the scalar 64-iteration body. [`MinPlus`] overrides
+    /// it with [`DpValue::rank_update`], the host-native register-blocked
     /// kernel for `f32`/`f64`/`i32`/`i64`; the CYK ring with its rule-lane
     /// kernel; and the Zuker track ring with a split into `i32` track planes
     /// run through `MinPlus<i32>`, plus a scalar pass over its unit-span
@@ -126,8 +102,38 @@ pub trait Semiring: Clone + Send + Sync + 'static {
         cols: usize,
         depth: usize,
     ) {
-        let tile4 = |c: &mut [_], cs, a: &[_], as_, b: &[_], bs| self.tile4(c, cs, a, as_, b, bs);
-        sweep_tiles(c, cs, a, as_, b, bs, rows, cols, depth, tile4);
+        for r in (0..rows).step_by(4) {
+            for cc in (0..cols).step_by(4) {
+                for k in (0..depth).step_by(4) {
+                    for i in r..r + 4 {
+                        for j in cc..cc + 4 {
+                            let mut best = c[i * cs + j];
+                            for kk in k..k + 4 {
+                                best = self
+                                    .combine(best, self.extend(a[i * as_ + kk], b[kk * bs + j]));
+                            }
+                            c[i * cs + j] = best;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One 4×4×4 [`Semiring::rank_update`]: `C = C ⊕ (A ⊗ B)` on row-strided
+    /// 4×4 tiles. A provided shorthand, not a hook: rings override
+    /// `rank_update`, and this follows.
+    #[inline]
+    fn tile4(
+        &self,
+        c: &mut [Self::Elem],
+        cs: usize,
+        a: &[Self::Elem],
+        as_: usize,
+        b: &[Self::Elem],
+        bs: usize,
+    ) {
+        self.rank_update(c, cs, a, as_, b, bs, 4, 4, 4);
     }
 
     /// The same-tile edge of one 4×4 computing block: the candidates whose
@@ -175,37 +181,9 @@ pub trait Semiring: Clone + Send + Sync + 'static {
     }
 }
 
-/// The 4×4 tile sweep behind both `rank_update` defaults
-/// ([`Semiring::rank_update`], [`DpValue::rank_update`]): tile rows, tile
-/// columns, then k-tiles ascending, each through `tile4`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_tiles<T>(
-    c: &mut [T],
-    cs: usize,
-    a: &[T],
-    as_: usize,
-    b: &[T],
-    bs: usize,
-    rows: usize,
-    cols: usize,
-    depth: usize,
-    mut tile4: impl FnMut(&mut [T], usize, &[T], usize, &[T], usize),
-) {
-    for r in (0..rows).step_by(4) {
-        for cc in (0..cols).step_by(4) {
-            for k in (0..depth).step_by(4) {
-                let (a, b) = (&a[r * as_ + k..], &b[k * bs + cc..]);
-                tile4(&mut c[r * cs + cc..], cs, a, as_, b, bs);
-            }
-        }
-    }
-}
-
 /// The min-plus ring over any [`DpValue`] — the paper's algebra, delegating
-/// every operation (including the SIMD tile kernel and the host-native rank
-/// update) to the `DpValue` methods. The SIMD and parallel engines solve
-/// the closure through it.
+/// every operation (including the host-native rank update) to the `DpValue`
+/// methods. The SIMD and parallel engines solve the closure through it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MinPlus<T>(PhantomData<T>);
 
@@ -237,11 +215,6 @@ impl<T: DpValue> Semiring for MinPlus<T> {
     #[inline(always)]
     fn extend(&self, a: T, b: T) -> T {
         T::add_sat(a, b)
-    }
-
-    #[inline(always)]
-    fn tile4(&self, c: &mut [T], cs: usize, a: &[T], as_: usize, b: &[T], bs: usize) {
-        T::tile4_update(c, cs, a, as_, b, bs);
     }
 
     #[inline(always)]
@@ -470,8 +443,8 @@ pub(crate) mod tests {
 
     #[test]
     fn generic_tile4_matches_dp_value_tile4() {
-        // The scalar default and the SIMD override must agree bit for bit
-        // (this is what lets MinPlus ride the fast path).
+        // `tile4` through MinPlus's host-native `rank_update` and the scalar
+        // 4×4 loop must agree bit for bit.
         let ring = MinPlus::<f32>::new();
         let stride = 5;
         let mk = |off: usize| -> Vec<f32> {

@@ -2,14 +2,16 @@
 //!
 //! NPDP's recurrence `d[i][j] = min(d[i][j], d[i][k] + d[k][j])` needs only
 //! `min`, `+` and an identity of `min` (`+∞`) to pad triangular blocks into
-//! squares. Everything in this workspace is generic over [`DpValue`];
-//! `f32`/`f64` additionally route the hot 4×4 tile update through the SIMD
-//! kernels of the `simd-kernel` crate (the paper's 80-instruction sequence).
+//! squares. Everything in this workspace is generic over [`DpValue`]; its
+//! one kernel hook, [`DpValue::rank_update`], sends every panel update of
+//! `f32`/`f64`/`i32`/`i64` to the host-native kernels of the `simd-kernel`
+//! crate. (The paper's 80-instruction 4×4 kernel stays there, as
+//! `simd_kernel::block4x4_minplus_f32`, the Table I reference.)
 
 use crate::error::SeedIssue;
 use simd_kernel::{
-    block4x4_minplus_f32_arrays, block4x4_minplus_f64_arrays, minplus_rank_update_f32,
-    minplus_rank_update_f64, minplus_rank_update_i32, minplus_rank_update_i64,
+    minplus_rank_update_f32, minplus_rank_update_f64, minplus_rank_update_i32,
+    minplus_rank_update_i64,
 };
 
 /// A value usable in the min-plus NPDP recurrence.
@@ -78,34 +80,11 @@ pub trait DpValue:
         }
     }
 
-    /// Min-plus rank-4 update of one 4×4 tile: `C = min(C, A ⊗ B)` with
-    /// row-strided tiles (`cs`, `as_`, `bs` are row strides in elements).
-    ///
-    /// The default is the scalar 64-iteration loop; `f32`/`f64` override it
-    /// with the register-blocked SIMD kernel.
-    #[inline]
-    fn tile4_update(c: &mut [Self], cs: usize, a: &[Self], as_: usize, b: &[Self], bs: usize) {
-        for r in 0..4 {
-            for cc in 0..4 {
-                let mut best = c[r * cs + cc];
-                for k in 0..4 {
-                    let cand = Self::add_sat(a[r * as_ + k], b[k * bs + cc]);
-                    best = Self::min2(best, cand);
-                }
-                c[r * cs + cc] = best;
-            }
-        }
-    }
-
     /// Min-plus rank update of a `rows × cols` panel of C by a `rows ×
     /// depth` panel of A and a `depth × cols` panel of B (all multiples of
-    /// 4, row-strided like [`DpValue::tile4_update`]).
-    ///
-    /// The default sweeps 4×4 tiles — tile rows, tile columns, then k-tiles
-    /// ascending — through [`DpValue::tile4_update`]; `f32`/`f64`/`i32`/`i64`
-    /// override it with the host-native kernels of `simd_kernel::rank`.
-    /// Either way a cell sees its candidates in ascending `k`.
-    #[inline]
+    /// 4, row-strided: `cs`, `as_`, `bs` are row strides in elements). Each
+    /// impl sends it to its host-native kernel in `simd_kernel::rank`; a
+    /// float cell sees its candidates in ascending `k`.
     #[allow(clippy::too_many_arguments)]
     fn rank_update(
         c: &mut [Self],
@@ -117,9 +96,7 @@ pub trait DpValue:
         rows: usize,
         cols: usize,
         depth: usize,
-    ) {
-        crate::semiring::sweep_tiles(c, cs, a, as_, b, bs, rows, cols, depth, Self::tile4_update);
-    }
+    );
 }
 
 /// Float seeds: NaN, or any sign-negative value — `-0.0` included. A `-0.0`
@@ -148,11 +125,6 @@ impl DpValue for f32 {
     }
 
     #[inline(always)]
-    fn tile4_update(c: &mut [Self], cs: usize, a: &[Self], as_: usize, b: &[Self], bs: usize) {
-        block4x4_minplus_f32_arrays(c, cs, a, as_, b, bs);
-    }
-
-    #[inline(always)]
     fn rank_update(
         c: &mut [Self],
         cs: usize,
@@ -176,11 +148,6 @@ impl DpValue for f64 {
     #[inline]
     fn seed_issue(v: Self) -> Option<SeedIssue> {
         float_seed_issue(v.is_nan(), v.is_sign_negative())
-    }
-
-    #[inline(always)]
-    fn tile4_update(c: &mut [Self], cs: usize, a: &[Self], as_: usize, b: &[Self], bs: usize) {
-        block4x4_minplus_f64_arrays(c, cs, a, as_, b, bs);
     }
 
     #[inline(always)]
@@ -286,7 +253,7 @@ mod tests {
         let c0 = mk(3);
 
         let mut c_fast = c0.clone();
-        T::tile4_update(&mut c_fast, stride, &a, stride, &b, stride);
+        T::rank_update(&mut c_fast, stride, &a, stride, &b, stride, 4, 4, 4);
 
         let mut c_ref = c0;
         for r in 0..4 {

@@ -7,9 +7,9 @@
 //! problem side, and take one of two tiers:
 //!
 //! * **small** — batched across requests and tenants into shared
-//!   [`task_queue::run`] epochs under `Scheduler::LocalityBatched`, so a
-//!   stream of tiny solves amortizes pool wakeups the way PR 4's batched
-//!   discipline amortized starved tail diagonals *within* one problem;
+//!   [`task_queue::run`] epochs of independent tasks under
+//!   `Scheduler::WorkStealing`, so a stream of tiny solves amortizes pool
+//!   wakeups;
 //! * **large** — one `ParallelEngine::solve_with` per request with
 //!   `Tuning::Auto`, letting the §V performance model pick the block side.
 //!

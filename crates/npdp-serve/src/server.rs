@@ -21,12 +21,12 @@
 //!
 //! ## Shared scheduler epochs
 //!
-//! `Scheduler::LocalityBatched` merges one problem's starved tail diagonals
-//! into a single scheduling batch; this layer lifts the same idea *across
-//! requests*: up to [`ServerConfig::batch_max`] small problems become one
+//! Up to [`ServerConfig::batch_max`] small problems become one
 //! [`task_queue::run`] epoch — one task per request, all independent — so a
 //! burst of tiny solves rides one worker-pool wakeup instead of paying
-//! per-request pool spin-up. The batcher thread itself runs the epoch's
+//! per-request pool spin-up. The epoch's graph has no edges, so no task is
+//! ever readied by another's completion; plain `Scheduler::WorkStealing`
+//! runs it (a locality discipline would have no successor to keep local). The batcher thread itself runs the epoch's
 //! worker 0, so a lone small request starts no thread at all.
 //!
 //! The batcher is work-conserving, like the paper's §IV-B ready queue: no
@@ -119,8 +119,6 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Concurrent large solves (each already uses `workers` threads).
     pub large_lanes: usize,
-    /// Memory-block side of the small tier's serial NDL+SIMD engine.
-    pub small_nb: usize,
     /// Reap a connection whose reader sees no traffic for this long
     /// (`None` keeps sockets forever). An abandoned client must not hold a
     /// reader thread and a connection slot indefinitely.
@@ -142,12 +140,16 @@ impl Default for ServerConfig {
             queue_limit: 1024,
             cache_bytes: 8 << 20,
             large_lanes: 1,
-            small_nb: 32,
             idle_timeout: Some(Duration::from_secs(120)),
             write_timeout: Some(Duration::from_secs(30)),
         }
     }
 }
+
+/// Memory-block side of the small tier's serial NDL+SIMD engine: every
+/// small problem (side under [`ServerConfig::small_threshold`]) fits a few
+/// blocks of it.
+const SMALL_NB: usize = 32;
 
 /// How long an injected [`FaultKind::DispatchStall`] holds a dispatcher (the
 /// small-request epoch worker before it drains, a large lane before it
@@ -547,8 +549,8 @@ impl Drop for ServerHandle {
 /// `queue.*` counter the epochs emit, its fault injector and retry budget
 /// ride into every epoch (so chaos testing the service reuses the exact
 /// task-queue recovery machinery), and its scheduler choice applies to the
-/// large tier. Small-tier epochs always run `Scheduler::LocalityBatched` —
-/// that is the point of the batching layer.
+/// large tier. Small-tier epochs always run `Scheduler::WorkStealing`
+/// over their edgeless graph.
 pub fn spawn(
     cfg: ServerConfig,
     addr: Option<SocketAddr>,
@@ -925,7 +927,7 @@ fn stall_dispatch<'a>(
 }
 
 /// Execute one shared scheduler epoch: one independent task per request on
-/// the locality-batched discipline.
+/// the work-stealing discipline.
 fn run_epoch(all: &[Job], shared: &Arc<Shared>, track: Track) {
     let tracer = &shared.ctx.tracer;
     // Queue wait ends for every member when the batch drains (one clock
@@ -947,11 +949,8 @@ fn run_epoch(all: &[Job], shared: &Arc<Shared>, track: Track) {
     if batch.is_empty() {
         return;
     }
-    let epoch_ctx = shared
-        .ctx
-        .clone()
-        .with_scheduler(Scheduler::LocalityBatched);
-    let engine = SimdEngine::new(shared.cfg.small_nb);
+    let epoch_ctx = shared.ctx.clone().with_scheduler(Scheduler::WorkStealing);
+    let engine = SimdEngine::new(SMALL_NB);
     // Which members their own task already answered.
     let answered: Vec<AtomicBool> = batch.iter().map(|_| AtomicBool::new(false)).collect();
     let workers = shared.cfg.workers.min(batch.len()).max(1);

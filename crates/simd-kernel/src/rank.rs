@@ -293,8 +293,8 @@ fn halves<T: Halves>(x: &[T], stride: usize, h: usize, w: usize) -> bool {
     })
 }
 
-/// One saturating-integer 4×4 tile: the scalar loop of `DpValue`'s default
-/// `tile4_update` for the integer types.
+/// One saturating-integer 4×4 tile: the scalar min-plus loop with
+/// saturating adds, the portable tier's per-tile body for the integer types.
 macro_rules! block4x4_saturating {
     ($name:ident, $elem:ty) => {
         fn $name(c: &mut [$elem], cs: usize, a: &[$elem], as_: usize, b: &[$elem], bs: usize) {

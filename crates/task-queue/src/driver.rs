@@ -692,28 +692,97 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! Behaviour checks of [`run`], each a function of the discipline. The
+    //! tests here run every check under every discipline; the
+    //! per-discipline test modules (`pool`, `stealing`, `locality`) call
+    //! the checks for theirs.
+
     use super::*;
-    use crate::triangle::triangle_graph;
+    use crate::triangle::{diagonal_batched_grid, triangle_graph};
     use npdp_fault::{FaultInjector, FaultPlan, RetryPolicy};
 
-    #[test]
-    fn every_scheduler_runs_every_task_once() {
-        for sched in [
+    /// Every discipline.
+    fn all() -> [Scheduler; 4] {
+        [
             Scheduler::CentralQueue,
             Scheduler::WorkStealing,
             Scheduler::LocalityBatched,
             Scheduler::pipelined(),
-        ] {
-            let g = triangle_graph(10);
-            let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-            let ctx = ExecContext::disabled().with_scheduler(sched);
-            let stats = run(&g, 4, &ctx, |t| {
-                hits[t].fetch_add(1, Ordering::SeqCst);
+        ]
+    }
+
+    fn ctx(sched: Scheduler) -> ExecContext {
+        ExecContext::disabled().with_scheduler(sched)
+    }
+
+    /// 0 → {1, 2} → 3.
+    fn diamond() -> TaskGraph {
+        let mut g = TaskGraph::new(4);
+        for (from, to) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+            g.add_edge(from, to);
+        }
+        g
+    }
+
+    /// 0 → 1 → … → `len − 1`.
+    fn chain(len: usize) -> TaskGraph {
+        let mut g = TaskGraph::new(len);
+        for t in 1..len {
+            g.add_edge(t - 1, t);
+        }
+        g
+    }
+
+    /// Whether `order` holds every task of `g` once, each after all its
+    /// predecessors.
+    fn is_dependence_order(g: &TaskGraph, order: &[usize]) -> bool {
+        let mut seen = vec![false; g.len()];
+        for &t in order {
+            if seen[t] {
+                return false;
+            }
+            seen[t] = true;
+            if g.successors(t).iter().any(|&s| seen[s as usize]) {
+                return false;
+            }
+        }
+        order.len() == g.len()
+    }
+
+    /// `run` executes every task exactly once, each starting after all its
+    /// predecessors finished, and credits every task to a worker: on the
+    /// diamond, on triangles (8 workers contending on the larger), on an
+    /// edgeless graph and on the diagonal-batched grid.
+    pub(crate) fn check_runs_in_order(sched: Scheduler) {
+        let inputs = [
+            (diamond(), 3),
+            (triangle_graph(10), 4),
+            (triangle_graph(14), 8),
+            (TaskGraph::new(64), 8),
+            (diagonal_batched_grid(10, 1, 4).graph, 4),
+        ];
+        for (g, workers) in inputs {
+            let mut preds = vec![Vec::new(); g.len()];
+            for t in 0..g.len() {
+                for &s in g.successors(t) {
+                    preds[s as usize].push(t);
+                }
+            }
+            let done: Vec<AtomicBool> = (0..g.len()).map(|_| AtomicBool::new(false)).collect();
+            let runs: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
+            let early = AtomicUsize::new(0);
+            let stats = run(&g, workers, &ctx(sched), |t| {
+                if !preds[t].iter().all(|&p| done[p].load(Ordering::SeqCst)) {
+                    early.fetch_add(1, Ordering::SeqCst);
+                }
+                runs[t].fetch_add(1, Ordering::SeqCst);
+                done[t].store(true, Ordering::SeqCst);
             })
             .unwrap();
+            assert_eq!(early.into_inner(), 0, "{sched:?}: a task ran early");
             assert!(
-                hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+                runs.iter().all(|r| r.load(Ordering::SeqCst) == 1),
                 "{sched:?}"
             );
             assert_eq!(
@@ -721,31 +790,233 @@ mod tests {
                 g.len(),
                 "{sched:?}"
             );
+            assert!(stats.imbalance() >= 1.0, "{sched:?}");
         }
     }
 
     /// A one-worker run starts no thread: the caller runs worker 0, so
-    /// every task body sees the calling thread.
-    #[test]
-    fn one_worker_runs_every_task_on_the_calling_thread() {
+    /// every task body sees the calling thread, in a dependence order (on a
+    /// 1000-task chain, exactly the chain's).
+    pub(crate) fn check_one_worker(sched: Scheduler) {
         let caller = std::thread::current().id();
-        for sched in [
-            Scheduler::CentralQueue,
-            Scheduler::WorkStealing,
-            Scheduler::LocalityBatched,
-            Scheduler::pipelined(),
-        ] {
-            let g = triangle_graph(6);
-            let threads = Mutex::new(Vec::new());
-            let ctx = ExecContext::disabled().with_scheduler(sched);
-            run(&g, 1, &ctx, |_| {
-                threads.lock().unwrap().push(std::thread::current().id());
+        for g in [triangle_graph(6), chain(1000)] {
+            let order = Mutex::new(Vec::new());
+            let stats = run(&g, 1, &ctx(sched), |t| {
+                order.lock().unwrap().push((t, std::thread::current().id()));
             })
             .unwrap();
-            let threads = threads.into_inner().unwrap();
-            assert_eq!(threads.len(), g.len(), "{sched:?}");
-            assert!(threads.iter().all(|&t| t == caller), "{sched:?}");
+            assert_eq!(stats.tasks_per_worker, vec![g.len()], "{sched:?}");
+            let order = order.into_inner().unwrap();
+            assert!(order.iter().all(|&(_, t)| t == caller), "{sched:?}");
+            let tasks: Vec<usize> = order.iter().map(|&(t, _)| t).collect();
+            assert!(is_dependence_order(&g, &tasks), "{sched:?}");
         }
+    }
+
+    pub(crate) fn check_empty(sched: Scheduler) {
+        let stats = run(&TaskGraph::new(0), 3, &ctx(sched), |_| {
+            panic!("no tasks to run")
+        })
+        .unwrap();
+        assert_eq!(stats.tasks_per_worker, vec![0; 3]);
+    }
+
+    /// The metric vocabulary of each discipline (module docs).
+    pub(crate) fn check_metric_vocabulary(sched: Scheduler) {
+        let g = triangle_graph(8);
+        let (len, roots) = (g.len() as u64, g.roots().count() as u64);
+        let (metrics, recorder) = Metrics::recording();
+        let metered = ctx(sched).with_metrics(&metrics);
+        run(&g, 4, &metered, |_| std::thread::yield_now()).unwrap();
+        assert_eq!(recorder.get("queue.tasks_executed"), len, "{sched:?}");
+        let pushes = recorder.get("queue.ready_pushes");
+        match sched {
+            // Every task, roots included, is pushed exactly once.
+            Scheduler::CentralQueue => {
+                assert_eq!(pushes, len);
+                assert!((1..=len).contains(&recorder.get("queue.depth_hwm")));
+            }
+            // Roots enter through the injector uncounted, so at least one
+            // injector pickup happens; every other task is pushed once.
+            Scheduler::WorkStealing => {
+                assert_eq!(pushes, len - roots);
+                assert!(recorder.get("queue.injector_steals") >= 1);
+            }
+            // Every non-root pickup is an affinity hit or a miss; on one
+            // worker, which produced every operand itself, all are hits.
+            Scheduler::LocalityBatched => {
+                let scored = |r: &npdp_metrics::Recorder| {
+                    (r.get("queue.affinity_hits"), r.get("queue.affinity_misses"))
+                };
+                let (hits, misses) = scored(&recorder);
+                assert_eq!(hits + misses, len - roots);
+                let (metrics, recorder) = Metrics::recording();
+                run(&g, 1, &ctx(sched).with_metrics(&metrics), |_| {}).unwrap();
+                assert_eq!(scored(&recorder), (len - roots, 0));
+            }
+            // Each of the 8 diagonals retires exactly once, CAS-deduplicated.
+            Scheduler::Pipelined { .. } => {
+                assert_eq!(pushes, len - roots);
+                assert_eq!(recorder.get("queue.frontier_advances"), 8);
+            }
+        }
+    }
+
+    /// A traced run journals one balanced `Task` span per task on one track
+    /// per worker; a no-op tracer registers no track.
+    pub(crate) fn check_trace(sched: Scheduler) {
+        let g = triangle_graph(8);
+        let tracer = Tracer::new();
+        run(&g, 4, &ctx(sched).with_tracer(&tracer), |_| {
+            std::thread::yield_now()
+        })
+        .unwrap();
+        let data = tracer.snapshot();
+        assert_eq!(data.tracks.len(), 4, "{sched:?}");
+        let spans = npdp_trace::analysis::pair_spans(&data).expect("spans balance");
+        let mut task_ids: Vec<u32> = spans
+            .iter()
+            .filter_map(|s| match s.kind {
+                EventKind::Task { id } => Some(id),
+                _ => None,
+            })
+            .collect();
+        task_ids.sort_unstable();
+        assert_eq!(
+            task_ids,
+            (0..g.len() as u32).collect::<Vec<_>>(),
+            "{sched:?}"
+        );
+        let noop = Tracer::noop();
+        run(&g, 2, &ctx(sched).with_tracer(&noop), |_| {}).unwrap();
+        assert_eq!(noop.snapshot().tracks.len(), 0, "{sched:?}");
+    }
+
+    /// A task that panics on every attempt ends the run with a typed error
+    /// naming it — no hang, no escaped panic — and a task that panics once
+    /// is retried and the run succeeds.
+    pub(crate) fn check_panics(sched: Scheduler) {
+        let g = triangle_graph(5);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run(&g, 4, &ctx(sched), |t| {
+                if t == 7 {
+                    panic!("boom in task 7");
+                }
+            })
+        }));
+        let err = caught.expect("no panic escapes run").unwrap_err();
+        assert!(err.to_string().contains("task 7 panicked"), "{err}");
+        let ExecError::TaskPanicked {
+            task,
+            attempts,
+            message,
+        } = err;
+        assert_eq!((task, attempts), (7, RetryPolicy::DEFAULT.max_attempts));
+        assert!(message.contains("boom"), "{sched:?}: {message}");
+
+        let (metrics, recorder) = Metrics::recording();
+        let first_try = AtomicBool::new(true);
+        let stats = run(&g, 3, &ctx(sched).with_metrics(&metrics), |t| {
+            if t == 5 && first_try.swap(false, Ordering::SeqCst) {
+                panic!("transient");
+            }
+        })
+        .unwrap();
+        assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), g.len());
+        assert_eq!(recorder.get("queue.task_panics"), 1, "{sched:?}");
+        assert_eq!(recorder.get("queue.task_retries"), 1, "{sched:?}");
+    }
+
+    /// Injected `TaskPanic`s at a moderate rate are recovered by retries,
+    /// every body still completing exactly once; at rate 1.0 — every
+    /// attempt fires — no budget gets through.
+    pub(crate) fn check_injected_panics(sched: Scheduler) {
+        let g = triangle_graph(6);
+        let faults = FaultInjector::new(FaultPlan::seeded(17).with_rate(FaultKind::TaskPanic, 0.4));
+        let retry = RetryPolicy {
+            max_attempts: 16,
+            base_backoff: 1,
+        };
+        let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
+        let faulted = ctx(sched).with_faults(&faults).with_retry(retry);
+        run(&g, 4, &faulted, |t| {
+            hits[t].fetch_add(1, Ordering::SeqCst);
+        })
+        .unwrap();
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+            "{sched:?}"
+        );
+        assert!(faults.injected(FaultKind::TaskPanic) > 0, "{sched:?}");
+
+        let always = FaultInjector::new(FaultPlan::seeded(9).with_rate(FaultKind::TaskPanic, 1.0));
+        let doomed = ctx(sched).with_faults(&always);
+        assert!(run(&g, 2, &doomed, |_| {}).is_err(), "{sched:?}");
+    }
+
+    /// `execute_sequential`, the reference executor, runs every task once
+    /// in a dependence order.
+    pub(crate) fn check_sequential() {
+        for g in [diamond(), triangle_graph(10), chain(16)] {
+            let mut order = Vec::new();
+            execute_sequential(&g, |t| order.push(t));
+            assert!(is_dependence_order(&g, &order), "{order:?}");
+        }
+    }
+
+    #[test]
+    fn every_scheduler_runs_every_task_once() {
+        all().into_iter().for_each(check_runs_in_order);
+    }
+
+    #[test]
+    fn one_worker_runs_every_task_on_the_calling_thread() {
+        all().into_iter().for_each(check_one_worker);
+    }
+
+    #[test]
+    fn empty_graph_returns_immediately_for_every_scheduler() {
+        all().into_iter().for_each(check_empty);
+    }
+
+    #[test]
+    fn every_scheduler_journals_balanced_task_spans() {
+        all().into_iter().for_each(check_trace);
+    }
+
+    #[test]
+    fn hopeless_budget_is_a_typed_error() {
+        all().into_iter().for_each(check_panics);
+    }
+
+    #[test]
+    fn injected_panics_recover_under_every_scheduler() {
+        all().into_iter().for_each(check_injected_panics);
+    }
+
+    #[test]
+    fn central_metric_vocabulary_counts_roots() {
+        check_metric_vocabulary(Scheduler::CentralQueue);
+    }
+
+    #[test]
+    fn stealing_metric_vocabulary_excludes_roots() {
+        check_metric_vocabulary(Scheduler::WorkStealing);
+    }
+
+    #[test]
+    fn locality_affinity_partitions_non_roots() {
+        check_metric_vocabulary(Scheduler::LocalityBatched);
+    }
+
+    #[test]
+    fn pipelined_metric_vocabulary() {
+        check_metric_vocabulary(Scheduler::pipelined());
+    }
+
+    #[test]
+    fn sequential_runs_every_task_in_a_dependence_order() {
+        check_sequential();
     }
 
     /// The caller's tasks run on worker 0's trace track, and the caller's
@@ -845,92 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_graph_returns_immediately_for_every_scheduler() {
-        for sched in [
-            Scheduler::CentralQueue,
-            Scheduler::WorkStealing,
-            Scheduler::LocalityBatched,
-            Scheduler::pipelined(),
-        ] {
-            let g = TaskGraph::new(0);
-            let ctx = ExecContext::disabled().with_scheduler(sched);
-            let stats = run(&g, 3, &ctx, |_| panic!("no tasks to run")).unwrap();
-            assert_eq!(stats.tasks_per_worker, vec![0; 3]);
-        }
-    }
-
-    #[test]
-    fn central_metric_vocabulary_counts_roots() {
-        let g = triangle_graph(6);
-        let (metrics, recorder) = Metrics::recording();
-        let ctx = ExecContext::disabled().with_metrics(&metrics);
-        run(&g, 2, &ctx, |_| {}).unwrap();
-        assert_eq!(recorder.get("queue.tasks_executed"), g.len() as u64);
-        // Central queue: every task (roots included) is pushed exactly once.
-        assert_eq!(recorder.get("queue.ready_pushes"), g.len() as u64);
-        assert!(recorder.get("queue.depth_hwm") >= 1);
-    }
-
-    #[test]
-    fn stealing_metric_vocabulary_excludes_roots() {
-        let g = triangle_graph(8);
-        let (metrics, recorder) = Metrics::recording();
-        let ctx = ExecContext::disabled()
-            .with_metrics(&metrics)
-            .with_scheduler(Scheduler::WorkStealing);
-        run(&g, 4, &ctx, |_| std::thread::yield_now()).unwrap();
-        let roots = g.roots().count();
-        assert_eq!(recorder.get("queue.ready_pushes"), (g.len() - roots) as u64);
-        assert!(recorder.get("queue.injector_steals") >= 1);
-    }
-
-    #[test]
-    fn locality_affinity_partitions_non_roots() {
-        let g = triangle_graph(12);
-        let (metrics, recorder) = Metrics::recording();
-        let ctx = ExecContext::disabled()
-            .with_metrics(&metrics)
-            .with_scheduler(Scheduler::LocalityBatched);
-        run(&g, 4, &ctx, |_| std::thread::yield_now()).unwrap();
-        let roots = g.roots().count() as u64;
-        assert_eq!(
-            recorder.get("queue.affinity_hits") + recorder.get("queue.affinity_misses"),
-            g.len() as u64 - roots
-        );
-    }
-
-    #[test]
-    fn injected_panics_recover_under_every_scheduler() {
-        for sched in [
-            Scheduler::CentralQueue,
-            Scheduler::WorkStealing,
-            Scheduler::LocalityBatched,
-            Scheduler::pipelined(),
-        ] {
-            let g = triangle_graph(6);
-            let faults =
-                FaultInjector::new(FaultPlan::seeded(17).with_rate(FaultKind::TaskPanic, 0.4));
-            let ctx = ExecContext::disabled()
-                .with_scheduler(sched)
-                .with_faults(&faults)
-                .with_retry(RetryPolicy {
-                    max_attempts: 16,
-                    base_backoff: 1,
-                });
-            let hits: Vec<AtomicU32> = (0..g.len()).map(|_| AtomicU32::new(0)).collect();
-            run(&g, 4, &ctx, |t| {
-                hits[t].fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-                "{sched:?}"
-            );
-            assert!(faults.injected(FaultKind::TaskPanic) > 0, "{sched:?}");
-        }
-    }
-
-    #[test]
     fn idle_accounting_saturates_instead_of_wrapping() {
         // In-range totals pass through exactly…
         assert_eq!(saturating_ns(0), 0);
@@ -944,38 +1129,6 @@ mod tests {
         // wrapping per-addition.
         let total = (0..4).fold(0u128, |acc, _| acc + u64::MAX as u128);
         assert_eq!(saturating_ns(total), u64::MAX);
-    }
-
-    #[test]
-    fn hopeless_budget_is_a_typed_error() {
-        let g = triangle_graph(4);
-        let ctx = ExecContext::disabled();
-        let err = run(&g, 3, &ctx, |t| {
-            if t == 2 {
-                panic!("boom in task 2");
-            }
-        })
-        .unwrap_err();
-        let ExecError::TaskPanicked { task, attempts, .. } = err;
-        assert_eq!(task, 2);
-        assert_eq!(attempts, RetryPolicy::DEFAULT.max_attempts);
-    }
-
-    #[test]
-    fn pipelined_metric_vocabulary() {
-        let g = triangle_graph(8);
-        let (metrics, recorder) = Metrics::recording();
-        let ctx = ExecContext::disabled()
-            .with_metrics(&metrics)
-            .with_scheduler(Scheduler::pipelined());
-        run(&g, 4, &ctx, |_| std::thread::yield_now()).unwrap();
-        let roots = g.roots().count();
-        // Roots enter uncounted (stealing vocabulary); every other task is
-        // pushed exactly once.
-        assert_eq!(recorder.get("queue.ready_pushes"), (g.len() - roots) as u64);
-        // Each of the 8 diagonals retires exactly once, CAS-deduplicated.
-        assert_eq!(recorder.get("queue.frontier_advances"), 8);
-        assert_eq!(recorder.get("queue.tasks_executed"), g.len() as u64);
     }
 
     #[test]

@@ -144,11 +144,11 @@ impl ZkElem {
 ///
 /// # Track planes
 ///
-/// [`Semiring::rank_update`] and [`Semiring::tile4`] do not sweep whole
-/// elements. A candidate `extend(a, b)` in which neither side has
-/// `span == 1` is `INF` on every track except `span`, `w`, `wm` and `wm2`,
-/// and those four are plain saturating sums: `a.span + b.span`, `a.w +
-/// b.w`, and `a.wm + b.wm` for both `wm` and `wm2`. So the update gathers
+/// [`Semiring::rank_update`] does not sweep whole elements. A candidate
+/// `extend(a, b)` in which neither side has `span == 1` is `INF` on every
+/// track except `span`, `w`, `wm` and `wm2`, and those four are plain
+/// saturating sums: `a.span + b.span`, `a.w + b.w`, and `a.wm + b.wm` for
+/// both `wm` and `wm2`. So the update gathers
 /// those planes into dense `i32` panels, runs one `MinPlus<i32>` rank
 /// update per C plane (the host-native kernel), scatters the C planes back,
 /// and then applies the full scalar `combine(c, extend(a, b))` for every A
@@ -389,20 +389,6 @@ impl Semiring for ZkRing {
             }
         }
         o
-    }
-
-    /// One 4×4×4 track-plane update on stack planes (no heap allocation).
-    fn tile4(
-        &self,
-        c: &mut [ZkElem],
-        cs: usize,
-        a: &[ZkElem],
-        as_: usize,
-        b: &[ZkElem],
-        bs: usize,
-    ) {
-        let mut planes = [0; planes_len(4, 4, 4)];
-        self.plane_update(c, cs, a, as_, b, bs, 4, 4, 4, &mut planes);
     }
 
     /// The flowchart with every candidate reduced track-wise
@@ -784,9 +770,9 @@ mod tests {
         }
     }
 
-    /// `ZkRing` with the `Semiring` defaults only: its `rank_update` and
-    /// `tile4` are the full-element 4×4 tile sweep of `combine(c,
-    /// extend(a, b))`, the reference for the track-plane overrides.
+    /// `ZkRing` with the `Semiring` defaults only: its `rank_update` is the
+    /// full-element 4×4 tile sweep of `combine(c, extend(a, b))`, the
+    /// reference for the track-plane override.
     #[derive(Clone)]
     struct FullSweep(ZkRing);
 

@@ -8,7 +8,7 @@
 
 use npdp::cell::kernels::{sp_kernel_blocked, sp_kernel_naive, sp_kernel_tree, TileAddrs};
 use npdp::cell::machine::{simulate, CellConfig, SimSpec};
-use npdp::cell::npdp::functional_cellnpdp_f32;
+use npdp::cell::npdp::functional_cellnpdp;
 use npdp::cell::ppe::Precision;
 use npdp::cell::{schedule, software_pipeline, InstrMix};
 use npdp::core::problem;
@@ -48,7 +48,8 @@ fn main() {
     let n = 64;
     let seeds = problem::random_seeds_f32(n, 100.0, 5);
     let host = SerialEngine.solve(&seeds);
-    let (sim, kernel_calls) = functional_cellnpdp_f32(&seeds, 16);
+    let (sim, kernel_calls) =
+        functional_cellnpdp(&seeds, 16, &ExecContext::disabled()).expect("fault-free run");
     assert_eq!(host.first_difference(&sim), None);
     println!(
         "n = {n}: simulated SPU table bit-identical to the host engine ✓ \

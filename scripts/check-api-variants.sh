@@ -99,3 +99,25 @@ if [ -n "$core_unsafe" ]; then
     exit 1
 fi
 echo "Core guard: npdp-core's only unsafe code is engine/shared.rs."
+
+# Kernel surface: a ring's kernel hooks are `Semiring::rank_update` and
+# `Semiring::edge`, and `DpValue::rank_update` is the min-plus one.
+# `Semiring::tile4` is only a provided 4×4×4 shorthand for `rank_update`,
+# defined once in semiring.rs and overridden nowhere; `DpValue` has no
+# per-tile hook. The simulated SPE procedure is generic over the element
+# (`cell_sim::npdp::SpeElem`), so no precision-suffixed twin of it returns.
+surface=$(
+    grep -rnE 'fn tile4\b' crates --include='*.rs' \
+        | grep -v '^crates/npdp-core/src/semiring\.rs:'
+    grep -rn 'tile4_update' crates --include='*.rs'
+    grep -rnE 'mod npdp_f(32|64)\b|functional_cellnpdp_f(32|64)' \
+        crates tests examples --include='*.rs'
+    ls crates/cell-sim/src/npdp_f*.rs 2>/dev/null
+) || true
+if [ -n "$surface" ]; then
+    echo "ERROR: kernel hooks beyond rank_update + edge, or a per-precision SPE twin:" >&2
+    printf '  %s\n' "$surface" >&2
+    echo "Override Semiring::rank_update / edge, or add an SpeElem impl, instead." >&2
+    exit 1
+fi
+echo "Kernel-surface guard: rings hook rank_update + edge; one generic SPE procedure."

@@ -7,8 +7,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use npdp::cell::multi_spe::functional_cellnpdp_multi_spe_with;
-use npdp::cell::npdp::functional_cellnpdp_f32_with;
-use npdp::core::{problem, Engine, ParallelEngine, Scheduler, SerialEngine, SolveError};
+use npdp::cell::npdp::{functional_cellnpdp, SpeElem};
+use npdp::core::{
+    problem, Engine, ParallelEngine, Scheduler, SerialEngine, SolveError, TriangularMatrix,
+};
 use npdp::exec::ExecContext;
 use npdp::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy, ALL_FAULT_KINDS};
 use npdp::metrics::Metrics;
@@ -107,31 +109,43 @@ proptest! {
     }
 }
 
+/// One single-SPE run of `seeds` under `plan`: bit-identical to
+/// `SerialEngine`, or a transfer that ran out of attempts.
+fn dma_chaos<T: SpeElem>(seeds: &TriangularMatrix<T>, plan: FaultPlan) {
+    let reference = SerialEngine.solve(seeds);
+    let faults = FaultInjector::new(plan);
+    let ctx = ExecContext::disabled()
+        .with_faults(&faults)
+        .with_retry(CHAOS_RETRY);
+    match functional_cellnpdp(seeds, 8, &ctx) {
+        Ok((got, _)) => prop_assert_eq!(reference.first_difference(&got), None),
+        Err(e) => {
+            let exhausted = matches!(e, SolveError::TransferFailed { attempts, .. }
+                if attempts == CHAOS_RETRY.max_attempts);
+            prop_assert!(exhausted, "{e:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property: the single-SPE functional simulator under arbitrary DMA
-    /// fault schedules (loss, corruption, delay) recovers bit-identically
-    /// through the checksum-retry path or fails typed.
+    /// Property: the single-SPE functional simulator, in single and double
+    /// precision, under arbitrary DMA fault schedules (loss, corruption,
+    /// delay) recovers bit-identically through the checksum-retry path or,
+    /// once a transfer exhausts its budget, fails with `TransferFailed`.
     #[test]
     fn prop_dma_chaos_bit_identical_or_typed(
         n in 8usize..56,
         fault_seed in any::<u64>(),
         rate in 0.0f64..0.6,
     ) {
-        let seeds = problem::random_seeds_f32(n, 100.0, n as u64 + 1);
-        let reference = SerialEngine.solve(&seeds);
-        let faults = FaultInjector::new(
-            FaultPlan::seeded(fault_seed)
-                .with_rate(FaultKind::DmaFail, rate)
-                .with_rate(FaultKind::DmaCorrupt, rate)
-                .with_rate(FaultKind::DmaDelay, rate),
-        );
-        let ctx = ExecContext::disabled().with_faults(&faults).with_retry(CHAOS_RETRY);
-        match functional_cellnpdp_f32_with(&seeds, 8, &ctx) {
-            Ok((got, _)) => prop_assert_eq!(reference.first_difference(&got), None),
-            Err(e) => assert_typed(&e),
-        }
+        let plan = FaultPlan::seeded(fault_seed)
+            .with_rate(FaultKind::DmaFail, rate)
+            .with_rate(FaultKind::DmaCorrupt, rate)
+            .with_rate(FaultKind::DmaDelay, rate);
+        dma_chaos(&problem::random_seeds_f32(n, 100.0, n as u64 + 1), plan);
+        dma_chaos(&problem::random_seeds_f64(n, 100.0, n as u64 + 1), plan);
     }
 
     /// Property: the multi-SPE protocol under *mixed* fault schedules —

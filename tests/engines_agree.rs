@@ -2,7 +2,7 @@
 //! NDL, SIMD, parallel, wavefront, TanNPDP, and the functional Cell
 //! simulator — produces bit-identical DP tables.
 
-use npdp::cell::npdp::functional_cellnpdp_f32;
+use npdp::cell::npdp::functional_cellnpdp;
 use npdp::core::{problem, SeedIssue};
 use npdp::prelude::*;
 use proptest::prelude::*;
@@ -151,7 +151,7 @@ fn simulated_cell_bit_identical_to_host() {
     for (n, nb) in [(24usize, 8usize), (40, 8), (52, 12)] {
         let seeds = problem::random_seeds_f32(n, 50.0, (n + nb) as u64);
         let host = SerialEngine.solve(&seeds);
-        let (sim, _) = functional_cellnpdp_f32(&seeds, nb);
+        let (sim, _) = functional_cellnpdp(&seeds, nb, &ExecContext::disabled()).unwrap();
         assert_eq!(
             first_bit_difference(&host, &sim),
             None,

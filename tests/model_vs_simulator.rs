@@ -178,14 +178,14 @@ fn host_engine_simulator_and_analytics_count_identical_kernels() {
     // equal the SPU simulation's only on exact tilings (n a multiple of
     // nb): on a ragged side the host computes only the last block column's
     // logical width, while the SPU program sweeps the whole padded block.
-    use npdp::cell::npdp::functional_cellnpdp_f32;
+    use npdp::cell::npdp::functional_cellnpdp;
     use npdp::core::engine::{analytic_tile_updates, solve_simd_counted};
     use npdp::core::problem;
 
     for (n, nb) in [(32usize, 8usize), (48, 8), (64, 16)] {
         let seeds = problem::random_seeds_f32(n, 100.0, (n * nb) as u64);
         let (_, host_counts) = solve_simd_counted(&seeds, nb);
-        let (_, sim_calls) = functional_cellnpdp_f32(&seeds, nb);
+        let (_, sim_calls) = functional_cellnpdp(&seeds, nb, &ExecContext::disabled()).unwrap();
         let analytic = analytic_tile_updates(n.div_ceil(nb), nb);
         assert_eq!(host_counts.tile_updates(), sim_calls, "host vs SPU n={n}");
         assert_eq!(sim_calls, analytic, "SPU vs analytic n={n}");
